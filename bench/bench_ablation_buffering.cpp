@@ -14,6 +14,7 @@
 #include "core/callbacks.hpp"
 #include "core/survey.hpp"
 #include "gen/presets.hpp"
+#include "graph/frozen.hpp"
 
 namespace cb = tripoll::callbacks;
 namespace comm = tripoll::comm;
@@ -44,11 +45,12 @@ int main() {
         [&](comm::communicator& c) {
           gen::plain_graph g(c);
           gen::build_dataset(c, g, spec);
+          auto fz = tripoll::graph::freeze(g);
           c.barrier();
           if (c.rank0()) before = c.stats();
           c.barrier();
           cb::count_context ctx;
-          result = tripoll::triangle_survey(g, cb::count_callback{}, ctx,
+          result = tripoll::triangle_survey(fz, cb::count_callback{}, ctx,
                                             {tripoll::survey_mode::push_pull});
           if (c.rank0()) after = c.stats();
           c.barrier();

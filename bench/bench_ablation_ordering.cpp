@@ -23,6 +23,7 @@
 #include "gen/presets.hpp"
 #include "gen/temporal.hpp"
 #include "graph/builder.hpp"
+#include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 
 namespace cb = tripoll::callbacks;
@@ -51,8 +52,9 @@ run_metrics run_once(int ranks, graph::ordering_policy ordering, BuildFn&& build
     const double build_s = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0).count();
 
+    auto fz = graph::freeze(g);
     cb::count_context ctx;
-    const auto result = tripoll::triangle_survey(g, cb::count_callback{}, ctx,
+    const auto result = tripoll::triangle_survey(fz, cb::count_callback{}, ctx,
                                                  {tripoll::survey_mode::push_pull});
     const auto triangles = ctx.global_count(c);
     const auto census = g.census();

@@ -18,6 +18,7 @@
 #include "gen/presets.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
+#include "graph/frozen.hpp"
 
 namespace cb = tripoll::callbacks;
 namespace comm = tripoll::comm;
@@ -43,6 +44,7 @@ run_metrics run_once(int ranks, std::uint32_t scale, bool scramble) {
     });
     gen::plain_graph g(c);
     builder.build_into(g);
+    auto fz = graph::freeze(g);
 
     std::uint64_t local_edges = 0;
     g.for_all_local([&](const graph::vertex_id&, const auto& rec) {
@@ -51,7 +53,7 @@ run_metrics run_once(int ranks, std::uint32_t scale, bool scramble) {
     const auto per_rank = c.all_gather(local_edges);
 
     cb::count_context ctx;
-    const auto result = tripoll::triangle_survey(g, cb::count_callback{}, ctx,
+    const auto result = tripoll::triangle_survey(fz, cb::count_callback{}, ctx,
                                                  {tripoll::survey_mode::push_pull});
     if (c.rank0()) {
       m.seconds = result.total.seconds;

@@ -13,6 +13,7 @@
 #include "core/callbacks.hpp"
 #include "core/survey.hpp"
 #include "gen/presets.hpp"
+#include "graph/frozen.hpp"
 
 namespace cb = tripoll::callbacks;
 namespace comm = tripoll::comm;
@@ -37,8 +38,9 @@ int main() {
       comm::runtime::run(ranks, [&](comm::communicator& c) {
         gen::plain_graph g(c);
         gen::build_dataset(c, g, spec);
+        auto fz = tripoll::graph::freeze(g);
         cb::count_context ctx;
-        const auto r = tripoll::triangle_survey(g, cb::count_callback{}, ctx,
+        const auto r = tripoll::triangle_survey(fz, cb::count_callback{}, ctx,
                                                 {tripoll::survey_mode::push_pull});
         const auto n = ctx.global_count(c);
         const auto a = tb::approx_triangle_count(c, g, samples, 99);

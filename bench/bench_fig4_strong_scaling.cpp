@@ -15,6 +15,7 @@
 #include "core/callbacks.hpp"
 #include "core/survey.hpp"
 #include "gen/presets.hpp"
+#include "graph/frozen.hpp"
 
 namespace cb = tripoll::callbacks;
 namespace comm = tripoll::comm;
@@ -40,8 +41,9 @@ int main() {
       comm::runtime::run(ranks, [&](comm::communicator& c) {
         gen::plain_graph g(c);
         gen::build_dataset(c, g, spec);
+        auto fz = tripoll::graph::freeze(g);
         cb::count_context ctx;
-        result = tripoll::triangle_survey(g, cb::count_callback{}, ctx,
+        result = tripoll::triangle_survey(fz, cb::count_callback{}, ctx,
                                           {tripoll::survey_mode::push_pull});
       });
       if (ranks == rank_counts.front()) base_time = result.total.seconds;

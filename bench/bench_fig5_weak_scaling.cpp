@@ -17,6 +17,7 @@
 #include "gen/presets.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
+#include "graph/frozen.hpp"
 
 namespace cb = tripoll::callbacks;
 namespace comm = tripoll::comm;
@@ -50,9 +51,10 @@ int main() {
       });
       gen::plain_graph g(c);
       builder.build_into(g);
+      auto fz = graph::freeze(g);
       census = g.census();
       cb::count_context ctx;
-      result = tripoll::triangle_survey(g, cb::count_callback{}, ctx,
+      result = tripoll::triangle_survey(fz, cb::count_callback{}, ctx,
                                         {tripoll::survey_mode::push_pull});
       triangles = ctx.global_count(c);
     });

@@ -19,6 +19,7 @@
 #include "core/survey.hpp"
 #include "gen/presets.hpp"
 #include "gen/temporal.hpp"
+#include "graph/frozen.hpp"
 
 namespace cb = tripoll::callbacks;
 namespace comm = tripoll::comm;
@@ -40,9 +41,10 @@ int main() {
   comm::runtime::run(ranks, [&](comm::communicator& c) {
     gen::temporal_graph g(c);
     gen::build_temporal_graph(c, g, params);
+    auto fz = tripoll::graph::freeze(g);
     comm::counting_set<cb::closure_bin> counters(c);
     cb::closure_time_context ctx{&counters};
-    result = cb::plan_for(g, cb::closure_time_callback{}, ctx)
+    result = cb::plan_for(fz, cb::closure_time_callback{}, ctx)
                  .run({tripoll::survey_mode::push_pull})
                  .slice(0);
     counters.finalize();

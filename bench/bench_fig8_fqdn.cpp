@@ -22,6 +22,7 @@
 #include "core/survey.hpp"
 #include "gen/presets.hpp"
 #include "gen/web.hpp"
+#include "graph/frozen.hpp"
 
 namespace cb = tripoll::callbacks;
 namespace comm = tripoll::comm;
@@ -55,8 +56,9 @@ int main() {
     comm::runtime::run(ranks, [&](comm::communicator& c) {
       gen::plain_graph g(c);
       gen::build_dataset(c, g, spec);
+      auto fz = tripoll::graph::freeze(g);
       cb::count_context ctx;
-      const auto r = cb::plan_for(g, cb::count_callback{}, ctx)
+      const auto r = cb::plan_for(fz, cb::count_callback{}, ctx)
                          .run({tripoll::survey_mode::push_pull})
                          .slice(0);
       const auto total = ctx.global_count(c);
@@ -74,12 +76,13 @@ int main() {
   comm::runtime::run(ranks, [&](comm::communicator& c) {
     gen::web_graph g(c);
     gen::build_web_graph(c, g, params);
+    auto fz = tripoll::graph::freeze(g);
     // Small cache relative to the tuple diversity: at paper scale (39.2B
     // unique tuples) the per-rank cache misses constantly, so nearly every
     // increment becomes an RPC; emulate that regime here.
     comm::counting_set<cb::fqdn_tuple> counters(c, /*cache_capacity=*/64);
     cb::fqdn_tuple_context ctx{&counters};
-    const auto r = cb::plan_for(g, cb::fqdn_tuple_callback{}, ctx)
+    const auto r = cb::plan_for(fz, cb::fqdn_tuple_callback{}, ctx)
                        .run({tripoll::survey_mode::push_pull})
                        .slice(0);
     counters.finalize();

@@ -36,6 +36,7 @@
 #include "gen/presets.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
+#include "graph/frozen.hpp"
 #include "serial/hash.hpp"
 
 namespace cb = tripoll::callbacks;
@@ -61,8 +62,9 @@ double plain_rate(int ranks, std::uint32_t scale, tripoll::survey_mode mode) {
     gen::plain_graph g(c);
     builder.build_into(g);
     census = g.census();
+    auto fz = graph::freeze(g);
     cb::count_context ctx;
-    result = cb::plan_for(g, cb::count_callback{}, ctx).run({mode}).slice(0);
+    result = cb::plan_for(fz, cb::count_callback{}, ctx).run({mode}).slice(0);
   });
   return static_cast<double>(census.wedge_checks) /
          (static_cast<double>(ranks) * result.total.seconds);
@@ -93,9 +95,10 @@ double metadata_rate(int ranks, std::uint32_t scale, tripoll::survey_mode mode) 
       for (auto& e : rec.adj) e.target_meta = e.target_rank;
     });
     census = g.census();
+    auto fz = graph::freeze(g);
     comm::counting_set<cb::degree_triple> counters(c);
     cb::degree_triple_context ctx{&counters};
-    result = tripoll::survey(g)
+    result = tripoll::survey(fz)
                  .add(cb::degree_triple_callback{}, ctx)  // identity projections
                  .run({mode})
                  .slice(0);
@@ -128,6 +131,7 @@ static_assert(sizeof(rich_edge_meta) == 64);
 TRIPOLL_WIRE_ASSERT(rich_edge_meta, timestamp, weight, tag);
 
 using rich_graph = graph::dodgr<rich_vertex_meta, rich_edge_meta>;
+using rich_frozen = graph::frozen_dodgr<rich_vertex_meta, rich_edge_meta>;
 
 std::uint64_t edge_ts(graph::vertex_id u, graph::vertex_id v) {
   const auto lo = std::min(u, v);
@@ -224,15 +228,16 @@ void build_rich_graph(comm::communicator& c, rich_graph& g, std::uint32_t scale)
   });
 }
 
-/// Run one plan case over a freshly built rich graph.
+/// Run one plan case over a freshly built (and frozen) rich graph.
 template <typename RunFn>
 plan_case run_case(int ranks, std::uint32_t scale, RunFn&& survey_fn) {
   plan_case out;
   comm::runtime::run(ranks, [&](comm::communicator& c) {
     rich_graph g(c);
     build_rich_graph(c, g, scale);
+    auto fz = graph::freeze(g);
     closure_hist_ctx hist;
-    const auto [result, used_hist] = survey_fn(g, hist);
+    const auto [result, used_hist] = survey_fn(fz, hist);
     const auto checksum = c.all_reduce_sum(used_hist ? hist_checksum(hist) : 0);
     if (c.rank0()) {
       out.volume_bytes = result.total.volume_bytes;
@@ -340,13 +345,13 @@ int main(int argc, char** argv) {
 
   std::map<std::string, plan_case> cases;
 
-  cases["identity_closure"] = run_case(plan_ranks, plan_scale, [&](rich_graph& g,
+  cases["identity_closure"] = run_case(plan_ranks, plan_scale, [&](rich_frozen& g,
                                                                    closure_hist_ctx& h) {
     auto r = tripoll::survey(g).add(rich_closure_cb{}, h).run({mode});
     return std::pair(r.slice(0), true);
   });
   cases["projected_closure"] =
-      run_case(plan_ranks, plan_scale, [&](rich_graph& g, closure_hist_ctx& h) {
+      run_case(plan_ranks, plan_scale, [&](rich_frozen& g, closure_hist_ctx& h) {
         auto r = tripoll::survey(g)
                      .project_vertex(tripoll::drop_projection{})
                      .project_edge([](const rich_edge_meta& e) { return e.timestamp; })
@@ -355,7 +360,7 @@ int main(int argc, char** argv) {
         return std::pair(r.slice(0), true);
       });
   cases["single_count"] =
-      run_case(plan_ranks, plan_scale, [&](rich_graph& g, closure_hist_ctx&) {
+      run_case(plan_ranks, plan_scale, [&](rich_frozen& g, closure_hist_ctx&) {
         cb::count_context ctx;
         auto r = tripoll::survey(g)
                      .project_vertex(tripoll::drop_projection{})
@@ -366,7 +371,7 @@ int main(int argc, char** argv) {
       });
   cases["single_closure"] = cases["projected_closure"];
   cases["single_hot_filter"] =
-      run_case(plan_ranks, plan_scale, [&](rich_graph& g, closure_hist_ctx&) {
+      run_case(plan_ranks, plan_scale, [&](rich_frozen& g, closure_hist_ctx&) {
         std::uint64_t hot = 0;
         auto r = tripoll::survey(g)
                      .project_vertex(tripoll::drop_projection{})
@@ -375,7 +380,7 @@ int main(int argc, char** argv) {
                      .run({mode});
         return std::pair(r.slice(0), false);
       });
-  cases["fused3"] = run_case(plan_ranks, plan_scale, [&](rich_graph& g,
+  cases["fused3"] = run_case(plan_ranks, plan_scale, [&](rich_frozen& g,
                                                          closure_hist_ctx& h) {
     cb::count_context ctx;
     std::uint64_t hot = 0;

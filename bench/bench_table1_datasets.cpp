@@ -11,6 +11,7 @@
 #include "core/survey.hpp"
 #include "gen/presets.hpp"
 #include "gen/temporal.hpp"
+#include "graph/frozen.hpp"
 
 namespace cb = tripoll::callbacks;
 namespace comm = tripoll::comm;
@@ -33,9 +34,10 @@ int main() {
     comm::runtime::run(ranks, [&](comm::communicator& c) {
       gen::plain_graph g(c);
       gen::build_dataset(c, g, spec);
+      auto fz = tripoll::graph::freeze(g);
       const auto census = g.census();
       cb::count_context ctx;
-      tripoll::triangle_survey(g, cb::count_callback{}, ctx,
+      tripoll::triangle_survey(fz, cb::count_callback{}, ctx,
                                {tripoll::survey_mode::push_pull});
       const auto triangles = ctx.global_count(c);
       if (c.rank0()) {
@@ -57,9 +59,10 @@ int main() {
     comm::runtime::run(ranks, [&](comm::communicator& c) {
       gen::temporal_graph g(c);
       gen::build_temporal_graph(c, g, params);
+      auto fz = tripoll::graph::freeze(g);
       const auto census = g.census();
       cb::count_context ctx;
-      tripoll::triangle_survey(g, cb::count_callback{}, ctx,
+      tripoll::triangle_survey(fz, cb::count_callback{}, ctx,
                                {tripoll::survey_mode::push_pull});
       const auto triangles = ctx.global_count(c);
       if (c.rank0()) {

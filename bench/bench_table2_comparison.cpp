@@ -22,6 +22,7 @@
 #include "core/callbacks.hpp"
 #include "core/survey.hpp"
 #include "gen/presets.hpp"
+#include "graph/frozen.hpp"
 
 namespace cb = tripoll::callbacks;
 namespace comm = tripoll::comm;
@@ -51,14 +52,15 @@ int main() {
     comm::runtime::run(ranks, [&](comm::communicator& c) {
       gen::plain_graph g(c);
       gen::build_dataset(c, g, spec);
+      auto fz = tripoll::graph::freeze(g);
 
       cb::count_context ctx_pp;
-      const auto pp = tripoll::triangle_survey(g, cb::count_callback{}, ctx_pp,
+      const auto pp = tripoll::triangle_survey(fz, cb::count_callback{}, ctx_pp,
                                                {tripoll::survey_mode::push_pull});
       const auto n_pp = ctx_pp.global_count(c);
 
       cb::count_context ctx_po;
-      const auto po = tripoll::triangle_survey(g, cb::count_callback{}, ctx_po,
+      const auto po = tripoll::triangle_survey(fz, cb::count_callback{}, ctx_po,
                                                {tripoll::survey_mode::push_only});
       const auto n_po = ctx_po.global_count(c);
 

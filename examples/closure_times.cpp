@@ -21,6 +21,7 @@
 #include "core/survey.hpp"
 #include "gen/presets.hpp"
 #include "gen/temporal.hpp"
+#include "graph/frozen.hpp"
 
 namespace cb = tripoll::callbacks;
 namespace comm = tripoll::comm;
@@ -36,6 +37,7 @@ int main(int argc, char** argv) {
 
     gen::temporal_graph g(c);
     gen::build_temporal_graph(c, g, params);
+    auto fz = tripoll::graph::freeze(g);
 
     // Plan with the callback's declared minimal projections: vertex metadata
     // is dropped and edge metadata ships as its 8-byte timestamp -- here the
@@ -43,7 +45,7 @@ int main(int argc, char** argv) {
     // (and saves the wire) when edges carry rich structs.
     comm::counting_set<cb::closure_bin> counters(c);
     cb::closure_time_context ctx{&counters};
-    const auto result = cb::plan_for(g, cb::closure_time_callback{}, ctx)
+    const auto result = cb::plan_for(fz, cb::closure_time_callback{}, ctx)
                             .run({tripoll::survey_mode::push_pull})
                             .slice(0);
     counters.finalize();

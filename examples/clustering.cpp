@@ -18,6 +18,7 @@
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 
 namespace comm = tripoll::comm;
 namespace gen = tripoll::gen;
@@ -37,13 +38,14 @@ int main(int argc, char** argv) {
     });
     graph::dodgr<graph::none, graph::none> g(c);
     builder.build_into(g);
+    auto fz = graph::freeze(g);
 
     // Both analytics from ONE fused survey plan: the per-vertex
     // participation callback (clustering) and the per-edge support callback
     // (truss primitive) share a single dry-run/push/pull traversal, so the
     // wedge traffic is paid once instead of twice.
     comm::counting_set<ta::edge_key> support(c);
-    const auto s = ta::clustering_and_support(g, support);
+    const auto s = ta::clustering_and_support(fz, support);
     if (c.rank0()) {
       std::printf("triangles            : %llu\n", (unsigned long long)s.triangles);
       std::printf("global transitivity  : %.4f  (3|T| / %llu wedges)\n",

@@ -22,6 +22,7 @@
 #include "core/survey.hpp"
 #include "gen/presets.hpp"
 #include "gen/web.hpp"
+#include "graph/frozen.hpp"
 
 namespace cb = tripoll::callbacks;
 namespace comm = tripoll::comm;
@@ -38,6 +39,7 @@ int main(int argc, char** argv) {
 
     gen::web_graph g(c);
     gen::build_web_graph(c, g, params);
+    auto fz = tripoll::graph::freeze(g);
 
     // Plan with the callback's declared projections: the FQDN strings ship
     // (vertex identity projection) but edge metadata is dropped.  Received
@@ -46,7 +48,7 @@ int main(int argc, char** argv) {
     // filter.
     comm::counting_set<cb::fqdn_tuple> counters(c);
     cb::fqdn_tuple_context ctx{&counters};
-    const auto result = cb::plan_for(g, cb::fqdn_tuple_callback{}, ctx)
+    const auto result = cb::plan_for(fz, cb::fqdn_tuple_callback{}, ctx)
                             .run({tripoll::survey_mode::push_pull})
                             .slice(0);
     counters.finalize();

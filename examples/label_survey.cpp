@@ -19,6 +19,7 @@
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 #include "serial/hash.hpp"
 
 namespace cb = tripoll::callbacks;
@@ -59,13 +60,14 @@ int main(int argc, char** argv) {
 
     graph::dodgr<std::uint32_t, std::uint32_t> g(c);
     builder.build_into(g);
+    auto fz = graph::freeze(g);
 
     // Plan API: Alg. 3 needs every label, so its declared projections are
     // identity -- the plan form still buys fusion if more analyses are
     // .add()ed onto the same traversal.
     comm::counting_set<std::uint32_t> counters(c);
     cb::max_edge_label_context<std::uint32_t> ctx{&counters};
-    const auto result = cb::plan_for(g, cb::max_edge_label_callback{}, ctx)
+    const auto result = cb::plan_for(fz, cb::max_edge_label_callback{}, ctx)
                             .run({tripoll::survey_mode::push_pull})
                             .slice(0);
     counters.finalize();

@@ -17,6 +17,7 @@
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 
 namespace cb = tripoll::callbacks;
@@ -55,17 +56,19 @@ int main(int argc, char** argv) {
       builder.add_edge(e.u, e.v);
     });
 
-    // 2. Collective construction of the order-directed graph.
+    // 2. Collective construction of the order-directed graph, then a
+    //    rank-local freeze into the CSR arenas the survey engine walks.
     graph::dodgr<graph::none, graph::none> g(c);
     builder.build_into(g);
-    const auto census = g.census();
+    auto fz = graph::freeze(g);
+    const auto census = fz.census();
 
     // 3. Survey plan: register the counting callback (Alg. 2) and run one
     //    traversal.  count_callback declares drop projections, so the
     //    traversal would ship zero metadata bytes even on a rich graph;
     //    more .add(callback, context) pairs would fuse into the same pass.
     cb::count_context ctx;
-    const auto result = cb::plan_for(g, cb::count_callback{}, ctx)
+    const auto result = cb::plan_for(fz, cb::count_callback{}, ctx)
                             .run({tripoll::survey_mode::push_pull})
                             .slice(0);
     const auto triangles = ctx.global_count(c);

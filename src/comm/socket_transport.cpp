@@ -639,10 +639,16 @@ void socket_transport::coordinator_probe_reply_locked(int from, std::uint64_t ep
         rep.sent == snap.sent && rep.recv == snap.recv)) {
     coord_.wave_failed = true;
   }
-  // A probe reply is a fresher consistent sample than the stored report
-  // (per-connection FIFO keeps it ordered after the announce it reflects),
-  // so fold it in for the retry wave.
-  coord_.reports[static_cast<std::size_t>(from)] = rep;
+  // A probe reply is usually a fresher consistent sample than the stored
+  // report, so fold it in for the retry wave -- but never over a newer
+  // announce.  handle_probe samples on the receiver thread and posts after
+  // releasing the state lock, so the rank's main thread can retract, drain
+  // and post its next IDLE in between: that IDLE then arrives first.
+  // Overwriting it with the older sample would leave reports == snapshot,
+  // so no retry wave would start, and the rank, now idle with an empty
+  // inbox, would never announce again -- every rank hangs in the barrier.
+  report& stored = coord_.reports[static_cast<std::size_t>(from)];
+  if (rep.seq >= stored.seq) stored = rep;
   if (--coord_.wave_pending > 0) return;
 
   coord_.wave_epoch = 0;

@@ -19,7 +19,7 @@
 //
 // Parallel traversal: every entry point forwards `survey_options` (and so
 // `threads` / TRIPOLL_THREADS) to the engine, which parallelizes the send
-// stages of a frozen-graph run.  The callbacks here fire into distributed
+// stages of the run.  The callbacks here fire into distributed
 // counting sets (`async_increment` = communicator traffic), so they are
 // registered through plain `.add` and always fire on the owning thread --
 // they must NOT be moved to `add_reduced`; see docs/THREADING.md.
@@ -31,7 +31,7 @@
 
 #include "comm/counting_set.hpp"
 #include "core/survey.hpp"
-#include "graph/dodgr.hpp"
+#include "graph/types.hpp"
 
 namespace tripoll::analytics {
 

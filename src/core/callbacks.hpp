@@ -59,10 +59,10 @@ struct degree_projection {
 /// Survey plan preconfigured with `Cb`'s declared minimal projections: the
 /// traversal ships exactly what the analysis reads.  Chain further `.add`s
 /// onto the result to fuse more callbacks into the same traversal (they
-/// must be satisfied by the same projections).  `g` may be the mutable map
-/// form or a frozen CSR graph (for a graph frozen through the same
-/// projections the projections below become cheap identities over the
-/// already-projected arenas).
+/// must be satisfied by the same projections).  `g` is a frozen CSR graph
+/// or an overlay (for a graph frozen through the same projections the
+/// projections below become cheap identities over the already-projected
+/// arenas).
 template <typename Cb, typename Graph, typename Context>
 [[nodiscard]] auto plan_for(Graph& g, Cb cb, Context& ctx) {
   return tripoll::survey(g)

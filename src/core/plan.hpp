@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/types.hpp"
 
 namespace tripoll {
@@ -66,9 +65,9 @@ enum class survey_mode {
 
 struct survey_options {
   survey_mode mode = survey_mode::push_pull;
-  /// Worker threads per rank for the traversal (frozen graphs only; the
-  /// mutable map always walks single-threaded).  0 = read TRIPOLL_THREADS
-  /// from the environment, defaulting to 1.  Results -- triangle counts,
+  /// Worker threads per rank for the traversal, over frozen graphs and
+  /// overlays alike.  0 = read TRIPOLL_THREADS from the environment,
+  /// defaulting to 1.  Results -- triangle counts,
   /// volume_bytes, messages, per-callback fire counts -- are bit-identical
   /// across thread counts; see docs/THREADING.md.
   int threads = 0;
@@ -375,8 +374,10 @@ template <typename Graph, typename Plan>
 /// A composable, typed survey description: the graph, a sender-side
 /// projection per metadata kind, and any number of (callback, context)
 /// pairs fused into one traversal.  Built through `tripoll::survey(g)`.
-/// `Graph` is any storage form exposing the DODGr read API -- the mutable
-/// `graph::dodgr` or the frozen CSR `graph::frozen_dodgr`.
+/// `Graph` is any graph exposing the metadata types; running the plan needs
+/// a slot-addressed one (core/survey.hpp: graph::frozen_dodgr or
+/// graph::overlay).  A plan over the map-form `graph::dodgr` only feeds
+/// `graph::freeze(plan)`.
 template <typename Graph, typename VProj = identity_projection,
           typename EProj = identity_projection, typename... Entries>
 class survey_plan {
@@ -573,7 +574,7 @@ class survey_plan {
   }
 
   /// End-of-run hook, called by the engine on EVERY run (any thread count,
-  /// either storage form): all_reduce the contexts of reduce_scope::global
+  /// any graph): all_reduce the contexts of reduce_scope::global
   /// entries so they return holding globally-reduced state.
   void finish_reductions(comm::communicator& c) {
     std::apply([&](auto&... entry) { (finish_one(c, entry), ...); }, entries_);
@@ -610,9 +611,10 @@ class survey_plan {
 };
 
 /// Entry point of the plan API: start a survey description over `g` with
-/// identity projections and no callbacks yet.  `g` may be a mutable
-/// `graph::dodgr` or a frozen `graph::frozen_dodgr` (whose arenas already
-/// hold freeze-time-projected metadata).
+/// identity projections and no callbacks yet.  `g` is a frozen
+/// `graph::frozen_dodgr` (whose arenas may already hold freeze-time-
+/// projected metadata) or a `graph::overlay`; a plan over the map-form
+/// `graph::dodgr` can only be passed to `graph::freeze(plan)`.
 template <typename Graph>
   requires requires {
     typename Graph::vertex_meta_type;

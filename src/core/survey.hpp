@@ -17,9 +17,13 @@
 //     Rank(q) grants a "pull" when shipping Adjm+(q) once to that rank is
 //     cheaper, and the work then splits into Push and Pull phases.
 //
+// The engine walks slot-addressed graphs (core::slot_addressed_graph): the
+// frozen CSR `graph::frozen_dodgr` and the streaming `graph::overlay`.  The
+// map-form `graph::dodgr` is a build step only -- freeze() it first.
+//
 // Intra-rank parallelism (docs/THREADING.md): with survey_options::threads
-// > 1 over a FROZEN graph, each phase's vertex walk is partitioned into
-// work-stealing chunks consumed by a small std::thread pool.  Workers stage
+// > 1, each phase's slot walk is partitioned into work-stealing chunks
+// consumed by a small std::thread pool.  Workers stage
 // sends into per-thread buffers delivered straight to the thread-safe
 // transport (never through the communicator), and -- when every plan entry
 // was registered with .add_reduced() -- intersect incoming batches as tasks
@@ -29,8 +33,8 @@
 // metric is a sum of per-batch/per-source contributions independent of the
 // partition.
 //
-// Hub/tail intersection dispatch (core/intersect.hpp): when the frozen
-// graph carries hub bitmap rows and the plan ships no metadata, a wedge
+// Hub/tail intersection dispatch (core/intersect.hpp): when the graph
+// carries hub bitmap rows and the plan ships no metadata, a wedge
 // batch arriving at a hub is closed by an O(1)-per-candidate sparse-vs-dense
 // bitmap probe (AVX2 or portable) instead of a gallop; tails keep the
 // merge/gallop kernels.  The kernel picked for a batch depends only on
@@ -51,6 +55,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -66,7 +71,6 @@
 #include "core/intersect.hpp"
 #include "core/parallel.hpp"
 #include "core/plan.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/types.hpp"
 #include "serial/wire_guard.hpp"
 
@@ -193,6 +197,23 @@ template <typename T>
 
 }  // namespace core::detail
 
+namespace core {
+
+/// What the engine needs from a graph: dense 32-bit local slots
+/// [0, local_num_vertices()) that resolve to records, vertex ids and hub
+/// bitmap rows (an empty view where a vertex has none), plus an id -> slot
+/// lookup for the vertices a message names.
+template <typename G>
+concept slot_addressed_graph = requires(const G& g, graph::vertex_id v, std::uint32_t slot) {
+  { g.locate(v) } -> std::convertible_to<std::uint32_t>;
+  g.resolve_record(slot);
+  { g.vid_at(slot) } -> std::convertible_to<graph::vertex_id>;
+  { g.hub_bitmap(slot) } -> std::convertible_to<bitmap_view>;
+  { g.local_num_vertices() } -> std::convertible_to<std::size_t>;
+};
+
+}  // namespace core
+
 /// Survey engine: one instance per rank, constructed collectively over a
 /// (graph, plan) pair.  Usually accessed through `survey_plan::run()` or
 /// the legacy `triangle_survey` free function below.
@@ -219,25 +240,21 @@ class survey_engine {
   using view_type = triangle_view<wire_vm, wire_em>;
   using self = survey_engine<Graph, Plan>;
 
-  /// Frozen CSR storage exposes slot-addressed records and hub bitmap rows;
-  /// the parallel chunk walks and the bitmap kernels both key off this.
-  static constexpr bool frozen_graph =
-      requires(const Graph& g, std::uint32_t slot) {
-        g.vid_at(slot);
-        g.hub_bitmap(slot);
-      };
+  static_assert(core::slot_addressed_graph<Graph>,
+                "the survey engine walks slot-addressed graphs (graph::frozen_dodgr, "
+                "graph::overlay); the map-form graph::dodgr is a build step only -- "
+                "call graph::freeze(g) first and survey the frozen graph");
 
   /// A bitmap answers membership, not which adjacency entry matched, so the
-  /// probe path exists only for metadata-free wire shapes over frozen CSR.
+  /// probe path exists only for metadata-free wire shapes.
   static constexpr bool bitmap_eligible =
-      frozen_graph && std::is_empty_v<wire_vm> && std::is_empty_v<wire_em>;
+      std::is_empty_v<wire_vm> && std::is_empty_v<wire_em>;
 
   /// May incoming batches be intersected on worker threads?  Requires every
   /// plan entry to carry a declared reduction (plan.hpp: add_reduced) so
   /// fires land in per-thread context slices.  Otherwise a parallel run
   /// still parallelizes the send stages but intersects on the owning thread.
-  static constexpr bool task_capable =
-      frozen_graph && Plan::template parallel_fire_capable<view_type>;
+  static constexpr bool task_capable = Plan::template parallel_fire_capable<view_type>;
 
   /// Time-windowed surveys (plan.window(t0, t1)) filter on the graph's
   /// STORED edge metadata -- before projection -- so the predicate is
@@ -246,8 +263,8 @@ class survey_engine {
   /// timestamp; plan.window() static_asserts the same condition, so a plan
   /// with an active window always reaches a capable engine.  Note this is
   /// mutually exclusive with the hub-bitmap probe by construction: bitmap
-  /// rows are built only when the frozen graph stores EMPTY metadata
-  /// (graph/frozen.hpp), and empty metadata is not a timestamp.
+  /// rows exist only when the graph stores EMPTY metadata (graph/frozen.hpp),
+  /// and empty metadata is not a timestamp.
   static constexpr bool window_capable =
       std::is_convertible_v<edge_meta_type, std::uint64_t>;
 
@@ -265,12 +282,8 @@ class survey_engine {
   plan_result<num_callbacks> run(survey_options opts = {}) {
     comm_->barrier();
     reset_counters();
-    threads_ = 1;
-    pin_ = false;
-    if constexpr (frozen_graph) {
-      threads_ = core::resolve_threads(opts.threads);
-      pin_ = core::resolve_pinning(opts.pin_threads);
-    }
+    threads_ = core::resolve_threads(opts.threads);
+    pin_ = core::resolve_pinning(opts.pin_threads);
     {
       const core::detail::plan_window w = plan_->time_window();
       win_active_ = window_capable && w.active;
@@ -574,17 +587,13 @@ class survey_engine {
   // --- dry-run bookkeeping types (declared early: they appear in member
   // --- function signatures below) --------------------------------------------
 
-  /// Compact graph-defined locator for a local record (map form: record
-  /// pointer; frozen form: 4-byte CSR slot).  Stable for the whole survey
-  /// (the graph is not mutated), so dry-run sources cache it.
-  using record_locator = typename Graph::record_locator;
-
-  /// One local wedge source (p, split index) with its cached locator: the
-  /// push and pull phases revisit every source, and re-finding p by hash
-  /// once per source pair would cost ~|E+| lookups per survey.
+  /// One local wedge source (p, split index) with its cached slot: the push
+  /// and pull phases revisit every source, and re-finding p by hash once per
+  /// source pair would cost ~|E+| lookups per survey.  Slots are stable for
+  /// the whole survey (the graph is not mutated).
   struct source_ref {
     graph::vertex_id p = 0;
-    record_locator rec{};
+    std::uint32_t slot = 0;
     std::uint32_t split = 0;
   };
 
@@ -741,9 +750,9 @@ class survey_engine {
                            const core::detail::batch_arg<candidate_type>& candidates,
                            Sink&& sink, std::uint64_t& bitmap_ctr,
                            std::uint64_t& list_ctr) const {
+    const std::uint32_t slot = graph_->locate(q);
     if constexpr (bitmap_eligible) {
       static_assert(serial::detail::bitwise<candidate_type>);
-      const auto slot = graph_->locate(q);
       const core::bitmap_view bm = graph_->hub_bitmap(slot);
       if (!bm.empty()) {
         ++bitmap_ctr;
@@ -756,24 +765,9 @@ class survey_engine {
                            });
         return;
       }
-      ++list_ctr;
-      decltype(auto) rec_q = graph_->resolve_record(slot);
-      intersect_wedge_list(rec_q, q, p, meta_p, meta_pq, candidates,
-                           std::forward<Sink>(sink));
-    } else {
-      ++list_ctr;
-      const auto rec_q = graph_->local_find(q);
-      assert(rec_q);
-      intersect_wedge_list(*rec_q, q, p, meta_p, meta_pq, candidates,
-                           std::forward<Sink>(sink));
     }
-  }
-
-  template <typename Rec, typename Sink>
-  void intersect_wedge_list(const Rec& rec_q, graph::vertex_id q, graph::vertex_id p,
-                            const wire_vm& meta_p, const wire_em& meta_pq,
-                            const core::detail::batch_arg<candidate_type>& candidates,
-                            Sink&& sink) const {
+    ++list_ctr;
+    decltype(auto) rec_q = graph_->resolve_record(slot);
     decltype(auto) meta_q = pv(rec_q.meta);  // projected once per batch
     // Adaptive kernel: a short pushed suffix meeting a hub's long list
     // gallops instead of scanning (degeneracy-ordering insight from
@@ -803,7 +797,7 @@ class survey_engine {
                       const per_target& t, Sink&& sink, std::uint64_t& cand_ctr,
                       std::uint64_t& bitmap_ctr, std::uint64_t& list_ctr) const {
     for (const source_ref& s : t.sources) {
-      decltype(auto) rec_p = graph_->resolve_record(s.rec);
+      decltype(auto) rec_p = graph_->resolve_record(s.slot);
       const graph::vertex_id p = s.p;
       const std::uint32_t i = s.split;
       bool windowed = false;
@@ -817,7 +811,7 @@ class survey_engine {
       }
       if constexpr (bitmap_eligible) {
         static_assert(serial::detail::bitwise<pulled_type>);
-        const core::bitmap_view bm = graph_->hub_bitmap(s.rec);
+        const core::bitmap_view bm = graph_->hub_bitmap(s.slot);
         if (!bm.empty()) {
           ++bitmap_ctr;
           core::bitmap_probe(bm, entries.data(), sizeof(pulled_type), entries.size(),
@@ -851,45 +845,61 @@ class survey_engine {
     }
   }
 
+  // --- send phases ------------------------------------------------------------
+
+  /// Owning-thread twin of worker_ctx: the sender and counters a send stage
+  /// uses on the single-threaded path.
+  struct serial_ctx {
+    comm_sender sender;
+    std::uint64_t candidates = 0;
+    std::uint64_t push_batches = 0;
+  };
+
+  /// Run one timed send phase over `n` work items: `range(ctx, first, last)`
+  /// sends items [first, last) through ctx.sender, counting into
+  /// ctx.candidates / ctx.push_batches.  With threads > 1 the worker pool
+  /// consumes self-scheduled chunks; otherwise the owning thread walks the
+  /// whole range through the communicator (adaptive flushing, polling).
+  template <typename Range>
+  phase_metrics send_phase(std::size_t n, Range&& range) {
+    if (threads_ > 1) {
+      core::chunk_queue chunks(n, core::chunk_size_for(n, threads_));
+      parallel_pool pool(*this);
+      return timed_phase(
+          [&] {
+            pool.run_stage([&](worker_ctx& wc) {
+              std::size_t first = 0, last = 0;
+              while (chunks.next(first, last)) {
+                range(wc, first, last);
+                comm_->underlying_transport().throw_if_aborted();
+              }
+            });
+          },
+          [&] { pool.finish(); });
+    }
+    return timed_phase([&] {
+      serial_ctx sc{comm_sender{comm_}};
+      range(sc, 0, n);
+      local_candidates_ += sc.candidates;
+      local_push_batches_ += sc.push_batches;
+    });
+  }
+
   // --- push-only (Alg. 1) ------------------------------------------------------
 
   phase_metrics run_push_all_phase() {
-    if constexpr (frozen_graph) {
-      if (threads_ > 1) {
-        const std::size_t n = graph_->local_num_vertices();
-        core::chunk_queue chunks(n, core::chunk_size_for(n, threads_));
-        parallel_pool pool(*this);
-        return timed_phase(
-            [&] {
-              pool.run_stage([&](worker_ctx& wc) {
-                std::size_t first = 0, last = 0;
-                while (chunks.next(first, last)) {
-                  for (std::size_t slot = first; slot < last; ++slot) {
-                    const auto loc = static_cast<record_locator>(slot);
-                    decltype(auto) rec = graph_->resolve_record(loc);
-                    const graph::vertex_id p = graph_->vid_at(loc);
-                    for (std::size_t i = 0; i + 1 < rec.adj.size(); ++i) {
-                      send_wedge_batch(wc.sender, p, rec, i, wc.candidates,
-                                       wc.push_batches);
-                    }
-                  }
-                  comm_->underlying_transport().throw_if_aborted();
-                }
-              });
-            },
-            [&] { pool.finish(); });
-      }
-    }
-    return timed_phase([&] { push_all(); });
-  }
-
-  void push_all() {
-    comm_sender snd{comm_};
-    graph_->for_all_local([&](const graph::vertex_id& p, const record_type& rec) {
-      for (std::size_t i = 0; i + 1 < rec.adj.size(); ++i) {
-        send_wedge_batch(snd, p, rec, i, local_candidates_, local_push_batches_);
-      }
-    });
+    return send_phase(graph_->local_num_vertices(),
+                      [&](auto& ctx, std::size_t first, std::size_t last) {
+                        for (std::size_t slot = first; slot < last; ++slot) {
+                          const auto s = static_cast<std::uint32_t>(slot);
+                          decltype(auto) rec = graph_->resolve_record(s);
+                          const graph::vertex_id p = graph_->vid_at(s);
+                          for (std::size_t i = 0; i + 1 < rec.adj.size(); ++i) {
+                            send_wedge_batch(ctx.sender, p, rec, i, ctx.candidates,
+                                             ctx.push_batches);
+                          }
+                        }
+                      });
   }
 
   struct wedge_batch_handler {
@@ -927,28 +937,15 @@ class survey_engine {
   // --- push-pull (Sec. 4.4) ------------------------------------------------------
 
   void dry_run() {
-    // Communication-free counting pass; parallel over CSR slot chunks for
-    // frozen graphs (per-worker partial maps merged in worker order -- the
-    // per-target sums are partition-independent, only source order varies,
-    // and source order never feeds a reported metric).
-    bool scanned_parallel = false;
-    if constexpr (frozen_graph) {
-      if (threads_ > 1) {
-        dry_run_scan_parallel();
-        scanned_parallel = true;
-      }
-    }
-    if (!scanned_parallel) {
-      graph_->for_all_local_located([&](const graph::vertex_id& p, const record_type& rec,
-                                        record_locator loc) {
-        scan_wedge_splits(rec, [&](std::size_t i, const entry_type& q_entry,
-                                   std::uint64_t admitted_suffix) {
-          per_target& t = targets_[q_entry.target];
-          t.candidate_count += admitted_suffix;
-          t.q_out_degree = q_entry.target_out_degree;
-          t.sources.push_back(source_ref{p, loc, static_cast<std::uint32_t>(i)});
-        });
-      });
+    // Communication-free counting pass over slot chunks (per-worker partial
+    // maps merged in worker order when threads > 1 -- the per-target sums
+    // are partition-independent, only source order varies, and source order
+    // never feeds a reported metric).
+    const std::size_t n = graph_->local_num_vertices();
+    if (threads_ > 1) {
+      dry_run_scan_parallel(n);
+    } else {
+      scan_slots(targets_, 0, n);
     }
     // One aggregate proposal per (this rank, q) -- but only where pulling
     // could possibly win.  d+(q) is already local (the builder's P6 flow),
@@ -957,7 +954,7 @@ class survey_engine {
     for (const auto& [q, t] : targets_) {
       if (t.q_out_degree >= t.candidate_count) {
         ++local_proposals_filtered_;
-        continue;  // pull_granted stays false; sources push in push_undecided()
+        continue;  // pull_granted stays false; sources push in the push phase
       }
       comm_->async(graph_->owner(q), propose_handler{}, handle_, q, comm_->rank(),
                    t.candidate_count);
@@ -965,46 +962,34 @@ class survey_engine {
     // The barrier of timed_phase() drains proposals and decisions.
   }
 
-  void dry_run_scan_parallel() {
-    const std::size_t n = graph_->local_num_vertices();
-    core::chunk_queue chunks(n, core::chunk_size_for(n, threads_));
-    std::vector<targets_map> partial(static_cast<std::size_t>(threads_));
-    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(threads_));
-    auto scan = [&](targets_map& out, std::exception_ptr& err) {
-      try {
-        std::size_t first = 0, last = 0;
-        while (chunks.next(first, last)) {
-          for (std::size_t slot = first; slot < last; ++slot) {
-            const auto loc = static_cast<record_locator>(slot);
-            decltype(auto) rec = graph_->resolve_record(loc);
-            if (rec.adj.size() < 2) continue;
-            const graph::vertex_id p = graph_->vid_at(loc);
-            scan_wedge_splits(rec, [&](std::size_t i, const entry_type& q_entry,
-                                       std::uint64_t admitted_suffix) {
-              per_target& t = out[q_entry.target];
-              t.candidate_count += admitted_suffix;
-              t.q_out_degree = q_entry.target_out_degree;
-              t.sources.push_back(source_ref{p, loc, static_cast<std::uint32_t>(i)});
-            });
-          }
-        }
-      } catch (...) {
-        err = std::current_exception();
-      }
-    };
-    std::vector<std::thread> workers;
-    const int rank = comm_->rank();
-    for (int w = 1; w < threads_; ++w) {
-      workers.emplace_back([this, &scan, &partial, &errors, rank, w] {
-        if (pin_) core::pin_current_thread(rank * threads_ + w);
-        scan(partial[static_cast<std::size_t>(w)], errors[static_cast<std::size_t>(w)]);
+  /// Register the in-window wedge splits of slots [first, last) in `out`.
+  void scan_slots(targets_map& out, std::size_t first, std::size_t last) const {
+    for (std::size_t slot = first; slot < last; ++slot) {
+      const auto s = static_cast<std::uint32_t>(slot);
+      decltype(auto) rec = graph_->resolve_record(s);
+      const graph::vertex_id p = graph_->vid_at(s);
+      scan_wedge_splits(rec, [&](std::size_t i, const entry_type& q_entry,
+                                 std::uint64_t admitted_suffix) {
+        per_target& t = out[q_entry.target];
+        t.candidate_count += admitted_suffix;
+        t.q_out_degree = q_entry.target_out_degree;
+        t.sources.push_back(source_ref{p, s, static_cast<std::uint32_t>(i)});
       });
     }
-    scan(partial[0], errors[0]);  // the owning thread participates (comm-free, unpinned)
-    for (auto& w : workers) w.join();
-    for (const auto& err : errors) {
-      if (err) std::rethrow_exception(err);
-    }
+  }
+
+  void dry_run_scan_parallel(std::size_t n) {
+    core::chunk_queue chunks(n, core::chunk_size_for(n, threads_));
+    std::vector<targets_map> partial(static_cast<std::size_t>(threads_));
+    const int rank = comm_->rank();
+    core::fork_join(threads_, [&](int w) {
+      // The owning thread (w == 0) participates, comm-free and unpinned.
+      if (pin_ && w > 0) core::pin_current_thread(rank * threads_ + w);
+      std::size_t first = 0, last = 0;
+      while (chunks.next(first, last)) {
+        scan_slots(partial[static_cast<std::size_t>(w)], first, last);
+      }
+    });
     for (auto& pm : partial) {
       for (auto& [q, t] : pm) {
         per_target& dst = targets_[q];
@@ -1024,11 +1009,10 @@ class survey_engine {
     void operator()(comm::communicator& c, comm::dist_handle<self> h, graph::vertex_id q,
                     int source_rank, std::uint64_t candidate_count) {
       self& eng = c.resolve(h);
-      const auto rec_q = eng.graph_->local_find(q);
-      assert(rec_q);
       // Pull pays off when shipping Adjm+(q) once beats receiving the
       // candidates: |Adj+(q)| < sum of suffix lengths from that rank.
-      const bool pull = rec_q->out_degree() < candidate_count;
+      const bool pull =
+          eng.graph_->resolve_record(eng.graph_->locate(q)).out_degree() < candidate_count;
       if (pull) {
         eng.pull_grants_[q].push_back(source_rank);
         ++eng.local_pulls_granted_;
@@ -1048,93 +1032,42 @@ class survey_engine {
   };
 
   phase_metrics run_push_undecided_phase() {
-    if constexpr (frozen_graph) {
-      if (threads_ > 1) {
-        // Materialize the non-granted sources so workers chunk a flat array.
-        std::vector<const source_ref*> work;
-        for (const auto& [q, t] : targets_) {
-          if (t.pull_granted) continue;
-          for (const source_ref& s : t.sources) work.push_back(&s);
-        }
-        core::chunk_queue chunks(work.size(), core::chunk_size_for(work.size(), threads_));
-        parallel_pool pool(*this);
-        return timed_phase(
-            [&] {
-              pool.run_stage([&](worker_ctx& wc) {
-                std::size_t first = 0, last = 0;
-                while (chunks.next(first, last)) {
-                  for (std::size_t k = first; k < last; ++k) {
-                    const source_ref& s = *work[k];
-                    decltype(auto) rec = graph_->resolve_record(s.rec);
-                    send_wedge_batch(wc.sender, s.p, rec, s.split, wc.candidates,
-                                     wc.push_batches);
-                  }
-                  comm_->underlying_transport().throw_if_aborted();
-                }
-              });
-            },
-            [&] { pool.finish(); });
-      }
-    }
-    return timed_phase([&] { push_undecided(); });
-  }
-
-  void push_undecided() {
-    comm_sender snd{comm_};
+    // Materialize the non-granted sources so the walk chunks a flat array.
+    std::vector<const source_ref*> work;
     for (const auto& [q, t] : targets_) {
       if (t.pull_granted) continue;
-      for (const source_ref& s : t.sources) {
-        decltype(auto) rec = graph_->resolve_record(s.rec);
-        send_wedge_batch(snd, s.p, rec, s.split, local_candidates_, local_push_batches_);
-      }
+      for (const source_ref& s : t.sources) work.push_back(&s);
     }
+    return send_phase(work.size(), [&](auto& ctx, std::size_t first, std::size_t last) {
+      for (std::size_t k = first; k < last; ++k) {
+        const source_ref& s = *work[k];
+        send_wedge_batch(ctx.sender, s.p, graph_->resolve_record(s.slot), s.split,
+                         ctx.candidates, ctx.push_batches);
+      }
+    });
   }
 
   phase_metrics run_pull_phase() {
-    if constexpr (frozen_graph) {
-      if (threads_ > 1) {
-        std::vector<std::pair<graph::vertex_id, const std::vector<int>*>> pulls;
-        pulls.reserve(pull_grants_.size());
-        for (const auto& [q, ranks] : pull_grants_) pulls.emplace_back(q, &ranks);
-        core::chunk_queue chunks(pulls.size(),
-                                 core::chunk_size_for(pulls.size(), threads_));
-        parallel_pool pool(*this);
-        return timed_phase(
-            [&] {
-              pool.run_stage([&](worker_ctx& wc) {
-                std::size_t first = 0, last = 0;
-                while (chunks.next(first, last)) {
-                  for (std::size_t k = first; k < last; ++k) {
-                    send_pulled_adjacency(wc.sender, pulls[k].first, *pulls[k].second);
-                  }
-                  comm_->underlying_transport().throw_if_aborted();
-                }
-              });
-            },
-            [&] { pool.finish(); });
+    std::vector<std::pair<graph::vertex_id, const std::vector<int>*>> pulls;
+    pulls.reserve(pull_grants_.size());
+    for (const auto& [q, ranks] : pull_grants_) pulls.emplace_back(q, &ranks);
+    return send_phase(pulls.size(), [&](auto& ctx, std::size_t first, std::size_t last) {
+      for (std::size_t k = first; k < last; ++k) {
+        send_pulled_adjacency(ctx.sender, pulls[k].first, *pulls[k].second);
       }
-    }
-    return timed_phase([&] { pull_phase(); });
-  }
-
-  void pull_phase() {
-    comm_sender snd{comm_};
-    for (const auto& [q, ranks] : pull_grants_) {
-      send_pulled_adjacency(snd, q, ranks);
-    }
+    });
   }
 
   /// Serialize Adjm+(q) once and ship it to every granted rank.
   template <typename Sender>
   void send_pulled_adjacency(Sender& snd, graph::vertex_id q,
                              const std::vector<int>& ranks) const {
-    const auto rec_q = graph_->local_find(q);
-    assert(rec_q);
+    decltype(auto) rec_q = graph_->resolve_record(graph_->locate(q));
     std::vector<pulled_type> entries;
-    entries.reserve(rec_q->adj.size());
+    entries.reserve(rec_q.adj.size());
     std::vector<pe_type> owned;
-    if constexpr (edge_scratch_needed) owned.reserve(rec_q->adj.size());
-    for (const entry_type& e : rec_q->adj) {
+    if constexpr (edge_scratch_needed) owned.reserve(rec_q.adj.size());
+    for (const entry_type& e : rec_q.adj) {
       if (!admits(e.edge_meta)) continue;  // closing edge outside the window
       entries.push_back(
           pulled_type::make(e.target, e.target_rank, em_wire(e.edge_meta, owned)));
@@ -1142,7 +1075,7 @@ class survey_engine {
     bool windowed = false;
     if constexpr (window_capable) windowed = win_active_;
     if (windowed && entries.empty()) return;  // nothing in-window to close against
-    decltype(auto) meta_q = pv(rec_q->meta);
+    decltype(auto) meta_q = pv(rec_q.meta);
     for (const int dest : ranks) {
       snd.async(dest, pulled_adj_handler{}, handle_, q, vm_view(meta_q),
                 core::detail::as_batch_arg(entries));
@@ -1224,7 +1157,7 @@ plan_result<Plan::num_callbacks> run_plan(Graph& g, Plan& plan, survey_options o
 /// identity-projection, single-callback plan.  `callback` is invoked as
 /// `cb(view, ctx)` or `cb(comm, view, ctx)` for every triangle; `context`
 /// is this rank's local survey state (counters, counting sets, sinks).
-/// Works over either storage form (mutable map or frozen CSR).
+/// `g` is any slot-addressed graph (frozen CSR or overlay).
 template <typename Graph, typename Callback, typename Context>
 survey_result triangle_survey(Graph& g, Callback callback, Context& context,
                               survey_options opts = {}) {

@@ -11,6 +11,11 @@
 // along each out-edge moves vertex-metadata storage from O(|V|) to O(|E|)
 // but lets a triangle callback run with all six pieces of metadata already
 // local.
+//
+// This map form is a build step only: the graph builder shuffles, peels and
+// writes records into it, and graph::freeze() (graph/frozen.hpp) turns it
+// into the slot-addressed CSR that the survey engine walks.  It has no
+// survey read API -- surveying it directly fails to compile.
 #pragma once
 
 #include <algorithm>
@@ -109,25 +114,6 @@ class dodgr {
   [[nodiscard]] record_type* local_find(vertex_id v) { return map_.local_find(v); }
   [[nodiscard]] const record_type* local_find(vertex_id v) const {
     return map_.local_find(v);
-  }
-
-  /// Compact locator for a known-local record, stable while the graph is
-  /// not mutated (the survey engine caches one per source vertex).  For the
-  /// map form it is simply the record pointer.
-  using record_locator = const record_type*;
-
-  [[nodiscard]] record_locator locate(vertex_id v) const { return map_.local_find(v); }
-  [[nodiscard]] const record_type& resolve_record(record_locator loc) const {
-    return *loc;
-  }
-
-  /// for_all_local with the record's locator supplied alongside, so scans
-  /// that cache locators (the survey dry run) pay no per-vertex lookup.
-  template <typename Fn>
-  void for_all_local_located(Fn&& fn) const {
-    map_.for_all_local([&](const vertex_id& v, const record_type& rec) {
-      fn(v, rec, &rec);
-    });
   }
 
   [[nodiscard]] std::size_t local_num_vertices() const noexcept {

@@ -14,11 +14,11 @@
 //   edge columns (concatenated Adjm+ lists, CSR):
 //     target[], target_rank[], target_out_degree[], emeta[], target_vmeta[]
 //
-// behind `frozen_dodgr<VMeta, EMeta>`, which exposes the same read API the
-// survey engine traverses (`local_find(v)` record views, random-access
-// adjacency spans), so core/survey.hpp, core/plan.hpp and core/analytics.hpp
-// run on either storage form unchanged.  Sorting the vertex walk by <+ rank
-// gives the degeneracy-ordered CSR traversal of Pashanasangi & Seshadhri.
+// behind `frozen_dodgr<VMeta, EMeta>`, which exposes the slot-addressed read
+// API the survey engine traverses (core::slot_addressed_graph: dense CSR
+// slots resolving to record views with random-access adjacency spans, vertex
+// ids and hub bitmap rows).  Sorting the vertex walk by <+ rank gives the
+// degeneracy-ordered CSR traversal of Pashanasangi & Seshadhri.
 //
 // Projection push-down (the ROADMAP follow-up to PR 4's sender-side wire
 // projections): `freeze(g, vproj, eproj)` -- or `freeze(plan)` for a survey
@@ -187,9 +187,9 @@ struct fnv1a_accumulator {
 
 }  // namespace detail
 
-/// The raw column bundle of one rank's frozen graph.  freeze() fills it
-/// from the mutable map; load_snapshot() fills it with views into a mapped
-/// file.  Public so the snapshot layer and white-box tests can reach the
+/// The raw column bundle of one rank's frozen graph.  freeze() and
+/// overlay::compact() fill it through detail::build_arenas; load_snapshot()
+/// fills it with views into a mapped file.  Public so the snapshot layer and white-box tests can reach the
 /// columns without friending.
 template <typename VMeta, typename EMeta>
 struct frozen_arenas {
@@ -231,9 +231,9 @@ struct frozen_storage_stats {
   }
 };
 
-/// Immutable CSR structure-of-arrays form of a DODGr.  Same read API as the
-/// mutable `dodgr` (record views, adjacency spans sorted by <+), no write
-/// API: build with the graph_builder, then freeze.
+/// Immutable CSR structure-of-arrays form of a DODGr: slot-addressed record
+/// views with adjacency spans sorted by <+, no write API.  Build with the
+/// graph_builder, then freeze.
 template <typename VMeta, typename EMeta>
 class frozen_dodgr {
  public:
@@ -353,8 +353,8 @@ class frozen_dodgr {
 
   frozen_dodgr(comm::communicator& c, arenas_type&& ar, ordering_policy ordering)
       : comm_(&c), ar_(std::move(ar)), ordering_(ordering) {
-    // The id->slot index (and record_locator) is 32-bit by design; a rank
-    // holding >= 2^32 local vertices must fail loudly, not wrap silently.
+    // The id->slot index is 32-bit by design; a rank holding >= 2^32 local
+    // vertices must fail loudly, not wrap silently.
     if (ar_.vid.size() > std::numeric_limits<std::uint32_t>::max()) {
       throw std::length_error(
           "frozen_dodgr: more than 2^32-1 local vertices on one rank; the "
@@ -383,18 +383,16 @@ class frozen_dodgr {
     return record_at(it->second);
   }
 
-  /// Compact locator for a known-local record: the CSR slot index (4
-  /// bytes), resolved back to a view without touching the hash index.
-  /// Precondition: `v` is stored on this rank.
-  using record_locator = std::uint32_t;
-
-  [[nodiscard]] record_locator locate(vertex_id v) const { return index_.at(v); }
-  [[nodiscard]] record_view resolve_record(record_locator slot) const {
+  /// CSR slot of a known-local vertex (4 bytes), resolved back to a view
+  /// without touching the hash index.  Precondition: `v` is stored on this
+  /// rank.
+  [[nodiscard]] std::uint32_t locate(vertex_id v) const { return index_.at(v); }
+  [[nodiscard]] record_view resolve_record(std::uint32_t slot) const {
     return record_at(slot);
   }
 
   /// Vertex id stored at a CSR slot (for chunked slot-range walks).
-  [[nodiscard]] vertex_id vid_at(record_locator slot) const noexcept {
+  [[nodiscard]] vertex_id vid_at(std::uint32_t slot) const noexcept {
     return ar_.vid[slot];
   }
 
@@ -402,7 +400,7 @@ class frozen_dodgr {
   /// has no row (tail vertex, budget-rejected span, bitmaps disabled at
   /// freeze time, or a pre-bitmap v1 snapshot).  Row semantics: bit
   /// (id - base) set iff `id` is in the vertex's Adjm+ target set.
-  [[nodiscard]] core::bitmap_view hub_bitmap(record_locator slot) const noexcept {
+  [[nodiscard]] core::bitmap_view hub_bitmap(std::uint32_t slot) const noexcept {
     if (ar_.bm_offset.size() != ar_.vid.size() + 1) return {};
     const std::uint64_t first = ar_.bm_offset[slot];
     const std::uint64_t last = ar_.bm_offset[slot + 1];
@@ -414,16 +412,6 @@ class frozen_dodgr {
   /// True when at least one local vertex owns a bitmap row.
   [[nodiscard]] bool has_hub_bitmaps() const noexcept {
     return ar_.bm_words.size() > 0;
-  }
-
-  /// for_all_local with the CSR slot supplied alongside: scans that cache
-  /// locators (the survey dry run) get them for free from the loop index.
-  template <typename Fn>
-  void for_all_local_located(Fn&& fn) const {
-    for (std::size_t i = 0; i < ar_.vid.size(); ++i) {
-      const record_view rec = record_at(i);
-      fn(ar_.vid[i], rec, static_cast<record_locator>(i));
-    }
   }
 
   /// Apply `fn(vertex_id, const record_view&)` to every local vertex, in
@@ -589,10 +577,9 @@ template <typename Col, typename T>
   }
 }
 
-/// Hub bitmap rows over a finished CSR (shared by freeze() and the overlay's
-/// incremental re-freeze).  Built over raw target ids -- the adjacency is
-/// sorted by <+ order key, not id, so each row's base/span comes from a
-/// min/max scan of the slice.  Two passes around a serial prefix sum: a
+/// Hub bitmap rows over a finished CSR.  Built over raw target ids -- the
+/// adjacency is sorted by <+ order key, not id, so each row's base/span
+/// comes from a min/max scan of the slice.  Two passes around a serial prefix sum: a
 /// parallel admission pass decides each vertex's row size, the prefix sum
 /// lays the rows out in vertex order (exactly where the serial appender put
 /// them), and a parallel fill pass sets the bits of disjoint rows.  Leaves
@@ -659,32 +646,16 @@ inline void build_hub_bitmap_columns(std::size_t n, const std::uint64_t* offset,
   });
 }
 
-}  // namespace detail
-
-/// Freeze the mutable DODGr into CSR arenas with the metadata projections
-/// applied ONCE, storing only the projected columns (projection push-down:
-/// surveys over the frozen graph run with identity projections and read
-/// pre-projected arenas).  Rank-local compaction; the mutable graph is left
-/// untouched and may be discarded afterwards.
-template <typename VMeta, typename EMeta, typename VProj, typename EProj>
-[[nodiscard]] auto freeze(dodgr<VMeta, EMeta>& g, VProj vproj, EProj eproj,
-                          const freeze_options& opts = {}) {
-  using PV = std::remove_cvref_t<std::invoke_result_t<const VProj&, const VMeta&>>;
-  using PE = std::remove_cvref_t<std::invoke_result_t<const EProj&, const EMeta&>>;
-  using out_type = frozen_dodgr<PV, PE>;
-  using arenas_type = typename out_type::arenas_type;
-  using source_record = typename dodgr<VMeta, EMeta>::record_type;
-
-  // Deterministic vertex walk order: ascending <+ key, so the CSR traversal
-  // visits vertices in peel/degree order regardless of hash-map iteration.
-  std::vector<std::pair<order_key, const source_record*>> order;
-  order.reserve(g.local_num_vertices());
-  g.for_all_local([&](const vertex_id& v, const source_record& rec) {
-    order.emplace_back(make_order_key(v, rec.order_rank), &rec);
-  });
+/// One rank's CSR arenas from its records (shared by freeze() and the
+/// overlay's incremental re-freeze).  `order` pairs each record with its
+/// <+ order key; sorting it fixes the vertex walk order regardless of
+/// hash-map iteration.  The metadata projections are applied once per cell.
+template <typename PV, typename PE, typename Record, typename VProj, typename EProj>
+[[nodiscard]] frozen_arenas<PV, PE> build_arenas(
+    std::vector<std::pair<order_key, const Record*>> order, const VProj& vproj,
+    const EProj& eproj, const freeze_options& opts) {
   std::sort(order.begin(), order.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-
   const std::size_t n = order.size();
   const int threads = core::resolve_threads(opts.threads);
 
@@ -740,32 +711,55 @@ template <typename VMeta, typename EMeta, typename VProj, typename EProj>
     });
   }
 
-  // Hub bitmap rows (counting-shape freezes only: both projected metadata
-  // types empty, see freeze_options).  Shared with the overlay's
-  // incremental re-freeze: detail::build_hub_bitmap_columns.
+  // Hub bitmap rows (counting-shape arenas only: both stored metadata types
+  // empty, see freeze_options).
   std::vector<std::uint64_t> bm_offset, bm_base, bm_words;
   if constexpr (std::is_empty_v<PV> && std::is_empty_v<PE>) {
     if (opts.build_hub_bitmaps) {
-      detail::build_hub_bitmap_columns(n, offset.data(), target.data(), opts, threads,
-                                       bm_offset, bm_base, bm_words);
+      build_hub_bitmap_columns(n, offset.data(), target.data(), opts, threads, bm_offset,
+                               bm_base, bm_words);
     }
   }
 
-  arenas_type ar;
+  frozen_arenas<PV, PE> ar;
   ar.vid = arena<vertex_id>(std::move(vid));
   ar.degree = arena<std::uint64_t>(std::move(degree));
   ar.order_rank = arena<std::uint64_t>(std::move(order_rank));
   ar.offset = arena<std::uint64_t>(std::move(offset));
-  ar.vmeta = detail::make_meta_column<meta_column<PV>>(std::move(vmeta), n);
+  ar.vmeta = make_meta_column<meta_column<PV>>(std::move(vmeta), n);
   ar.target = arena<vertex_id>(std::move(target));
   ar.target_rank = arena<std::uint64_t>(std::move(target_rank));
   ar.target_out_degree = arena<std::uint64_t>(std::move(target_outdeg));
-  ar.emeta = detail::make_meta_column<meta_column<PE>>(std::move(emeta), m);
-  ar.target_vmeta = detail::make_meta_column<meta_column<PV>>(std::move(tvmeta), m);
+  ar.emeta = make_meta_column<meta_column<PE>>(std::move(emeta), m);
+  ar.target_vmeta = make_meta_column<meta_column<PV>>(std::move(tvmeta), m);
   ar.bm_offset = arena<std::uint64_t>(std::move(bm_offset));
   ar.bm_base = arena<std::uint64_t>(std::move(bm_base));
   ar.bm_words = arena<std::uint64_t>(std::move(bm_words));
-  return out_type(g.comm(), std::move(ar), g.ordering());
+  return ar;
+}
+
+}  // namespace detail
+
+/// Freeze the mutable DODGr into CSR arenas with the metadata projections
+/// applied ONCE, storing only the projected columns (projection push-down:
+/// surveys over the frozen graph run with identity projections and read
+/// pre-projected arenas).  Rank-local compaction; the mutable graph is left
+/// untouched and may be discarded afterwards.
+template <typename VMeta, typename EMeta, typename VProj, typename EProj>
+[[nodiscard]] auto freeze(dodgr<VMeta, EMeta>& g, VProj vproj, EProj eproj,
+                          const freeze_options& opts = {}) {
+  using PV = std::remove_cvref_t<std::invoke_result_t<const VProj&, const VMeta&>>;
+  using PE = std::remove_cvref_t<std::invoke_result_t<const EProj&, const EMeta&>>;
+  using source_record = typename dodgr<VMeta, EMeta>::record_type;
+
+  std::vector<std::pair<order_key, const source_record*>> order;
+  order.reserve(g.local_num_vertices());
+  g.for_all_local([&](const vertex_id& v, const source_record& rec) {
+    order.emplace_back(make_order_key(v, rec.order_rank), &rec);
+  });
+  return frozen_dodgr<PV, PE>(
+      g.comm(), detail::build_arenas<PV, PE>(std::move(order), vproj, eproj, opts),
+      g.ordering());
 }
 
 /// Freeze with the metadata stored unchanged (identity projections).

@@ -12,12 +12,14 @@
 //   tripoll::survey(ov)....run(opts);       // same engine, same results
 //   auto refrozen = ov.compact();           // incremental re-freeze
 //
-// The overlay exposes the exact DODGr read API the survey engine traverses
-// (record views with <+-sorted Adjm+, record locators, owner mapping), so
-// core/survey.hpp and core/plan.hpp run over it unchanged -- through the
-// generic (non-frozen) engine path, whose reported metrics are sums of
-// per-batch contributions and therefore bit-identical to surveying a full
-// rebuild of the same logical graph.
+// Like the frozen CSR, the overlay is a core::slot_addressed_graph: every
+// local vertex owns a dense 32-bit slot, appended when the vertex first
+// appears and never reused, that resolves to its record (<+-sorted Adjm+)
+// and vertex id.  It keeps no hub bitmap rows.  The survey engine therefore
+// runs over it on the same path as over a frozen graph -- threads,
+// add_reduced tasks and all -- and its reported metrics, sums of per-batch
+// contributions, are bit-identical to surveying a full rebuild of the same
+// logical graph.
 //
 // Incremental maintenance model.  Each local vertex keeps, alongside its
 // oriented Adjm+ record, its full UNDIRECTED metadata-augmented neighbor
@@ -61,23 +63,23 @@
 // entries locally at BOTH endpoints (the replicated edge metadata makes the
 // cut symmetric without communication) and reuses rounds I3-I5.
 // `compact()` is the incremental re-freeze: per-rank merge of the overlay
-// records into fresh CSR arenas in <+ order, REUSING the maintained ranks
-// -- no shuffle, no degeneracy peel -- so steady-state cost is amortized
-// O(|delta|).  The result is an ordinary frozen_dodgr: hub bitmaps are
-// rebuilt when eligible and v3 snapshots round-trip.
+// records into fresh CSR arenas in <+ order through freeze()'s column
+// builder, REUSING the maintained ranks -- no shuffle, no degeneracy peel.
+// The result is an ordinary frozen_dodgr: hub bitmaps are rebuilt when
+// eligible and v3 snapshots round-trip.
 //
 // Thread-safety: the overlay is rank-local mutable state; mutating
 // collectives (ingest/expire_before/compact) must be called from the
 // owning thread with no survey in flight (docs/THREADING.md,
-// docs/STREAMING.md).  Surveys over the overlay run the engine's serial
-// per-rank path (the overlay is not a frozen_graph), which is what makes
-// the bit-identity guarantee thread-count-trivial.
+// docs/STREAMING.md).  A survey only reads it, so survey_options::threads
+// workers share it like a frozen graph.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -147,8 +149,9 @@ class overlay {
     // messages -- which may be processed as soon as pass 2 starts sending --
     // always find their destination node in place.
     nodes_.reserve(base.local_num_vertices());
+    slots_.reserve(base.local_num_vertices());
     base.for_all_local([&](const vertex_id& v, const auto& rec) {
-      node& nd = nodes_[v];
+      node& nd = add_node(v);
       nd.rec.degree = rec.degree;
       nd.rec.order_rank = rec.order_rank;
       nd.rec.meta = rec.meta;
@@ -182,39 +185,34 @@ class overlay {
   overlay(const overlay&) = delete;
   overlay& operator=(const overlay&) = delete;
 
-  // --- DODGr read API (what the survey engine traverses) --------------------
+  // --- slot-addressed read API (what the survey engine traverses) ----------
 
   [[nodiscard]] comm::communicator& comm() noexcept { return *comm_; }
   [[nodiscard]] int owner(vertex_id v) const noexcept {
     return comm_->owner(comm::key_hash<vertex_id>{}(v));
   }
 
-  [[nodiscard]] const record_type* local_find(vertex_id v) const {
-    const auto it = nodes_.find(v);
-    return it == nodes_.end() ? nullptr : &it->second.rec;
+  /// Slot of a known-local vertex.  Precondition: `v` is stored here.
+  [[nodiscard]] std::uint32_t locate(vertex_id v) const { return nodes_.at(v).slot; }
+  [[nodiscard]] const record_type& resolve_record(std::uint32_t slot) const {
+    return slots_[slot]->second.rec;
+  }
+  [[nodiscard]] vertex_id vid_at(std::uint32_t slot) const noexcept {
+    return slots_[slot]->first;
+  }
+  /// No bitmap rows: overlay batches always take the merge/gallop kernels.
+  [[nodiscard]] core::bitmap_view hub_bitmap(std::uint32_t /*slot*/) const noexcept {
+    return {};
   }
 
-  using record_locator = const record_type*;
-  [[nodiscard]] record_locator locate(vertex_id v) const {
-    const auto it = nodes_.find(v);
-    return it == nodes_.end() ? nullptr : &it->second.rec;
-  }
-  [[nodiscard]] const record_type& resolve_record(record_locator loc) const {
-    return *loc;
-  }
-
+  /// Apply `fn(vertex_id, const record&)` to every local vertex, in slot order.
   template <typename Fn>
   void for_all_local(Fn&& fn) const {
-    for (const auto& [v, nd] : nodes_) fn(v, nd.rec);
-  }
-
-  template <typename Fn>
-  void for_all_local_located(Fn&& fn) const {
-    for (const auto& [v, nd] : nodes_) fn(v, nd.rec, &nd.rec);
+    for (const auto* e : slots_) fn(e->first, e->second.rec);
   }
 
   [[nodiscard]] std::size_t local_num_vertices() const noexcept {
-    return nodes_.size();
+    return slots_.size();
   }
   [[nodiscard]] std::size_t local_num_edges() const noexcept {
     std::size_t m = 0;
@@ -373,82 +371,19 @@ class overlay {
   /// fresh CSR arenas per rank in <+ order, REUSING the maintained ordering
   /// ranks (no shuffle, no degeneracy peel).  Vertices left with no edges
   /// (fully expired) are dropped, so the compacted graph equals a from-
-  /// scratch build of the surviving edge set.  Hub bitmap rows are rebuilt
-  /// under the usual eligibility rules; the result is an ordinary
+  /// scratch build of the surviving edge set.  The columns come from
+  /// freeze()'s builder (parallel over `opts.threads`, byte-identical at any
+  /// count), hub bitmap rows included; the result is an ordinary
   /// frozen_dodgr whose v3 snapshots round-trip.
   [[nodiscard]] base_type compact(const freeze_options& opts = {}) {
-    using arenas_type = typename base_type::arenas_type;
-
     std::vector<std::pair<order_key, const record_type*>> order;
     order.reserve(nodes_.size());
     for (const auto& [v, nd] : nodes_) {
       if (nd.nbrs.empty()) continue;  // fully expired: drop isolated vertices
       order.emplace_back(make_order_key(v, nd.rec.order_rank), &nd.rec);
     }
-    std::sort(order.begin(), order.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-
-    const std::size_t n = order.size();
-    std::vector<std::uint64_t> offset(n + 1);
-    offset[0] = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      offset[i + 1] = offset[i] + order[i].second->adj.size();
-    }
-    const std::size_t m = offset[n];
-
-    std::vector<vertex_id> vid(n);
-    std::vector<std::uint64_t> degree(n), order_rank(n);
-    std::vector<VMeta> vmeta;
-    std::vector<vertex_id> target(m);
-    std::vector<std::uint64_t> target_rank(m), target_outdeg(m);
-    std::vector<EMeta> emeta;
-    std::vector<VMeta> tvmeta;
-    if constexpr (!std::is_empty_v<VMeta>) {
-      vmeta.resize(n);
-      tvmeta.resize(m);
-    }
-    if constexpr (!std::is_empty_v<EMeta>) emeta.resize(m);
-
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& [key, rec] = order[i];
-      vid[i] = key.id;
-      degree[i] = rec->degree;
-      order_rank[i] = rec->order_rank;
-      if constexpr (!std::is_empty_v<VMeta>) vmeta[i] = rec->meta;
-      std::size_t e = offset[i];
-      for (const auto& entry : rec->adj) {
-        target[e] = entry.target;
-        target_rank[e] = entry.target_rank;
-        target_outdeg[e] = entry.target_out_degree;
-        if constexpr (!std::is_empty_v<EMeta>) emeta[e] = entry.edge_meta;
-        if constexpr (!std::is_empty_v<VMeta>) tvmeta[e] = entry.target_meta;
-        ++e;
-      }
-    }
-
-    std::vector<std::uint64_t> bm_offset, bm_base, bm_words;
-    if constexpr (std::is_empty_v<VMeta> && std::is_empty_v<EMeta>) {
-      if (opts.build_hub_bitmaps) {
-        detail::build_hub_bitmap_columns(n, offset.data(), target.data(), opts,
-                                         core::resolve_threads(opts.threads),
-                                         bm_offset, bm_base, bm_words);
-      }
-    }
-
-    arenas_type ar;
-    ar.vid = arena<vertex_id>(std::move(vid));
-    ar.degree = arena<std::uint64_t>(std::move(degree));
-    ar.order_rank = arena<std::uint64_t>(std::move(order_rank));
-    ar.offset = arena<std::uint64_t>(std::move(offset));
-    ar.vmeta = detail::make_meta_column<meta_column<VMeta>>(std::move(vmeta), n);
-    ar.target = arena<vertex_id>(std::move(target));
-    ar.target_rank = arena<std::uint64_t>(std::move(target_rank));
-    ar.target_out_degree = arena<std::uint64_t>(std::move(target_outdeg));
-    ar.emeta = detail::make_meta_column<meta_column<EMeta>>(std::move(emeta), m);
-    ar.target_vmeta = detail::make_meta_column<meta_column<VMeta>>(std::move(tvmeta), m);
-    ar.bm_offset = arena<std::uint64_t>(std::move(bm_offset));
-    ar.bm_base = arena<std::uint64_t>(std::move(bm_base));
-    ar.bm_words = arena<std::uint64_t>(std::move(bm_words));
+    auto ar = detail::build_arenas<VMeta, EMeta>(std::move(order), detail::copy_meta{},
+                                                 detail::copy_meta{}, opts);
     comm_->barrier();
     return base_type(*comm_, std::move(ar), ordering_);
   }
@@ -467,15 +402,31 @@ class overlay {
   struct node {
     record_type rec;
     std::vector<nbr> nbrs;  ///< sorted by id
+    std::uint32_t slot = 0;  ///< index into slots_
   };
+
+  using node_map = std::unordered_map<vertex_id, node, comm::key_hash<vertex_id>>;
 
   [[nodiscard]] node* find_node(vertex_id v) {
     const auto it = nodes_.find(v);
     return it == nodes_.end() ? nullptr : &it->second;
   }
 
+  /// Materialize a vertex not yet stored here and append it to the slot
+  /// table.  Every node creation goes through this; nodes are never erased,
+  /// and unordered_map entries keep their addresses, so slots stay valid.
+  node& add_node(vertex_id v) {
+    if (slots_.size() == std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("tripoll: overlay: more than 2^32-1 local vertices");
+    }
+    auto& entry = *nodes_.try_emplace(v).first;
+    entry.second.slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(&entry);
+    return entry.second;
+  }
+
   node& create_node(vertex_id v, const VMeta& meta) {
-    node& nd = nodes_[v];
+    node& nd = add_node(v);
     nd.rec.meta = meta;
     fresh_.push_back(v);
     ++local_new_vertices_;
@@ -715,7 +666,7 @@ class overlay {
       self& ov = c.resolve(h);
       node* nb = ov.find_node(b);
       if (nb == nullptr) {
-        nb = &ov.nodes_[b];
+        nb = &ov.add_node(b);
         ov.fresh_.push_back(b);
         ov.created_remote_.push_back(b);
       }
@@ -796,7 +747,8 @@ class overlay {
   comm::communicator* comm_;
   ordering_policy ordering_;
   comm::dist_handle<self> handle_;
-  std::unordered_map<vertex_id, node, comm::key_hash<vertex_id>> nodes_;
+  node_map nodes_;
+  std::vector<typename node_map::value_type*> slots_;  ///< slot -> (id, node)
   std::unordered_map<std::pair<vertex_id, vertex_id>, EMeta, pair_key_hash> batch_;
   std::unordered_set<vertex_id> dirty_;      ///< structural change this round
   std::unordered_set<vertex_id> dirty_adj_;  ///< records needing re-orientation

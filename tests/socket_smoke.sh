@@ -180,6 +180,17 @@ if [ "${reload_count:-}" != "triangles $ov_count" ]; then
   echo "socket_smoke: compacted snapshot reloaded to a different count" >&2
   fail=1
 fi
+# --threads reaches the overlay survey; its output must not move with it.
+"$CLI" ingest "$work/ov_snap" "$work/g_batch.txt" "$RANKS" --threads 1 \
+  >"$work/inproc.ingest.t1" || fail=1
+"$CLI" ingest "$work/ov_snap" "$work/g_batch.txt" "$RANKS" --threads 4 \
+  >"$work/inproc.ingest.t4" || fail=1
+if diff -u "$work/inproc.ingest.t1" "$work/inproc.ingest.t4"; then
+  echo "ingest threads 4: IDENTICAL"
+else
+  echo "ingest threads 4: MISMATCH vs single-threaded run" >&2
+  fail=1
+fi
 
 echo "== parallel traversal: --threads sweep over the frozen snapshot =="
 # The loaded graph is frozen CSR storage, so --threads engages the parallel

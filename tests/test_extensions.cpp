@@ -19,6 +19,7 @@
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "graph/directed.hpp"
+#include "graph/frozen.hpp"
 
 namespace tc = tripoll::comm;
 namespace tg = tripoll::graph;
@@ -78,9 +79,10 @@ TEST_P(DirectedTriangle, CallbackSeesOriginalDirections) {
     }
     tg::directed_dodgr<tg::none, std::uint32_t> g(c);
     builder.build_into(g);
+    auto fz = tg::freeze(g);
 
     directed_collect_context ctx;
-    tripoll::triangle_survey(g, directed_collect_callback{}, ctx, {mode});
+    tripoll::triangle_survey(fz, directed_collect_callback{}, ctx, {mode});
 
     auto per_rank = c.all_gather(ctx.rows);
     std::map<std::pair<tg::vertex_id, tg::vertex_id>, std::uint8_t> seen;
@@ -168,7 +170,8 @@ TEST(Clustering, CompleteGraphIsFullyClustered) {
   tc::runtime::run(3, [](tc::communicator& c) {
     plain_graph g(c);
     build_plain(c, g, complete_graph(8));
-    const auto s = ta::clustering_coefficients(g);
+    auto fz = tg::freeze(g);
+    const auto s = ta::clustering_coefficients(fz);
     EXPECT_EQ(s.triangles, 56u);
     EXPECT_DOUBLE_EQ(s.transitivity, 1.0);
     EXPECT_DOUBLE_EQ(s.average_local_cc, 1.0);
@@ -182,7 +185,8 @@ TEST(Clustering, TriangleWithPendantEdge) {
   tc::runtime::run(2, [](tc::communicator& c) {
     plain_graph g(c);
     build_plain(c, g, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
-    const auto s = ta::clustering_coefficients(g);
+    auto fz = tg::freeze(g);
+    const auto s = ta::clustering_coefficients(fz);
     EXPECT_EQ(s.triangles, 1u);
     EXPECT_EQ(s.total_wedges, 5u);
     EXPECT_DOUBLE_EQ(s.transitivity, 3.0 / 5.0);
@@ -196,7 +200,8 @@ TEST(Clustering, TrianglelessGraphIsZero) {
   tc::runtime::run(2, [](tc::communicator& c) {
     plain_graph g(c);
     build_plain(c, g, {{0, 1}, {1, 2}, {2, 3}});  // path
-    const auto s = ta::clustering_coefficients(g);
+    auto fz = tg::freeze(g);
+    const auto s = ta::clustering_coefficients(fz);
     EXPECT_EQ(s.triangles, 0u);
     EXPECT_DOUBLE_EQ(s.transitivity, 0.0);
     EXPECT_DOUBLE_EQ(s.average_local_cc, 0.0);
@@ -215,8 +220,9 @@ TEST(Clustering, BothModesAgree) {
       builder.add_edge(edges[i].u, edges[i].v);
     }
     builder.build_into(g);
-    const auto a = ta::clustering_coefficients(g, tripoll::survey_mode::push_only);
-    const auto b = ta::clustering_coefficients(g, tripoll::survey_mode::push_pull);
+    auto fz = tg::freeze(g);
+    const auto a = ta::clustering_coefficients(fz, tripoll::survey_mode::push_only);
+    const auto b = ta::clustering_coefficients(fz, tripoll::survey_mode::push_pull);
     EXPECT_EQ(a.triangles, b.triangles);
     EXPECT_DOUBLE_EQ(a.transitivity, b.transitivity);
     EXPECT_NEAR(a.average_local_cc, b.average_local_cc, 1e-12);
@@ -229,8 +235,9 @@ TEST(EdgeSupport, K4EveryEdgeInTwoTriangles) {
   tc::runtime::run(3, [](tc::communicator& c) {
     plain_graph g(c);
     build_plain(c, g, complete_graph(4));
+    auto fz = tg::freeze(g);
     tc::counting_set<ta::edge_key> support(c);
-    ta::edge_support(g, support);
+    ta::edge_support(fz, support);
     auto all = support.gather_all();
     ASSERT_EQ(all.size(), 6u);
     for (auto& [e, n] : all) EXPECT_EQ(n, 2u);
@@ -242,8 +249,9 @@ TEST(EdgeSupport, SharedEdgeHasHigherSupport) {
   tc::runtime::run(2, [](tc::communicator& c) {
     plain_graph g(c);
     build_plain(c, g, {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}});
+    auto fz = tg::freeze(g);
     tc::counting_set<ta::edge_key> support(c);
-    ta::edge_support(g, support);
+    ta::edge_support(fz, support);
     auto all = support.gather_all();
     EXPECT_EQ(all.at({1, 2}), 2u);
     EXPECT_EQ(all.at({0, 1}), 1u);

@@ -1,8 +1,9 @@
 // Tests for the frozen CSR storage layer (graph/frozen.hpp) and its binary
 // snapshots (graph/snapshot.hpp): structural identity with the mutable map
 // form, projection push-down at freeze time, survey equivalence across the
-// backend x ordering x mode matrix, and snapshot round-trips (including
-// mmap loads inside forked socket ranks).
+// backend x ordering x mode x storage matrix (frozen, overlay, loaded
+// snapshot), and snapshot round-trips (including mmap loads inside forked
+// socket ranks).
 //
 // Socket ranks are forked child processes, so assertions there run INSIDE
 // the ranks (thrown exceptions become child exit status), which the
@@ -31,6 +32,7 @@
 #include "graph/frozen.hpp"
 #include "graph/io.hpp"
 #include "graph/ordering.hpp"
+#include "graph/overlay.hpp"
 #include "graph/snapshot.hpp"
 #include "serial/hash.hpp"
 
@@ -249,49 +251,69 @@ class FrozenMatrix
   }
 };
 
-TEST_P(FrozenMatrix, FrozenSurveyMatchesMapSurvey) {
+namespace {
+
+/// One fused closure+count survey's observables, compared across storage forms.
+struct matrix_run {
+  tripoll::plan_result<2> res;
+  std::uint64_t count = 0;   ///< the count callback's global total
+  std::uint64_t digest = 0;  ///< the closure histogram's global digest
+};
+
+template <typename Plan>
+matrix_run run_matrix_plan(tc::communicator& c, Plan&& plan, survey_mode mode) {
+  hist h;
+  cb::count_context n;
+  matrix_run r;
+  r.res = plan.add(closure_cb{}, h).add(cb::count_callback{}, n).run({mode});
+  r.count = n.global_count(c);
+  r.digest = c.all_reduce_sum(hist_digest(h));
+  return r;
+}
+
+void require_same_survey(const matrix_run& a, const matrix_run& b, const std::string& what) {
+  require(a.res.total.triangles_found == b.res.total.triangles_found,
+          what + ": triangle counts differ");
+  require(a.res.total.triangles_found > 0, what + ": graph has no triangles");
+  require(a.count == b.count, what + ": callback counts differ");
+  require(a.res.total.total.volume_bytes == b.res.total.total.volume_bytes,
+          what + ": survey volume differs");
+  require(a.res.total.total.messages == b.res.total.total.messages,
+          what + ": survey message count differs");
+  require(a.res.total.pulls_granted == b.res.total.pulls_granted,
+          what + ": pull grants differ");
+  require(a.res.total.wedge_candidates == b.res.total.wedge_candidates,
+          what + ": wedge candidates differ");
+  require(a.digest == b.digest, what + ": closure histograms differ");
+}
+
+}  // namespace
+
+TEST_P(FrozenMatrix, SurveyIdenticalAcrossStorageForms) {
   const auto [backend, ordering, mode] = GetParam();
   (void)backend;
   EXPECT_NO_THROW(run_ranks(3, [ordering = ordering, mode = mode](tc::communicator& c) {
     meta_graph g(c);
     build_meta_graph(c, g, ordering);
 
-    // Map path: sender-side projection per message.
-    hist map_hist;
-    cb::count_context map_count;
-    auto map_res = tripoll::survey(g)
-                       .project_vertex(tripoll::drop_projection{})
-                       .project_edge(cb::timestamp_projection{})
-                       .add(closure_cb{}, map_hist)
-                       .add(cb::count_callback{}, map_count)
-                       .run({mode});
+    // Sender-side projection per message over the identity-frozen graph.
+    auto full = tg::freeze(g);
+    const auto sender = run_matrix_plan(c,
+                                        tripoll::survey(full)
+                                            .project_vertex(tripoll::drop_projection{})
+                                            .project_edge(cb::timestamp_projection{}),
+                                        mode);
 
-    // Frozen path: projection pushed down into the arenas at freeze time;
-    // the survey itself runs identity projections over pre-projected data.
+    // Projection pushed down into the arenas at freeze time; the survey
+    // itself runs identity projections over pre-projected data.
     auto fz = tg::freeze(g, tripoll::drop_projection{}, cb::timestamp_projection{});
-    hist fz_hist;
-    cb::count_context fz_count;
-    auto fz_res = tripoll::survey(fz)
-                      .add(closure_cb{}, fz_hist)
-                      .add(cb::count_callback{}, fz_count)
-                      .run({mode});
+    const auto frozen = run_matrix_plan(c, tripoll::survey(fz), mode);
+    require_same_survey(sender, frozen, "push-down freeze vs sender-side projection");
 
-    require(map_res.total.triangles_found == fz_res.total.triangles_found,
-            "triangle counts differ");
-    require(map_res.total.triangles_found > 0, "graph has no triangles");
-    require(map_count.global_count(c) == fz_count.global_count(c),
-            "callback counts differ");
-    require(map_res.total.total.volume_bytes == fz_res.total.total.volume_bytes,
-            "survey volume differs between storage forms");
-    require(map_res.total.total.messages == fz_res.total.total.messages,
-            "survey message count differs between storage forms");
-    require(map_res.total.pulls_granted == fz_res.total.pulls_granted,
-            "pull grants differ");
-    require(map_res.total.wedge_candidates == fz_res.total.wedge_candidates,
-            "wedge candidates differ");
-    require(c.all_reduce_sum(hist_digest(map_hist)) ==
-                c.all_reduce_sum(hist_digest(fz_hist)),
-            "closure histograms differ");
+    // The streaming overlay over the same frozen graph, with an empty delta.
+    tg::overlay ov(fz);
+    const auto overlay = run_matrix_plan(c, tripoll::survey(ov), mode);
+    require_same_survey(frozen, overlay, "overlay vs frozen");
   }));
 }
 
@@ -495,6 +517,31 @@ TEST(ParallelFreeze, ByteIdenticalArenasAcrossThreadCounts) {
       expect_arenas_identical(base.arenas(), fz.arenas(),
                               ("threads=" + std::to_string(threads)).c_str());
     }
+  });
+}
+
+TEST(ParallelFreeze, CompactArenasIdenticalAcrossThreadCounts) {
+  // overlay::compact() fills its columns through freeze()'s builder, so
+  // the re-frozen arenas must not move with freeze_options::threads either.
+  tc::runtime::run(2, [](tc::communicator& c) {
+    meta_graph g(c);
+    build_meta_graph(c, g, tg::ordering_policy::degeneracy);
+    auto fz = tg::freeze(g);
+    tg::overlay ov(fz);
+    tg::overlay<std::uint64_t, std::uint64_t>::edge_batch batch;
+    if (c.rank0()) {
+      for (tg::vertex_id u = 0; u < 40; ++u) batch.push_back({u, u + 103, edge_ts(u, u + 103)});
+    }
+    (void)ov.ingest(batch, [](tg::vertex_id v) { return vertex_label(v); });
+    (void)ov.expire_before(20000);
+    tg::freeze_options serial_opts;
+    serial_opts.threads = 1;
+    const auto base = ov.compact(serial_opts);
+    ASSERT_GT(base.local_num_edges(), 0u);
+    tg::freeze_options o;
+    o.threads = 4;
+    const auto par = ov.compact(o);
+    expect_arenas_identical(base.arenas(), par.arenas(), "compact threads=4");
   });
 }
 
@@ -946,14 +993,15 @@ TEST(Snapshot, CraftedBmOffsetColumnIsRejected) {
 
 // --- analytics over frozen storage ---------------------------------------------------
 
-TEST(Frozen, AnalyticsRunOnFrozenGraphs) {
+TEST(Frozen, AnalyticsAgreeOnFrozenAndOverlay) {
   tc::runtime::run(2, [](tc::communicator& c) {
     meta_graph g(c);
     build_meta_graph(c, g, tg::ordering_policy::degree);
     auto fz = tg::freeze(g);
+    tg::overlay ov(fz);
 
-    const auto a = tripoll::analytics::clustering_coefficients(g);
-    const auto b = tripoll::analytics::clustering_coefficients(fz);
+    const auto a = tripoll::analytics::clustering_coefficients(fz);
+    const auto b = tripoll::analytics::clustering_coefficients(ov);
     EXPECT_EQ(a.triangles, b.triangles);
     EXPECT_EQ(a.total_wedges, b.total_wedges);
     EXPECT_DOUBLE_EQ(a.transitivity, b.transitivity);

@@ -22,6 +22,7 @@
 #include "gen/temporal.hpp"
 #include "gen/web.hpp"
 #include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 
 namespace tc = tripoll::comm;
 namespace tg = tripoll::graph;
@@ -53,9 +54,10 @@ temporal_fingerprint run_temporal_pipeline(int nranks, tripoll::survey_mode mode
   tc::runtime::run(nranks, [&](tc::communicator& c) {
     gen::temporal_graph g(c);
     gen::build_temporal_graph(c, g, params);
+    auto fz = tripoll::graph::freeze(g);
     tc::counting_set<cb::closure_bin> counters(c);
     cb::closure_time_context ctx{&counters};
-    const auto result = tripoll::triangle_survey(g, cb::closure_time_callback{}, ctx,
+    const auto result = tripoll::triangle_survey(fz, cb::closure_time_callback{}, ctx,
                                                  {mode});
     counters.finalize();
     auto gathered = counters.gather_all();
@@ -96,9 +98,10 @@ TEST(Integration, WebPipelineFqdnTotalsStableAcrossRankCounts) {
     tc::runtime::run(nranks, [&](tc::communicator& c) {
       gen::web_graph g(c);
       gen::build_web_graph(c, g, params);
+      auto fz = tripoll::graph::freeze(g);
       tc::counting_set<cb::fqdn_tuple> counters(c);
       cb::fqdn_tuple_context ctx{&counters};
-      tripoll::triangle_survey(g, cb::fqdn_tuple_callback{}, ctx);
+      tripoll::triangle_survey(fz, cb::fqdn_tuple_callback{}, ctx);
       counters.finalize();
       const auto distinct = c.all_reduce_sum(ctx.distinct_fqdn_triangles);
       const auto tuples = counters.global_size();
@@ -168,17 +171,18 @@ TEST(Integration, EnumerationToFilesCoversAllTriangles) {
     gen::plain_graph g(c);
     gen::dataset_spec spec = gen::livejournal_like(-7);
     gen::build_dataset(c, g, spec);
+    auto fz = tripoll::graph::freeze(g);
 
     const std::string path = stem + std::to_string(c.rank()) + ".txt";
     cb::enumerate_context ctx;
     ctx.out = std::fopen(path.c_str(), "w");
     ASSERT_NE(ctx.out, nullptr);
-    tripoll::triangle_survey(g, cb::enumerate_callback{}, ctx);
+    tripoll::triangle_survey(fz, cb::enumerate_callback{}, ctx);
     std::fclose(ctx.out);
 
     // Cross-check: total rows equal the global triangle count.
     cb::count_context count_ctx;
-    tripoll::triangle_survey(g, cb::count_callback{}, count_ctx);
+    tripoll::triangle_survey(fz, cb::count_callback{}, count_ctx);
     const auto expected = count_ctx.global_count(c);
     EXPECT_EQ(c.all_reduce_sum(ctx.rows), expected);
   });

@@ -17,6 +17,7 @@
 #include "core/callbacks.hpp"
 #include "core/survey.hpp"
 #include "graph/builder.hpp"
+#include "graph/frozen.hpp"
 #include "graph/io.hpp"
 
 namespace tc = tripoll::comm;
@@ -258,10 +259,11 @@ TEST(ReadEdgeList, EndToEndGraphFromFile) {
     });
     tg::dodgr<tg::none, std::uint64_t> g(c);
     builder.build_into(g);
+    auto fz = tripoll::graph::freeze(g);
     EXPECT_EQ(g.census().num_directed_edges, 8u);
 
     tripoll::callbacks::count_context ctx;
-    tripoll::triangle_survey(g, tripoll::callbacks::count_callback{}, ctx);
+    tripoll::triangle_survey(fz, tripoll::callbacks::count_callback{}, ctx);
     EXPECT_EQ(ctx.global_count(c), 1u);
   });
 }

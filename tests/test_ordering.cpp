@@ -21,6 +21,7 @@
 #include "gen/temporal.hpp"
 #include "graph/builder.hpp"
 #include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 
 namespace tc = tripoll::comm;
@@ -226,8 +227,9 @@ TEST_P(OrderingEquivalence, RmatCountsMatchSerial) {
     tg::graph_builder<tg::none, tg::none> builder(c, ordering);
     feed_rmat(c, builder, 10, 99);
     builder.build_into(g);
+    auto fz = tg::freeze(g);
     cb::count_context ctx;
-    const auto result = triangle_survey(g, cb::count_callback{}, ctx, {mode});
+    const auto result = triangle_survey(fz, cb::count_callback{}, ctx, {mode});
     EXPECT_EQ(ctx.global_count(c), expected);
     EXPECT_EQ(result.triangles_found, expected);
   });
@@ -254,8 +256,9 @@ TEST_P(OrderingEquivalence, TemporalCountsMatchSerial) {
       builder.add_edge(e.u, e.v, e.timestamp);
     });
     builder.build_into(g);
+    auto fz = tg::freeze(g);
     cb::count_context ctx;
-    triangle_survey(g, cb::count_callback{}, ctx, {mode});
+    triangle_survey(fz, cb::count_callback{}, ctx, {mode});
     EXPECT_EQ(ctx.global_count(c), expected);
   });
 }
@@ -279,8 +282,9 @@ TEST_P(ResultAgreement, SurveyResultIdenticalOnEveryRank) {
     tg::graph_builder<tg::none, tg::none> builder(c, ordering);
     feed_rmat(c, builder, 10, 2024);
     builder.build_into(g);
+    auto fz = tg::freeze(g);
     cb::count_context ctx;
-    const auto result = triangle_survey(g, cb::count_callback{}, ctx, {mode});
+    const auto result = triangle_survey(fz, cb::count_callback{}, ctx, {mode});
 
     // Every rank contributes its packed result; all must be bit-identical
     // (this is what the racy global-snapshot metrics used to violate).
@@ -330,9 +334,11 @@ TEST(OrderingAblation, DegeneracyStrictlyReducesWedgeChecksOnRmat) {
     EXPECT_LE(census_core.max_out_degree, census_deg.max_out_degree);
 
     // Identical global triangle counts under both orderings.
+    auto fz_deg = tg::freeze(g_deg);
+    auto fz_core = tg::freeze(g_core);
     cb::count_context ctx_deg, ctx_core;
-    triangle_survey(g_deg, cb::count_callback{}, ctx_deg, {survey_mode::push_pull});
-    triangle_survey(g_core, cb::count_callback{}, ctx_core, {survey_mode::push_pull});
+    triangle_survey(fz_deg, cb::count_callback{}, ctx_deg, {survey_mode::push_pull});
+    triangle_survey(fz_core, cb::count_callback{}, ctx_core, {survey_mode::push_pull});
     EXPECT_EQ(ctx_deg.global_count(c), ctx_core.global_count(c));
   });
 }
@@ -346,8 +352,9 @@ TEST(PullFilter, FilteredProposalsNeverChangeCounts) {
   tc::runtime::run(3, [&](tc::communicator& c) {
     plain_graph g(c);
     build_plain(c, g, edges, ordering_policy::degree);
+    auto fz = tg::freeze(g);
     cb::count_context ctx;
-    const auto result = triangle_survey(g, cb::count_callback{}, ctx,
+    const auto result = triangle_survey(fz, cb::count_callback{}, ctx,
                                         {survey_mode::push_pull});
     EXPECT_EQ(ctx.global_count(c), 560u);  // C(16,3)
     EXPECT_GT(result.proposals_filtered, 0u);

@@ -4,7 +4,9 @@
 //
 // The load-bearing property is BIT-IDENTITY: triangle counts, per-callback
 // fire counts, volume_bytes and messages must not move across
-//   threads x backend x ordering x mode x storage form x hub threshold.
+//   threads x backend x ordering x mode x storage form x hub threshold,
+// where the storage forms are the frozen CSR and the streaming overlay
+// (before and after an ingest batch).
 // Wall clock is the only thing allowed to change (benched separately in
 // bench_parallel_traversal).
 //
@@ -28,6 +30,7 @@
 #include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
+#include "graph/overlay.hpp"
 #include "serial/hash.hpp"
 
 namespace tc = tripoll::comm;
@@ -83,12 +86,10 @@ struct run_fingerprint {
   bool operator==(const run_fingerprint&) const = default;
 };
 
-template <typename Graph>
-run_fingerprint count_run(tc::communicator& c, Graph& g, survey_options opts) {
-  cb::count_context ctx;
-  const auto r = cb::plan_for(g, cb::count_callback{}, ctx).run(opts);
+/// `triangles` is the callback-side global count (or digest) of the run.
+run_fingerprint fingerprint_of(const tripoll::plan_result<1>& r, std::uint64_t triangles) {
   run_fingerprint fp;
-  fp.triangles = ctx.global_count(c);
+  fp.triangles = triangles;
   fp.fires = r.invocations[0];
   fp.volume_bytes = r.total.total.volume_bytes;
   fp.messages = r.total.total.messages;
@@ -96,6 +97,22 @@ run_fingerprint count_run(tc::communicator& c, Graph& g, survey_options opts) {
   fp.wedge_candidates = r.total.wedge_candidates;
   fp.bitmap_batches = r.total.bitmap_batches;
   fp.list_batches = r.total.list_batches;
+  return fp;
+}
+
+template <typename Graph>
+run_fingerprint count_run(tc::communicator& c, Graph& g, survey_options opts) {
+  cb::count_context ctx;
+  const auto r = cb::plan_for(g, cb::count_callback{}, ctx).run(opts);
+  return fingerprint_of(r, ctx.global_count(c));
+}
+
+/// The fingerprint an overlay run must match: the overlay keeps no hub
+/// bitmap rows, so every batch a frozen run closed by bitmap probe it closes
+/// with the list kernels.  Nothing else may differ.
+run_fingerprint without_bitmaps(run_fingerprint fp) {
+  fp.list_batches += fp.bitmap_batches;
+  fp.bitmap_batches = 0;
   return fp;
 }
 
@@ -107,6 +124,35 @@ std::string fp_str(const run_fingerprint& fp) {
          " wc=" + std::to_string(fp.wedge_candidates) +
          " bm=" + std::to_string(fp.bitmap_batches) +
          " ls=" + std::to_string(fp.list_batches);
+}
+
+/// One ingest batch for the overlay legs: new vertices hanging off the K10
+/// core (closing triangles with it) plus chords through the ER slab, some
+/// of them already stored.  Edge metadata comes from `meta(u, v)`.
+template <typename EMeta, typename MetaFn>
+std::vector<tg::overlay_edge<EMeta>> delta_batch(tc::communicator& c, MetaFn&& meta) {
+  std::vector<tg::overlay_edge<EMeta>> batch;
+  if (c.rank0()) {
+    const auto add = [&](tg::vertex_id u, tg::vertex_id v) {
+      batch.push_back({u, v, meta(u, v)});
+    };
+    for (tg::vertex_id v = 200; v < 230; ++v) {
+      add(v % 10, v);
+      add((v + 1) % 10, v);
+    }
+    for (tg::vertex_id u = 10; u < 60; ++u) add(u, u + 13);
+  }
+  return batch;
+}
+
+/// Run `fp_at(threads)` at threads {1,2,4,8} and require `want` each time.
+template <typename FpAt>
+void require_sweep(FpAt&& fp_at, const run_fingerprint& want, const std::string& what) {
+  for (const int threads : {1, 2, 4, 8}) {
+    const auto fp = fp_at(threads);
+    require(fp == want, what + " threads=" + std::to_string(threads) +
+                            " diverged: " + fp_str(fp) + " vs " + fp_str(want));
+  }
 }
 
 }  // namespace
@@ -121,32 +167,23 @@ TEST_P(ParallelMatrix, ThreadSweepIsBitIdentical) {
   tc::runtime::run(3, [ordering, mode](tc::communicator& c) {
     tg::dodgr<tg::none, tg::none> g(c);
     build_graph(c, g, ordering);
-
-    // Map-form baseline (always single-threaded traversal).
-    const auto map_fp = count_run(c, g, {mode});
-
     auto fz = tg::freeze(g);
-    run_fingerprint base;
-    for (const int threads : {1, 2, 4, 8}) {
-      const auto fp = count_run(c, fz, {mode, threads});
-      if (threads == 1) {
-        base = fp;
-        // The frozen run must agree with the map run on every observable
-        // except the kernel mix (the map form has no bitmap rows).
-        require(fp.triangles == map_fp.triangles, "frozen vs map triangles");
-        require(fp.fires == map_fp.fires, "frozen vs map fires");
-        require(fp.volume_bytes == map_fp.volume_bytes, "frozen vs map volume");
-        require(fp.messages == map_fp.messages, "frozen vs map messages");
-        require(map_fp.bitmap_batches == 0, "map run must not use bitmaps");
-        require(fp.bitmap_batches + fp.list_batches ==
-                    map_fp.bitmap_batches + map_fp.list_batches,
-                "total closed batches frozen vs map");
-        require(fp.triangles > 0, "graph must contain triangles");
-      } else {
-        require(fp == base, "threads=" + std::to_string(threads) + " diverged: " +
-                                fp_str(fp) + " vs " + fp_str(base));
-      }
-    }
+    const auto base = count_run(c, fz, {mode, 1});
+    require(base.triangles > 0, "graph must contain triangles");
+    require_sweep([&](int t) { return count_run(c, fz, {mode, t}); }, base, "frozen");
+
+    // The overlay over the frozen graph, before any ingest...
+    tg::overlay ov(fz);
+    require_sweep([&](int t) { return count_run(c, ov, {mode, t}); }, without_bitmaps(base),
+                  "overlay");
+
+    // ...and after one batch, against the compacted graph of the result.
+    (void)ov.ingest(delta_batch<tg::none>(c, [](auto, auto) { return tg::none{}; }));
+    auto compacted = ov.compact();
+    const auto after = count_run(c, compacted, {mode, 1});
+    require(after.triangles > base.triangles, "the ingest batch must close triangles");
+    require_sweep([&](int t) { return count_run(c, ov, {mode, t}); },
+                  without_bitmaps(after), "overlay after ingest");
   });
 }
 
@@ -376,6 +413,59 @@ TEST(ParallelSurvey, ReducedContextsMergeIdentically) {
   });
 }
 
+TEST(ParallelSurvey, OverlayWindowedAndReducedPlansAreBitIdentical) {
+  // The overlay's task path (add_reduced) and a windowed closure plan (the
+  // streaming read) at every thread count, checked against compact() of
+  // the same overlay at one thread.
+  tc::runtime::run(3, [](tc::communicator& c) {
+    const auto ts = [](tg::vertex_id u, tg::vertex_id v) {
+      return tripoll::serial::splitmix64(std::min(u, v) * 1009 + std::max(u, v)) % 1000;
+    };
+    tg::dodgr<tg::none, tg::none> shape(c);
+    build_graph(c, shape, tg::ordering_policy::degree);
+    tg::dodgr<tg::none, std::uint64_t> g(c);
+    {
+      tg::graph_builder<tg::none, std::uint64_t> builder(c, tg::ordering_policy::degree);
+      shape.for_all_local([&](const tg::vertex_id& u, const auto& rec) {
+        for (const auto& e : rec.adj) builder.add_edge(u, e.target, ts(u, e.target));
+      });
+      builder.build_into(g);
+    }
+    auto fz = tg::freeze(g);
+    tg::overlay ov(fz);
+    (void)ov.ingest(delta_batch<std::uint64_t>(c, ts));
+    auto compacted = ov.compact();
+
+    const auto closure = [&](auto& graph, int threads) {
+      tc::counting_set<cb::closure_bin> bins(c);
+      cb::closure_time_context ctx{&bins};
+      const auto r = cb::plan_for(graph, cb::closure_time_callback{}, ctx)
+                         .window(200, 900)
+                         .run({survey_mode::push_pull, threads});
+      bins.finalize();
+      std::uint64_t digest = 0;
+      bins.for_all_local([&](const cb::closure_bin& bin, std::uint64_t n) {
+        digest += tripoll::serial::splitmix64((std::uint64_t{bin.first} << 32) | bin.second) * n;
+      });
+      return fingerprint_of(r, c.all_reduce_sum(digest));
+    };
+    const auto reduced = [&](auto& graph, int threads) {
+      digest_context ctx;
+      const auto r =
+          cb::plan_for_reduced<reduce_scope::global>(graph, digest_callback{}, ctx,
+                                                     digest_reduce{})
+              .run({survey_mode::push_pull, threads});
+      return fingerprint_of(r, ctx.digest);
+    };
+
+    const auto want_closure = closure(compacted, 1);
+    require(want_closure.fires > 0, "windowed closure plan found no triangles");
+    require_sweep([&](int t) { return closure(ov, t); }, want_closure, "windowed closure");
+    require_sweep([&](int t) { return reduced(ov, t); },
+                  without_bitmaps(reduced(compacted, 1)), "add_reduced");
+  });
+}
+
 // --- fused plans mixing reduced and owning-thread callbacks ---------------------------
 
 TEST(ParallelSurvey, FusedPlanWithCountingSetStaysOnOwningThread) {
@@ -434,6 +524,11 @@ TEST(ParallelSurvey, SocketBackendThreadSweepIsBitIdentical) {
                   "socket threads=" + std::to_string(threads) + " diverged: " +
                       fp_str(fp) + " vs " + fp_str(fp_serial));
           require(fp.triangles > 0, "socket run found no triangles");
+          tg::overlay ov(fz);
+          const auto fp_ov = count_run(c, ov, {survey_mode::push_pull, threads});
+          require(fp_ov == without_bitmaps(fp_serial),
+                  "socket overlay threads=" + std::to_string(threads) + " diverged: " +
+                      fp_str(fp_ov) + " vs " + fp_str(fp_serial));
         });
   }
 }

@@ -28,6 +28,7 @@
 #include "gen/erdos_renyi.hpp"
 #include "graph/builder.hpp"
 #include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 #include "serial/hash.hpp"
 #include "serial/wire_guard.hpp"
@@ -180,14 +181,15 @@ TEST_P(PlanMatrix, ProjectedFusedAndSequentialAgree) {
   EXPECT_NO_THROW(run_ranks(3, [ordering = ordering, mode = mode](tc::communicator& c) {
     rich_graph g(c);
     build_rich(c, g, ordering);
+    auto fz = tg::freeze(g);
 
     // 1. Identity plan: full 32/40-byte structs cross the wire.
     hist id_hist;
-    auto identity = tripoll::survey(g).add(rich_closure_cb{}, id_hist).run({mode});
+    auto identity = tripoll::survey(fz).add(rich_closure_cb{}, id_hist).run({mode});
 
     // 2. Projected plan: vertex meta dropped, edge meta -> 8-byte timestamp.
     hist proj_hist;
-    auto projected = tripoll::survey(g)
+    auto projected = tripoll::survey(fz)
                          .project_vertex(tripoll::drop_projection{})
                          .project_edge(edge_ts_projection{})
                          .add(ts_closure_cb{}, proj_hist)
@@ -197,17 +199,17 @@ TEST_P(PlanMatrix, ProjectedFusedAndSequentialAgree) {
     hist seq_hist;
     std::uint64_t seq_hot = 0;
     cb::count_context seq_count;
-    auto s1 = tripoll::survey(g)
+    auto s1 = tripoll::survey(fz)
                   .project_vertex(tripoll::drop_projection{})
                   .project_edge(edge_ts_projection{})
                   .add(cb::count_callback{}, seq_count)
                   .run({mode});
-    auto s2 = tripoll::survey(g)
+    auto s2 = tripoll::survey(fz)
                   .project_vertex(tripoll::drop_projection{})
                   .project_edge(edge_ts_projection{})
                   .add(ts_closure_cb{}, seq_hist)
                   .run({mode});
-    auto s3 = tripoll::survey(g)
+    auto s3 = tripoll::survey(fz)
                   .project_vertex(tripoll::drop_projection{})
                   .project_edge(edge_ts_projection{})
                   .add(hot_filter_cb{50000}, seq_hot)
@@ -217,7 +219,7 @@ TEST_P(PlanMatrix, ProjectedFusedAndSequentialAgree) {
     hist fused_hist;
     std::uint64_t fused_hot = 0;
     cb::count_context fused_count;
-    auto fused = tripoll::survey(g)
+    auto fused = tripoll::survey(fz)
                      .project_vertex(tripoll::drop_projection{})
                      .project_edge(edge_ts_projection{})
                      .add(cb::count_callback{}, fused_count)
@@ -321,9 +323,10 @@ TEST_P(StringMeta, ArrivesAsViewWithCorrectValues) {
       }
     }
     builder.build_into(g);
+    auto fz = tg::freeze(g);
 
     view_collect_ctx ctx;
-    auto r = tripoll::survey(g).add(view_collect_cb{}, ctx).run({mode});
+    auto r = tripoll::survey(fz).add(view_collect_cb{}, ctx).run({mode});
     EXPECT_EQ(r.total.triangles_found, 56u);  // C(8,3)
 
     for (const auto& [v, meta] : ctx.rows) {
@@ -351,15 +354,16 @@ TEST(PlanFor, FqdnSurveyMatchesIdentityWrapper) {
       }
     }
     builder.build_into(g);
+    auto fz = tg::freeze(g);
 
     tc::counting_set<cb::fqdn_tuple> plan_counters(c);
     cb::fqdn_tuple_context plan_ctx{&plan_counters};
-    (void)cb::plan_for(g, cb::fqdn_tuple_callback{}, plan_ctx).run();
+    (void)cb::plan_for(fz, cb::fqdn_tuple_callback{}, plan_ctx).run();
     plan_counters.finalize();
 
     tc::counting_set<cb::fqdn_tuple> wrap_counters(c);
     cb::fqdn_tuple_context wrap_ctx{&wrap_counters};
-    (void)tripoll::triangle_survey(g, cb::fqdn_tuple_callback{}, wrap_ctx);
+    (void)tripoll::triangle_survey(fz, cb::fqdn_tuple_callback{}, wrap_ctx);
     wrap_counters.finalize();
 
     EXPECT_EQ(plan_counters.gather_all(), wrap_counters.gather_all());
@@ -372,12 +376,13 @@ TEST(PlanFor, CountPlanShipsLessThanIdentityOnRichGraph) {
   tc::runtime::run(4, [](tc::communicator& c) {
     rich_graph g(c);
     build_rich(c, g, tg::ordering_policy::degree);
+    auto fz = tg::freeze(g);
 
     cb::count_context plan_ctx;
-    const auto planned = cb::plan_for(g, cb::count_callback{}, plan_ctx).run().slice(0);
+    const auto planned = cb::plan_for(fz, cb::count_callback{}, plan_ctx).run().slice(0);
 
     cb::count_context wrap_ctx;
-    const auto wrapped = tripoll::triangle_survey(g, cb::count_callback{}, wrap_ctx);
+    const auto wrapped = tripoll::triangle_survey(fz, cb::count_callback{}, wrap_ctx);
 
     EXPECT_EQ(planned.triangles_found, wrapped.triangles_found);
     EXPECT_EQ(plan_ctx.global_count(c), wrap_ctx.global_count(c));
@@ -412,14 +417,15 @@ TEST(Analytics, FusedClusteringAndSupportMatchesSeparateRuns) {
   tc::runtime::run(3, [](tc::communicator& c) {
     rich_graph g(c);
     build_rich(c, g, tg::ordering_policy::degree);
+    auto fz = tg::freeze(g);
 
     namespace ta = tripoll::analytics;
-    const auto separate = ta::clustering_coefficients(g);
+    const auto separate = ta::clustering_coefficients(fz);
     tc::counting_set<ta::edge_key> support_sep(c);
-    (void)ta::edge_support(g, support_sep);
+    (void)ta::edge_support(fz, support_sep);
 
     tc::counting_set<ta::edge_key> support_fused(c);
-    const auto fused = ta::clustering_and_support(g, support_fused);
+    const auto fused = ta::clustering_and_support(fz, support_fused);
 
     EXPECT_EQ(fused.triangles, separate.triangles);
     EXPECT_EQ(fused.total_wedges, separate.total_wedges);
@@ -514,6 +520,7 @@ TEST(PlanInference, InferredRunEquivalentToExplicitProjections) {
   tc::runtime::run(3, [](tc::communicator& c) {
     scalar_graph g(c);
     build_scalar(c, g);
+    auto fz = tg::freeze(g);
 
     const auto run_once = [&](auto plan, cb::count_context& cnt,
                               tc::counting_set<cb::closure_bin>& bins) {
@@ -527,18 +534,18 @@ TEST(PlanInference, InferredRunEquivalentToExplicitProjections) {
     tc::counting_set<cb::closure_bin> b1(c), b2(c), b3(c);
     cb::closure_time_context cl1{&b1}, cl2{&b2}, cl3{&b3};
 
-    auto inferred = run_once(tripoll::survey(g)
+    auto inferred = run_once(tripoll::survey(fz)
                                  .add(cb::count_callback{}, c1)
                                  .add(cb::closure_time_callback{}, cl1)
                                  .infer_projections(),
                              c1, b1);
-    auto explicit_ = run_once(tripoll::survey(g)
+    auto explicit_ = run_once(tripoll::survey(fz)
                                   .project_vertex(tripoll::drop_projection{})
                                   .project_edge(cb::timestamp_projection{})
                                   .add(cb::count_callback{}, c2)
                                   .add(cb::closure_time_callback{}, cl2),
                               c2, b2);
-    auto identity = run_once(tripoll::survey(g)
+    auto identity = run_once(tripoll::survey(fz)
                                  .add(cb::count_callback{}, c3)
                                  .add(cb::closure_time_callback{}, cl3),
                              c3, b3);

@@ -20,6 +20,7 @@
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 
 namespace tc = tripoll::comm;
 namespace tg = tripoll::graph;
@@ -43,8 +44,9 @@ void build_plain(tc::communicator& c, plain_graph& g, const edge_pairs& edges) {
 }
 
 std::uint64_t survey_count(tc::communicator& c, plain_graph& g, survey_mode mode) {
+  auto fz = tg::freeze(g);
   cb::count_context ctx;
-  const auto result = triangle_survey(g, cb::count_callback{}, ctx, {mode});
+  const auto result = triangle_survey(fz, cb::count_callback{}, ctx, {mode});
   const auto global = ctx.global_count(c);
   // The engine's internal cross-check counter must agree with the callback.
   EXPECT_EQ(result.triangles_found, global);
@@ -215,9 +217,10 @@ TEST_P(MetadataAlignment, AllSixPiecesCorrect) {
       builder.add_vertex_meta(100, vmeta(100));
     }
     builder.build_into(g);
+    auto fz = tg::freeze(g);
 
     collect_context ctx;
-    triangle_survey(g, collect_callback{}, ctx, {mode});
+    triangle_survey(fz, collect_callback{}, ctx, {mode});
 
     auto per_rank = c.all_gather(ctx.rows);
     std::vector<meta_row> all;
@@ -262,9 +265,10 @@ TEST(PushPull, PullsGrantedOnDenseGraph) {
   tc::runtime::run(3, [&](tc::communicator& c) {
     plain_graph g(c);
     build_plain(c, g, edges);
+    auto fz = tg::freeze(g);
     cb::count_context ctx;
     const auto result =
-        triangle_survey(g, cb::count_callback{}, ctx, {survey_mode::push_pull});
+        triangle_survey(fz, cb::count_callback{}, ctx, {survey_mode::push_pull});
     EXPECT_EQ(ctx.global_count(c), expected);
     EXPECT_GT(result.pulls_granted, 0u);
     EXPECT_GT(result.pull.messages, 0u);
@@ -276,9 +280,10 @@ TEST(PushPull, PhaseMetricsAddUp) {
   tc::runtime::run(2, [&](tc::communicator& c) {
     plain_graph g(c);
     build_plain(c, g, edges);
+    auto fz = tg::freeze(g);
     cb::count_context ctx;
     const auto result =
-        triangle_survey(g, cb::count_callback{}, ctx, {survey_mode::push_pull});
+        triangle_survey(fz, cb::count_callback{}, ctx, {survey_mode::push_pull});
     EXPECT_EQ(result.total.volume_bytes, result.dry_run.volume_bytes +
                                              result.push.volume_bytes +
                                              result.pull.volume_bytes);
@@ -290,9 +295,10 @@ TEST(PushOnly, NoPullTrafficReported) {
   tc::runtime::run(2, [](tc::communicator& c) {
     plain_graph g(c);
     build_plain(c, g, complete_graph(10));
+    auto fz = tg::freeze(g);
     cb::count_context ctx;
     const auto result =
-        triangle_survey(g, cb::count_callback{}, ctx, {survey_mode::push_only});
+        triangle_survey(fz, cb::count_callback{}, ctx, {survey_mode::push_only});
     EXPECT_EQ(result.dry_run.messages, 0u);
     EXPECT_EQ(result.pull.messages, 0u);
     EXPECT_EQ(result.pulls_granted, 0u);
@@ -350,10 +356,11 @@ TEST(Callbacks, ClosureTimesBinning) {
       builder.add_edge(1, 2, 1000);
     }
     builder.build_into(g);
+    auto fz = tg::freeze(g);
 
     tc::counting_set<cb::closure_bin> counters(c);
     cb::closure_time_context ctx{&counters};
-    triangle_survey(g, cb::closure_time_callback{}, ctx, {survey_mode::push_pull});
+    triangle_survey(fz, cb::closure_time_callback{}, ctx, {survey_mode::push_pull});
     counters.finalize();
     auto dist = counters.gather_all();
     ASSERT_EQ(dist.size(), 1u);
@@ -382,10 +389,11 @@ TEST(Callbacks, MaxEdgeLabelDistribution) {
       builder.add_vertex_meta(5, 8);
     }
     builder.build_into(g);
+    auto fz = tg::freeze(g);
 
     tc::counting_set<std::uint32_t> counters(c);
     cb::max_edge_label_context<std::uint32_t> ctx{&counters};
-    triangle_survey(g, cb::max_edge_label_callback{}, ctx, {survey_mode::push_only});
+    triangle_survey(fz, cb::max_edge_label_callback{}, ctx, {survey_mode::push_only});
     counters.finalize();
     auto dist = counters.gather_all();
     ASSERT_EQ(dist.size(), 1u);
@@ -405,10 +413,11 @@ TEST(Callbacks, DegreeTriples) {
       for (tg::vertex_id v = 0; v < 3; ++v) builder.add_vertex_meta(v, 2);
     }
     builder.build_into(g);
+    auto fz = tg::freeze(g);
 
     tc::counting_set<cb::degree_triple> counters(c);
     cb::degree_triple_context ctx{&counters};
-    triangle_survey(g, cb::degree_triple_callback{}, ctx, {survey_mode::push_pull});
+    triangle_survey(fz, cb::degree_triple_callback{}, ctx, {survey_mode::push_pull});
     counters.finalize();
     auto dist = counters.gather_all();
     ASSERT_EQ(dist.size(), 1u);
@@ -437,10 +446,11 @@ TEST(Callbacks, FqdnTuplesSkipNonDistinct) {
       builder.add_vertex_meta(5, "y.com");
     }
     builder.build_into(g);
+    auto fz = tg::freeze(g);
 
     tc::counting_set<cb::fqdn_tuple> counters(c);
     cb::fqdn_tuple_context ctx{&counters};
-    triangle_survey(g, cb::fqdn_tuple_callback{}, ctx, {survey_mode::push_pull});
+    triangle_survey(fz, cb::fqdn_tuple_callback{}, ctx, {survey_mode::push_pull});
     counters.finalize();
     auto dist = counters.gather_all();
     ASSERT_EQ(dist.size(), 1u);
@@ -453,9 +463,10 @@ TEST(Callbacks, LocalVertexParticipation) {
   tc::runtime::run(3, [](tc::communicator& c) {
     plain_graph g(c);
     build_plain(c, g, complete_graph(4));
+    auto fz = tg::freeze(g);
     tc::counting_set<tg::vertex_id> per_vertex(c);
     cb::local_count_context ctx{&per_vertex};
-    triangle_survey(g, cb::local_count_callback{}, ctx, {survey_mode::push_pull});
+    triangle_survey(fz, cb::local_count_callback{}, ctx, {survey_mode::push_pull});
     per_vertex.finalize();
     auto counts = per_vertex.gather_all();
     ASSERT_EQ(counts.size(), 4u);

@@ -14,6 +14,7 @@
 #include "gen/presets.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
+#include "graph/frozen.hpp"
 
 namespace tc = tripoll::comm;
 namespace tg = tripoll::graph;
@@ -46,9 +47,10 @@ TEST_P(WedgeConservation, CandidatesEqualWedgeChecks) {
   tc::runtime::run(nranks, [&](tc::communicator& c) {
     tripoll::gen::plain_graph g(c);
     build_rmat(c, g, 9, 77);
+    auto fz = tripoll::graph::freeze(g);
     const auto census = g.census();
     cb::count_context ctx;
-    const auto result = tripoll::triangle_survey(g, cb::count_callback{}, ctx, {mode});
+    const auto result = tripoll::triangle_survey(fz, cb::count_callback{}, ctx, {mode});
     // Whether a wedge travels in a push batch or is examined against a
     // pulled adjacency, it is examined exactly once.
     EXPECT_EQ(result.wedge_candidates, census.wedge_checks);
@@ -66,10 +68,11 @@ TEST(SurveyDeterminism, RepeatedRunsIdentical) {
   tc::runtime::run(4, [](tc::communicator& c) {
     tripoll::gen::plain_graph g(c);
     build_rmat(c, g, 10, 123);
+    auto fz = tripoll::graph::freeze(g);
     std::uint64_t first_triangles = 0, first_candidates = 0;
     for (int run = 0; run < 3; ++run) {
       cb::count_context ctx;
-      const auto result = tripoll::triangle_survey(g, cb::count_callback{}, ctx,
+      const auto result = tripoll::triangle_survey(fz, cb::count_callback{}, ctx,
                                                    {survey_mode::push_pull});
       if (run == 0) {
         first_triangles = result.triangles_found;
@@ -89,8 +92,9 @@ TEST(SurveyDeterminism, CountIndependentOfRankCount) {
     tc::runtime::run(nranks, [&](tc::communicator& c) {
       tripoll::gen::plain_graph g(c);
       build_rmat(c, g, 10, 321);
+      auto fz = tripoll::graph::freeze(g);
       cb::count_context ctx;
-      tripoll::triangle_survey(g, cb::count_callback{}, ctx, {survey_mode::push_pull});
+      tripoll::triangle_survey(fz, cb::count_callback{}, ctx, {survey_mode::push_pull});
       // global_count is a collective; only one rank may write the captured
       // result (every rank storing it concurrently is a data race).
       const auto total = ctx.global_count(c);
@@ -114,8 +118,9 @@ TEST_P(BufferSweep, CountsInvariantUnderFlushThreshold) {
       [&](tc::communicator& c) {
         tripoll::gen::plain_graph g(c);
         build_rmat(c, g, 9, 55);
+        auto fz = tripoll::graph::freeze(g);
         cb::count_context ctx;
-        tripoll::triangle_survey(g, cb::count_callback{}, ctx, {survey_mode::push_pull});
+        tripoll::triangle_survey(fz, cb::count_callback{}, ctx, {survey_mode::push_pull});
         const auto total = ctx.global_count(c);
         if (c.rank0()) triangles = total;
       },
@@ -125,8 +130,9 @@ TEST_P(BufferSweep, CountsInvariantUnderFlushThreshold) {
   tc::runtime::run(4, [&](tc::communicator& c) {
     tripoll::gen::plain_graph g(c);
     build_rmat(c, g, 9, 55);
+    auto fz = tripoll::graph::freeze(g);
     cb::count_context ctx;
-    tripoll::triangle_survey(g, cb::count_callback{}, ctx, {survey_mode::push_pull});
+    tripoll::triangle_survey(fz, cb::count_callback{}, ctx, {survey_mode::push_pull});
     const auto total = ctx.global_count(c);
     if (c.rank0()) reference = total;
   });
@@ -145,10 +151,11 @@ TEST(PushPullRelations, PullReducesVolumeOnHubHeavyGraph) {
   tc::runtime::run(4, [&](tc::communicator& c) {
     tripoll::gen::plain_graph g(c);
     tripoll::gen::build_dataset(c, g, spec);
+    auto fz = tripoll::graph::freeze(g);
     cb::count_context ctx_po, ctx_pp;
-    const auto po = tripoll::triangle_survey(g, cb::count_callback{}, ctx_po,
+    const auto po = tripoll::triangle_survey(fz, cb::count_callback{}, ctx_po,
                                              {survey_mode::push_only});
-    const auto pp = tripoll::triangle_survey(g, cb::count_callback{}, ctx_pp,
+    const auto pp = tripoll::triangle_survey(fz, cb::count_callback{}, ctx_pp,
                                              {survey_mode::push_pull});
     EXPECT_EQ(ctx_po.global_count(c), ctx_pp.global_count(c));
     EXPECT_LT(pp.total.volume_bytes, po.total.volume_bytes);
@@ -160,8 +167,9 @@ TEST(PushPullRelations, PhaseAccountingConsistent) {
   tc::runtime::run(3, [](tc::communicator& c) {
     tripoll::gen::plain_graph g(c);
     build_rmat(c, g, 9, 99);
+    auto fz = tripoll::graph::freeze(g);
     cb::count_context ctx;
-    const auto r = tripoll::triangle_survey(g, cb::count_callback{}, ctx,
+    const auto r = tripoll::triangle_survey(fz, cb::count_callback{}, ctx,
                                             {survey_mode::push_pull});
     EXPECT_EQ(r.total.volume_bytes,
               r.dry_run.volume_bytes + r.push.volume_bytes + r.pull.volume_bytes);
@@ -192,8 +200,9 @@ TEST(FailureInjection, CallbackExceptionAbortsRun) {
     tc::runtime::run(3, [](tc::communicator& c) {
       tripoll::gen::plain_graph g(c);
       build_rmat(c, g, 8, 7);
+      auto fz = tripoll::graph::freeze(g);
       cb::count_context ctx;
-      tripoll::triangle_survey(g, throwing_callback{}, ctx, {survey_mode::push_pull});
+      tripoll::triangle_survey(fz, throwing_callback{}, ctx, {survey_mode::push_pull});
     });
     FAIL() << "expected the injected failure to propagate";
   } catch (const std::runtime_error& e) {

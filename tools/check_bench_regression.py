@@ -30,20 +30,6 @@ ratios from that run's `pr4_plan_cases`:
 These are ratio gates against the same run, so they need no committed
 baseline; BENCH_pr4.json records the trajectory for humans.
 
-Storage gates (PR 5): --storage-gates points at the JSON emitted by
-`bench_storage_frozen --json` and asserts, from that run's
-`pr5_storage_cases`:
-  * identical triangle counts across the map, frozen and snapshot-loaded
-    storage forms (per case),
-  * frozen/map traversal time ratio <= --storage-traversal-max (1.2) per
-    case and <= --storage-traversal-geomean (1.0) in geometric mean (the
-    frozen CSR path must beat the map path overall, not just avoid
-    regressing it),
-  * frozen bytes-per-edge <= --storage-bpe-max (34.0) and <=
-    --storage-bpe-ratio (0.75) of the map form's footprint.
-Like the plan gates these are ratios within one run, needing no committed
-baseline; BENCH_pr5.json records the trajectory for humans.
-
 Parallel gates (PR 6): --parallel-gates points at the JSON emitted by
 `bench_parallel_traversal --json` and asserts, from that run's
 `pr6_parallel_cases`:
@@ -106,14 +92,12 @@ baseline; BENCH_pr10.json records the trajectory for humans.
 Usage:
   tools/check_bench_regression.py --current bench-results [--baseline-dir .]
                                   [--threshold 3.0] [--plan-gates fig9.json]
-                                  [--storage-gates storage.json]
                                   [--parallel-gates parallel.json]
                                   [--io-gates io.json]
                                   [--service-gates service.json]
                                   [--streaming-gates streaming.json]
-At least one of --current / --plan-gates / --storage-gates /
---parallel-gates / --io-gates / --service-gates / --streaming-gates is
-required.
+At least one of --current / --plan-gates / --parallel-gates / --io-gates /
+--service-gates / --streaming-gates is required.
 Exit status: 0 ok, 1 regression found, 2 usage/IO error.
 """
 
@@ -231,53 +215,6 @@ def check_plan_gates(path, reduction_min, fusion_max):
     if fusion > fusion_max:
         failures.append(f"fused traffic {fusion:.3f}x of a single run "
                         f"(> {fusion_max:.2f}x)")
-    return failures
-
-
-def check_storage_gates(path, traversal_max, traversal_geomean, bpe_max, bpe_ratio):
-    """Verify the frozen-storage acceptance ratios in a bench_storage_frozen
-    --json artifact.  Returns a list of failure strings (empty = pass)."""
-    import math
-
-    with open(path) as f:
-        doc = json.load(f)
-    cases = doc.get("pr5_storage_cases")
-    if not isinstance(cases, dict) or not cases:
-        return [f"{path}: no pr5_storage_cases object"]
-
-    failures = []
-    log_ratios = []
-    for name, case in sorted(cases.items()):
-        tri = {case.get("triangles_map"), case.get("triangles_frozen"),
-               case.get("triangles_loaded")}
-        if len(tri) != 1 or None in tri:
-            failures.append(f"{name}: triangle counts diverge across storage "
-                            f"forms: {sorted(tri, key=str)}")
-        map_s = case.get("map_seconds", 0.0)
-        frozen_s = case.get("frozen_seconds", 0.0)
-        ratio = frozen_s / map_s if map_s > 0 else float("inf")
-        log_ratios.append(math.log(ratio) if ratio > 0 else 0.0)
-        bpe = case.get("frozen_bytes_per_edge", float("inf"))
-        map_bpe = case.get("map_bytes_per_edge", 0.0)
-        rel = bpe / map_bpe if map_bpe > 0 else float("inf")
-        print(f"storage gate: {name}: traversal {ratio:.3f}x of map "
-              f"(needs <= {traversal_max:.2f}x), {bpe:.1f} B/edge "
-              f"(needs <= {bpe_max:.1f} and <= {bpe_ratio:.2f}x map's {map_bpe:.1f})")
-        if ratio > traversal_max:
-            failures.append(f"{name}: frozen traversal {ratio:.3f}x slower than "
-                            f"map (> {traversal_max:.2f}x)")
-        if bpe > bpe_max:
-            failures.append(f"{name}: frozen storage {bpe:.1f} B/edge "
-                            f"(> {bpe_max:.1f})")
-        if rel > bpe_ratio:
-            failures.append(f"{name}: frozen storage {rel:.2f}x of map's "
-                            f"footprint (> {bpe_ratio:.2f}x)")
-    geomean = math.exp(sum(log_ratios) / len(log_ratios))
-    print(f"storage gate: traversal geomean {geomean:.3f}x "
-          f"(needs <= {traversal_geomean:.2f}x)")
-    if geomean > traversal_geomean:
-        failures.append(f"frozen traversal geomean {geomean:.3f}x of map "
-                        f"(> {traversal_geomean:.2f}x)")
     return failures
 
 
@@ -483,17 +420,6 @@ def main():
                         help="minimum identity/projected volume ratio")
     parser.add_argument("--plan-fusion-max", type=float, default=1.1,
                         help="maximum fused/single volume ratio")
-    parser.add_argument("--storage-gates",
-                        help="bench_storage_frozen --json artifact to check the "
-                             "frozen-storage acceptance ratios against")
-    parser.add_argument("--storage-traversal-max", type=float, default=1.2,
-                        help="maximum per-case frozen/map survey time ratio")
-    parser.add_argument("--storage-traversal-geomean", type=float, default=1.0,
-                        help="maximum geomean frozen/map survey time ratio")
-    parser.add_argument("--storage-bpe-max", type=float, default=34.0,
-                        help="maximum frozen bytes per directed edge")
-    parser.add_argument("--storage-bpe-ratio", type=float, default=0.75,
-                        help="maximum frozen/map bytes-per-edge ratio")
     parser.add_argument("--parallel-gates",
                         help="bench_parallel_traversal --json artifact to check "
                              "the parallel-traversal acceptance gates against")
@@ -527,12 +453,11 @@ def main():
                              "ratio on the 1%%-of-|E| churn batch")
     args = parser.parse_args()
 
-    if (not args.current and not args.plan_gates and not args.storage_gates
-            and not args.parallel_gates and not args.io_gates
-            and not args.service_gates and not args.streaming_gates):
-        parser.error("need --current, --plan-gates, --storage-gates, "
-                     "--parallel-gates, --io-gates, --service-gates and/or "
-                     "--streaming-gates")
+    if (not args.current and not args.plan_gates and not args.parallel_gates
+            and not args.io_gates and not args.service_gates
+            and not args.streaming_gates):
+        parser.error("need --current, --plan-gates, --parallel-gates, "
+                     "--io-gates, --service-gates and/or --streaming-gates")
 
     # All requested checks always run so one CI pass reports every failure
     # class; the combined exit status is the worst of them.
@@ -550,22 +475,6 @@ def main():
                 print(f"  {f}")
         else:
             print("OK: survey-plan gates pass")
-        gate_failures += failures
-    if args.storage_gates:
-        try:
-            failures = check_storage_gates(
-                args.storage_gates, args.storage_traversal_max,
-                args.storage_traversal_geomean, args.storage_bpe_max,
-                args.storage_bpe_ratio)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"error: {e}")
-            return 2
-        if failures:
-            print("\nFAIL: frozen-storage gate(s) violated:")
-            for f in failures:
-                print(f"  {f}")
-        else:
-            print("OK: frozen-storage gates pass")
         gate_failures += failures
     if args.parallel_gates:
         try:

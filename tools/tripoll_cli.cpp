@@ -21,10 +21,11 @@
 //                                       by the cross-backend smoke test)
 //   frozen <rmat|temporal|web> [ranks] [delta]
 //                                       build a preset, survey it from the
-//                                       mutable map AND the frozen CSR arenas
-//                                       (plus a projection-pushdown freeze);
-//                                       prints deterministic metrics for all
-//                                       three (cross-backend smoke test)
+//                                       frozen CSR arenas, a projection-
+//                                       pushdown freeze and a streaming
+//                                       overlay over the frozen graph; prints
+//                                       deterministic metrics for all three
+//                                       (cross-backend smoke test)
 //   snapshot save <edges.txt> <prefix> [ranks]
 //                                       build + freeze a graph from a file and
 //                                       write per-rank CSR snapshot files
@@ -50,8 +51,8 @@
 // Options:
 //   --ordering {degree,degeneracy}   DODGr <+ vertex order (graph-building cmds)
 //   --backend {inproc,socket}        transport backend (default inproc)
-//   --threads {n}                    worker threads per rank for frozen-graph
-//                                    surveys (default TRIPOLL_THREADS env or 1)
+//   --threads {n}                    worker threads per rank for surveys
+//                                    (default TRIPOLL_THREADS env or 1)
 //
 // Backend selection: `--backend socket` runs every rank as a separate OS
 // process.  Without TRIPOLL_RANK set, the CLI forks <ranks> local processes
@@ -124,8 +125,8 @@ int usage() {
                "  --backend <inproc|socket>       transport backend (default inproc;\n"
                "                                  socket forks one process per rank, or\n"
                "                                  joins a TRIPOLL_RANK rendezvous)\n"
-               "  --threads <n>                   worker threads per rank for frozen-graph\n"
-               "                                  surveys, parallel ingest and freeze\n"
+               "  --threads <n>                   worker threads per rank for surveys,\n"
+               "                                  parallel ingest and freeze\n"
                "                                  (default: TRIPOLL_THREADS env or 1;\n"
                "                                  results are identical at any count)\n"
                "  --compress                      snapshot save: write the v3 compressed\n"
@@ -322,9 +323,10 @@ int cmd_preset(int argc, char** argv) {
     for_preset_edges(c, which, delta,
                      [&](graph::vertex_id u, graph::vertex_id v) { builder.add_edge(u, v); });
     builder.build_into(g);
+    auto fz = graph::freeze(g);
 
     cb::count_context ctx;
-    const auto r = cb::plan_for(g, cb::count_callback{}, ctx).run({}).slice(0);
+    const auto r = cb::plan_for(fz, cb::count_callback{}, ctx).run({}).slice(0);
     const auto triangles = ctx.global_count(c);
     const auto census = g.census();
     if (c.rank0()) {
@@ -416,12 +418,13 @@ int cmd_plan(int argc, char** argv) {
       rec.meta = plan_vertex_label(v);
       for (auto& e : rec.adj) e.target_meta = plan_vertex_label(e.target);
     });
+    auto fz = graph::freeze(g);
 
     // Identity-projection single-callback run: full metadata on the wire.
     comm::counting_set<cb::closure_bin> id_bins(c);
     cb::closure_time_context id_ctx{&id_bins};
     const auto identity =
-        tripoll::survey(g).add(cb::closure_time_callback{}, id_ctx).run({}).slice(0);
+        tripoll::survey(fz).add(cb::closure_time_callback{}, id_ctx).run({}).slice(0);
     id_bins.finalize();
 
     // Fused 3-callback projected plan: one traversal, minimal wire types.
@@ -429,7 +432,7 @@ int cmd_plan(int argc, char** argv) {
     cb::count_context count_ctx;
     cb::closure_time_context closure_ctx{&bins};
     std::uint64_t hot_local = 0;
-    auto fused = tripoll::survey(g)
+    auto fused = tripoll::survey(fz)
                      .project_vertex(cb::degree_projection{})
                      .project_edge(cb::timestamp_projection{})
                      .add(cb::count_callback{}, count_ctx)
@@ -487,10 +490,11 @@ void print_survey_line(const char* tag, std::uint64_t triangles,
               (unsigned long long)r.wedge_candidates);
 }
 
-/// Deterministic map-vs-frozen comparison over a preset graph: the same
-/// survey runs from the mutable map, an identity freeze, and a
-/// projection-pushdown freeze.  All printed values are global reductions --
-/// bit-identical across backends; the socket-smoke ctest diffs this output.
+/// Deterministic storage-form comparison over a preset graph: the same
+/// survey runs from an identity freeze, a projection-pushdown freeze and a
+/// streaming overlay over the identity freeze.  All printed values are
+/// global reductions -- bit-identical across backends; the socket-smoke
+/// ctest diffs this output.
 int cmd_frozen(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string which = argv[2];
@@ -510,14 +514,8 @@ int cmd_frozen(int argc, char** argv) {
       for (auto& e : rec.adj) e.target_meta = plan_vertex_label(e.target);
     });
 
-    // Map path: per-message projection of edge meta to its timestamp.
-    comm::counting_set<cb::closure_bin> map_bins(c);
-    cb::closure_time_context map_ctx{&map_bins};
-    const auto map_res =
-        cb::plan_for(g, cb::closure_time_callback{}, map_ctx).run({}).slice(0);
-    map_bins.finalize();
-
-    // Identity freeze: same metadata, CSR arenas.
+    // Identity freeze: same metadata, CSR arenas, per-message projection of
+    // edge meta to its timestamp.
     auto fz = graph::freeze(g);
     comm::counting_set<cb::closure_bin> fz_bins(c);
     cb::closure_time_context fz_ctx{&fz_bins};
@@ -538,6 +536,15 @@ int cmd_frozen(int argc, char** argv) {
                             .slice(0);
     pd_bins.finalize();
 
+    // Streaming overlay over the identity freeze, with an empty delta.
+    graph::overlay ov(fz);
+    comm::counting_set<cb::closure_bin> ov_bins(c);
+    cb::closure_time_context ov_ctx{&ov_bins};
+    const auto ov_res = cb::plan_for(ov, cb::closure_time_callback{}, ov_ctx)
+                            .run({tripoll::survey_mode::push_pull, g_threads})
+                            .slice(0);
+    ov_bins.finalize();
+
     const auto digest = [](const std::map<cb::closure_bin, std::uint64_t>& h) {
       std::uint64_t d = 0;
       for (const auto& [bin, n] : h) {
@@ -546,21 +553,21 @@ int cmd_frozen(int argc, char** argv) {
       }
       return d;
     };
-    const auto map_digest = digest(map_bins.gather_all());
     const auto fz_digest = digest(fz_bins.gather_all());
     const auto pd_digest = digest(pd_bins.gather_all());
+    const auto ov_digest = digest(ov_bins.gather_all());
     const auto storage = fz.global_storage_stats();
     const auto pd_storage = pd.global_storage_stats();
 
     if (c.rank0()) {
       std::printf("frozen %s ranks %d delta %d ordering %s mode push_pull\n",
                   which.c_str(), ranks, delta, graph::ordering_name(g.ordering()));
-      print_survey_line("map", map_res.triangles_found, map_res);
       print_survey_line("frozen", fz_res.triangles_found, fz_res);
       print_survey_line("pushdown", pd_res.triangles_found, pd_res);
-      std::printf("digests map %016llx frozen %016llx pushdown %016llx\n",
-                  (unsigned long long)map_digest, (unsigned long long)fz_digest,
-                  (unsigned long long)pd_digest);
+      print_survey_line("overlay", ov_res.triangles_found, ov_res);
+      std::printf("digests frozen %016llx pushdown %016llx overlay %016llx\n",
+                  (unsigned long long)fz_digest, (unsigned long long)pd_digest,
+                  (unsigned long long)ov_digest);
       std::printf("arena bytes frozen %llu pushdown %llu (edges %llu)\n",
                   (unsigned long long)(storage.vertex_bytes + storage.edge_bytes),
                   (unsigned long long)(pd_storage.vertex_bytes + pd_storage.edge_bytes),
@@ -768,7 +775,9 @@ int ingest_run(const std::string& prefix, const std::string& batch_path, int ran
     }
     const auto census = ov.census();
     cb::count_context ctx;
-    const auto r = cb::plan_for(ov, cb::count_callback{}, ctx).run({}).slice(0);
+    const auto r = cb::plan_for(ov, cb::count_callback{}, ctx)
+                       .run({tripoll::survey_mode::push_pull, g_threads})
+                       .slice(0);
     const auto triangles = ctx.global_count(c);
     if (c.rank0()) {
       std::printf("ingest %s ranks %d ordering %s meta %s\n", prefix.c_str(), ranks,
@@ -976,9 +985,10 @@ int main(int argc, char** argv) {
                             : tripoll::survey_mode::push_pull;
       return with_plain_graph_from_file(path, ranks,
                                         [mode](comm::communicator& c, auto& g) {
+        auto fz = graph::freeze(g);
         cb::count_context ctx;
         const auto r =
-            cb::plan_for(g, cb::count_callback{}, ctx).run({mode, g_threads}).slice(0);
+            cb::plan_for(fz, cb::count_callback{}, ctx).run({mode, g_threads}).slice(0);
         const auto n = ctx.global_count(c);
         if (c.rank0()) {
           std::printf("triangles %llu  time %.3fs  volume %.2f MB  pulls %llu\n",
@@ -1004,7 +1014,8 @@ int main(int argc, char** argv) {
     }
     if (cmd == "clustering") {
       return with_plain_graph_from_file(path, ranks, [](comm::communicator& c, auto& g) {
-        const auto s = ta::clustering_coefficients(g);
+        auto fz = graph::freeze(g);
+        const auto s = ta::clustering_coefficients(fz);
         if (c.rank0()) {
           std::printf("triangles %llu  transitivity %.4f  avg local cc %.4f  "
                       "(over %llu vertices with d>=2)\n",
@@ -1022,9 +1033,10 @@ int main(int argc, char** argv) {
         });
         graph::dodgr<graph::none, std::uint64_t> g(c);
         builder.build_into(g);
+        auto fz = graph::freeze(g);
         comm::counting_set<cb::closure_bin> counters(c);
         cb::closure_time_context ctx{&counters};
-        (void)cb::plan_for(g, cb::closure_time_callback{}, ctx).run();
+        (void)cb::plan_for(fz, cb::closure_time_callback{}, ctx).run();
         counters.finalize();
         auto joint = counters.gather_all();
         if (c.rank0()) {
