@@ -6,9 +6,9 @@
 //   * edge-list ingest wall at 1 thread vs 4 threads (median of N reps,
 //     identical edge counts asserted) and the resulting MB/s,
 //   * freeze wall at 1 thread vs 4 threads over the same built graph,
-//   * snapshot file bytes per directed edge for the raw (v2) and
-//     compressed (v3) codecs, and the time-to-first-survey of each: load
-//     plus one counting survey, because the raw path's mmap defers its
+//   * snapshot file bytes per directed edge for the raw and compressed
+//     codecs, and the time-to-first-survey of each: load plus one
+//     counting survey, because the raw path's mmap defers its
 //     page faults to the traversal -- timing the load call alone would
 //     credit raw with work it has merely postponed (median of N reps;
 //     identical triangle counts asserted).
@@ -210,8 +210,8 @@ void print_case(const std::string& name, const io_case& ic) {
               name.c_str(), (unsigned long long)ic.edges, ic.ingest_seconds_1t,
               ic.ingest_seconds_4t, ic.freeze_seconds_1t, ic.freeze_seconds_4t,
               ic.combined_speedup(), ic.ingest_mb_per_s());
-  std::printf("%-10s snapshot %8llu B raw, %8llu B v3 (%4.2fx)  load+survey %6.4fs raw, "
-              "%6.4fs v3\n",
+  std::printf("%-10s snapshot %8llu B raw, %8llu B cmp (%4.2fx)  load+survey %6.4fs raw, "
+              "%6.4fs cmp\n",
               "", (unsigned long long)ic.snapshot_bytes_raw,
               (unsigned long long)ic.snapshot_bytes_compressed, ic.compression_ratio(),
               ic.load_seconds_raw, ic.load_seconds_compressed);
@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
   const int reps = quick ? 3 : 7;
 
   tripoll::bench::print_header(
-      "Parallel ingest-to-freeze pipeline and snapshot codecs (raw v2 vs v3)",
+      "Parallel ingest-to-freeze pipeline and snapshot codecs (raw vs compressed)",
       "PR 8");
   std::map<std::string, io_case> cases;
   for (const std::string which : {"rmat", "temporal", "web"}) {

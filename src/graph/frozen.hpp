@@ -398,7 +398,7 @@ class frozen_dodgr {
 
   /// Dense hub bitmap row for a CSR slot, or an empty view when the vertex
   /// has no row (tail vertex, budget-rejected span, bitmaps disabled at
-  /// freeze time, or a pre-bitmap v1 snapshot).  Row semantics: bit
+  /// freeze time).  Row semantics: bit
   /// (id - base) set iff `id` is in the vertex's Adjm+ target set.
   [[nodiscard]] core::bitmap_view hub_bitmap(std::uint32_t slot) const noexcept {
     if (ar_.bm_offset.size() != ar_.vid.size() + 1) return {};
@@ -459,14 +459,14 @@ class frozen_dodgr {
   /// Rank-local content id: FNV-1a over the graph's identity fields
   /// (nranks, rank, ordering, n, m, metadata element sizes) followed by the
   /// logical bytes of every stored column in file order.  Codec- and
-  /// storage-independent: a freeze(), a raw (v2) reload and a compressed
-  /// (v3) reload of the same graph all report the same id, because v3
-  /// sections decode back to the exact arena bytes.  Never 0 (0 is the
+  /// storage-independent: a freeze(), a raw reload and a compressed reload
+  /// of the same graph all report the same id, because compressed sections
+  /// decode back to the exact arena bytes.  Never 0 (0 is the
   /// "absent" wire value in snapshot headers); not cryptographic -- this is
   /// a cache key and an operator diffing aid, with the same failure model
   /// as the snapshot checksums.  Computed lazily and cached; save_snapshot
-  /// stamps it into v3 headers and load_snapshot adopts the stamped value,
-  /// so a v3 reload pays no hash pass.
+  /// stamps it into every snapshot header and load_snapshot adopts the
+  /// stamped value, so a reload pays no hash pass.
   [[nodiscard]] std::uint64_t snapshot_id() const {
     if (snapshot_id_ != 0) return snapshot_id_;
     detail::fnv1a_accumulator acc;
@@ -497,9 +497,8 @@ class frozen_dodgr {
     return snapshot_id_;
   }
 
-  /// Adopt a content id stamped in a snapshot header (v3 saves).  0 means
-  /// "absent" (v1/v2 files, pre-id v3 files) and is ignored, leaving the
-  /// compute-on-demand path of snapshot_id().
+  /// Adopt a content id stamped in a snapshot header.  0 means "absent"
+  /// and is ignored, leaving the compute-on-demand path of snapshot_id().
   void adopt_snapshot_id(std::uint64_t id) noexcept {
     if (id != 0) snapshot_id_ = id;
   }

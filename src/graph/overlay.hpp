@@ -66,7 +66,7 @@
 // records into fresh CSR arenas in <+ order through freeze()'s column
 // builder, REUSING the maintained ranks -- no shuffle, no degeneracy peel.
 // The result is an ordinary frozen_dodgr: hub bitmaps are rebuilt when
-// eligible and v3 snapshots round-trip.
+// eligible and snapshots round-trip.
 //
 // Thread-safety: the overlay is rank-local mutable state; mutating
 // collectives (ingest/expire_before/compact) must be called from the
@@ -374,7 +374,7 @@ class overlay {
   /// scratch build of the surviving edge set.  The columns come from
   /// freeze()'s builder (parallel over `opts.threads`, byte-identical at any
   /// count), hub bitmap rows included; the result is an ordinary
-  /// frozen_dodgr whose v3 snapshots round-trip.
+  /// frozen_dodgr whose snapshots round-trip.
   [[nodiscard]] base_type compact(const freeze_options& opts = {}) {
     std::vector<std::pair<order_key, const record_type*>> order;
     order.reserve(nodes_.size());

@@ -8,35 +8,32 @@
 // real-dataset workloads (Reddit, common-crawl) amortize one build across
 // arbitrarily many survey sessions this way.
 //
-// Raw file layout (versions 1-2; little-endian, 64-byte-aligned sections):
+// File layout (version 3; little-endian, 64-byte-aligned sections):
 //
 //   [128-byte header]  magic, version, nranks, rank, ordering, n, m,
-//                      vmeta/emeta element sizes, file size, bitmap words
-//   [vertex columns]   vid[n] degree[n] order_rank[n] offset[n+1] vmeta[n]
-//   [edge columns]     target[m] target_rank[m] target_out_degree[m]
-//                      emeta[m] target_vmeta[m]
-//   [bitmap columns]   bm_offset[n+1] bm_base[n] bm_words[W]   (v2, iff W > 0)
-//
-// Version 2 appends the optional hub-bitmap sections (graph/frozen.hpp's
-// freeze_options) so reloads keep the bitmap intersection kernels without
-// rebuilding rows; version-1 files still load, with empty bitmap arenas
-// (the survey falls back to the list kernels).
-//
-// Version 3 (`save_snapshot(..., snapshot_codec::compressed)`) keeps the
-// header and section walk but tags every section with a column codec:
-//
-//   [128-byte header]  words 0-10 as v2; word 11 = FNV-1a of the table
+//                      vmeta/emeta element sizes, file size, bitmap words W,
+//                      FNV-1a of the section table, content id
 //   [section table]    13 x { codec, stored_bytes, checksum } u64 triples
-//   [aligned sections] each section's STORED bytes (varint streams shrink)
+//   [aligned sections] each section's STORED bytes, in this order:
+//     vertex columns   vid[n] degree[n] order_rank[n] offset[n+1] vmeta[n]
+//     edge columns     target[m] target_rank[m] target_out_degree[m]
+//                      emeta[m] target_vmeta[m]
+//     bitmap columns   bm_offset[n+1] bm_base[n] bm_words[W]   (iff W > 0)
 //
-// Column codecs: u64 columns delta-encode (ZigZag, the adjacency is sorted
-// by the <+ order key so deltas take either sign) then varint-pack; the
-// monotonic offset columns store first-value-plus-gaps; the target column
-// restarts its delta chain at every CSR vertex slice (short in-slice
-// deltas, no cross-vertex noise); metadata arenas and bitmap words stay
-// raw, still served zero-copy from the mapping.  Every section carries an
-// FNV-1a checksum, verified on load, and v1/v2 files load unchanged --
-// the codec tags are what keeps the format extensible.
+// The bitmap sections carry the optional hub-bitmap rows (graph/frozen.hpp's
+// freeze_options) so reloads keep the bitmap intersection kernels without
+// rebuilding rows; with W == 0 they are zero-sized.
+//
+// `snapshot_codec` picks the column codecs.  `raw` (the default) stores
+// every section verbatim.  `compressed` delta-encodes the u64 columns
+// (ZigZag, the adjacency is sorted by the <+ order key so deltas take
+// either sign) then varint-packs them; the monotonic offset columns store
+// first-value-plus-gaps; the target column restarts its delta chain at
+// every CSR vertex slice (short in-slice deltas, no cross-vertex noise);
+// metadata arenas and bitmap words stay raw.  Raw-tagged sections are
+// served zero-copy from the mapping.  Whatever the codec, every section
+// carries an FNV-1a checksum verified on load, and both offset columns are
+// range-checked before anything indexes through them.
 //
 // Empty metadata (graph::none, dropped projections) occupies zero bytes on
 // disk, mirroring its zero-byte arena.  Only bitwise-serializable metadata
@@ -72,8 +69,8 @@
 
 namespace tripoll::graph {
 
-/// How save_snapshot lays a file out: raw (v2, every section mmap-viewable
-/// verbatim) or compressed (v3, per-section varint/delta codecs).
+/// Which column codecs save_snapshot writes: raw (every section verbatim,
+/// mmap-viewable) or compressed (per-section varint/delta codecs).
 enum class snapshot_codec {
   raw,
   compressed,
@@ -82,16 +79,13 @@ enum class snapshot_codec {
 namespace snapshot_detail {
 
 inline constexpr std::uint64_t kMagic = 0x54504C4C534E4150ull;  // "TPLLSNAP"
-inline constexpr std::uint64_t kVersionRaw = 2;         ///< snapshot_codec::raw writes
-inline constexpr std::uint64_t kVersionCompressed = 3;  ///< snapshot_codec::compressed
-inline constexpr std::uint64_t kMinVersion = 1;
-inline constexpr std::uint64_t kMaxVersion = 3;
+inline constexpr std::uint64_t kVersion = 3;
 inline constexpr std::size_t kAlign = 64;
 inline constexpr std::size_t kHeaderBytes = 128;  // 16 u64 words
 inline constexpr std::size_t kNumSections = 13;
-inline constexpr std::size_t kTableBytes = kNumSections * 3 * 8;  // v3 section table
+inline constexpr std::size_t kTableBytes = kNumSections * 3 * 8;  // section table
 
-/// Per-section column codec tag (the wire values of the v3 section table).
+/// Per-section column codec tag (the wire values of the section table).
 enum class column_codec : std::uint64_t {
   raw = 0,                  ///< verbatim bytes, mmap-viewable
   varint_delta = 1,         ///< zigzag(v[i] - v[i-1]) varints, v[-1] = 0
@@ -125,7 +119,6 @@ template <typename T>
 }
 
 struct header {
-  std::uint64_t version = kVersionRaw;
   std::uint64_t nranks = 0;
   std::uint64_t rank = 0;
   std::uint64_t ordering = 0;
@@ -135,12 +128,12 @@ struct header {
   std::uint64_t emeta_size = 0;
   std::uint64_t file_size = 0;
   std::uint64_t bm_words = 0;  ///< total hub-bitmap words W (0: no bitmap sections)
-  std::uint64_t table_checksum = 0;  ///< v3: FNV-1a of the section table
-  std::uint64_t content_id = 0;  ///< v3: frozen_dodgr::snapshot_id() (0: absent)
+  std::uint64_t table_checksum = 0;  ///< FNV-1a of the section table
+  std::uint64_t content_id = 0;  ///< frozen_dodgr::snapshot_id() (0: absent)
 
   void encode(std::byte out[kHeaderBytes]) const noexcept {
     std::memset(out, 0, kHeaderBytes);
-    const std::uint64_t words[13] = {kMagic,     version,   nranks,    rank,
+    const std::uint64_t words[13] = {kMagic,     kVersion,  nranks,    rank,
                                      ordering,   n,         m,         vmeta_size,
                                      emeta_size, file_size, bm_words,  table_checksum,
                                      content_id};
@@ -153,13 +146,12 @@ struct header {
       throw std::runtime_error("load_snapshot: '" + path + "' is not a TriPoll snapshot");
     }
     const std::uint64_t version = serial::load_u64_le(in + 8);
-    if (version < kMinVersion || version > kMaxVersion) {
+    if (version != kVersion) {
       throw std::runtime_error("load_snapshot: '" + path +
                                "' has unsupported snapshot version " +
                                std::to_string(version));
     }
     header h;
-    h.version = version;
     h.nranks = serial::load_u64_le(in + 16);
     h.rank = serial::load_u64_le(in + 24);
     h.ordering = serial::load_u64_le(in + 32);
@@ -168,18 +160,15 @@ struct header {
     h.vmeta_size = serial::load_u64_le(in + 56);
     h.emeta_size = serial::load_u64_le(in + 64);
     h.file_size = serial::load_u64_le(in + 72);
-    h.bm_words = version >= 2 ? serial::load_u64_le(in + 80) : 0;
-    h.table_checksum = version >= 3 ? serial::load_u64_le(in + 88) : 0;
-    h.content_id = version >= 3 ? serial::load_u64_le(in + 96) : 0;
+    h.bm_words = serial::load_u64_le(in + 80);
+    h.table_checksum = serial::load_u64_le(in + 88);
+    h.content_id = serial::load_u64_le(in + 96);
     return h;
   }
 };
 
-/// Logical (decoded) section sizes, in file order.  Version 2+ appends
-/// three bitmap sections (zero-sized when W == 0); version-1 files have
-/// exactly the first 10 -- `num_sections(h)` bounds every walk, because
-/// even a zero-sized trailing section affects the file size through its
-/// alignment padding.
+/// Logical (decoded) section sizes, in file order; the three bitmap
+/// sections are zero-sized when W == 0.
 [[nodiscard]] inline std::array<std::uint64_t, kNumSections> section_bytes(
     const header& h) {
   const std::uint64_t bm_off = h.bm_words > 0 ? (h.n + 1) * 8 : 0;
@@ -187,18 +176,6 @@ struct header {
   return {h.n * 8,          h.n * 8, h.n * 8, (h.n + 1) * 8, h.n * h.vmeta_size,
           h.m * 8,          h.m * 8, h.m * 8, h.m * h.emeta_size,
           h.m * h.vmeta_size, bm_off, bm_base, h.bm_words * 8};
-}
-
-[[nodiscard]] inline std::size_t num_sections(const header& h) noexcept {
-  return h.version >= 2 ? kNumSections : 10;
-}
-
-/// Header + aligned sections for a fully-populated RAW (v1/v2) header.
-[[nodiscard]] inline std::uint64_t file_bytes_for(const header& h) {
-  std::uint64_t size = kHeaderBytes;
-  const auto sizes = section_bytes(h);
-  for (std::size_t i = 0; i < num_sections(h); ++i) size = align_up(size) + sizes[i];
-  return size;
 }
 
 // --- column codecs ----------------------------------------------------------
@@ -306,7 +283,7 @@ inline void decode_vertex_delta(const std::byte* p, const std::byte* end,
   if (p != end) throw_corrupt(path);
 }
 
-/// One section staged for a v3 write: either a view of the arena bytes
+/// One section staged for a write: either a view of the arena bytes
 /// (raw) or an owned encoded stream.
 struct staged_section {
   column_codec codec = column_codec::raw;
@@ -370,66 +347,34 @@ class file_writer {
 
 }  // namespace snapshot_detail
 
-/// Total file size a rank's RAW snapshot will occupy (header + aligned
-/// sections).  `bm_words` is the hub-bitmap word count (0 for none / v1).
-/// Compressed (v3) file sizes are data-dependent; read them off the file.
-[[nodiscard]] inline std::uint64_t snapshot_file_bytes(std::uint64_t n, std::uint64_t m,
-                                                       std::uint64_t vmeta_size,
-                                                       std::uint64_t emeta_size,
-                                                       std::uint64_t bm_words = 0) {
-  namespace sd = snapshot_detail;
-  sd::header h;
-  h.n = n;
-  h.m = m;
-  h.vmeta_size = vmeta_size;
-  h.emeta_size = emeta_size;
-  h.bm_words = bm_words;
-  return sd::file_bytes_for(h);
-}
-
 /// On-disk layout of one snapshot section (introspection for tests and the
 /// snapshot-IO bench): where the stored bytes sit, how many there are, and
-/// which column codec produced them (always 0/raw for v1/v2 files).
+/// which column codec produced them.
 struct snapshot_section_info {
   std::uint64_t offset = 0;        ///< first stored byte within the file
   std::uint64_t stored_bytes = 0;  ///< bytes on disk (== logical for raw)
   std::uint64_t codec = 0;         ///< column codec tag
 };
 
-/// Read the section layout of one rank's snapshot file (any version).
-/// Validates only as much as the layout needs; load_snapshot remains the
-/// full integrity check.
+/// Read the section layout of one rank's snapshot file.  Validates only as
+/// much as the layout needs; load_snapshot remains the full integrity check.
 [[nodiscard]] inline std::vector<snapshot_section_info> snapshot_sections(
     const std::string& path) {
   namespace sd = snapshot_detail;
   const auto file = mapped_file::map(path);
-  if (file->size() < sd::kHeaderBytes) {
+  if (file->size() < sd::kHeaderBytes + sd::kTableBytes) {
     throw std::runtime_error("snapshot_sections: '" + path + "' is truncated");
   }
-  const auto h = sd::header::decode(file->data(), path);
-  std::vector<snapshot_section_info> out(sd::num_sections(h));
-  if (h.version >= 3) {
-    if (file->size() < sd::kHeaderBytes + sd::kTableBytes) {
-      throw std::runtime_error("snapshot_sections: '" + path + "' is truncated");
-    }
-    std::uint64_t running = sd::kHeaderBytes + sd::kTableBytes;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const std::byte* row = file->data() + sd::kHeaderBytes + i * 24;
-      out[i].codec = serial::load_u64_le(row);
-      out[i].stored_bytes = serial::load_u64_le(row + 8);
-      running = sd::align_up(running);
-      out[i].offset = running;
-      running += out[i].stored_bytes;
-    }
-  } else {
-    const auto sizes = sd::section_bytes(h);
-    std::uint64_t running = sd::kHeaderBytes;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      running = sd::align_up(running);
-      out[i].offset = running;
-      out[i].stored_bytes = sizes[i];
-      running += sizes[i];
-    }
+  (void)sd::header::decode(file->data(), path);
+  std::vector<snapshot_section_info> out(sd::kNumSections);
+  std::uint64_t running = sd::kHeaderBytes + sd::kTableBytes;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::byte* row = file->data() + sd::kHeaderBytes + i * 24;
+    out[i].codec = serial::load_u64_le(row);
+    out[i].stored_bytes = serial::load_u64_le(row + 8);
+    running = sd::align_up(running);
+    out[i].offset = running;
+    running += out[i].stored_bytes;
   }
   return out;
 }
@@ -437,12 +382,12 @@ struct snapshot_section_info {
 /// Collective: write every rank's frozen arenas under `prefix` (one file per
 /// rank, `snapshot_rank_path(prefix, r)`).  Returns this rank's file size.
 /// The trailing barrier guarantees all files exist once any rank returns.
-/// `codec` picks the file layout: raw (v2, mmap-ready verbatim sections) or
-/// compressed (v3, per-section varint/delta streams -- the structural
-/// columns shrink severalfold; metadata stays raw).
+/// `codec` picks the column codecs: raw (every section verbatim, served
+/// zero-copy on reload) or compressed (per-section varint/delta streams --
+/// the structural columns shrink severalfold; metadata stays raw).
 template <typename VMeta, typename EMeta>
 std::uint64_t save_snapshot(frozen_dodgr<VMeta, EMeta>& g, const std::string& prefix,
-                            snapshot_codec codec) {
+                            snapshot_codec codec = snapshot_codec::raw) {
   namespace sd = snapshot_detail;
   static_assert(sd::snapshot_compatible<VMeta> && sd::snapshot_compatible<EMeta>,
                 "snapshots require bitwise-serializable (or empty) metadata; "
@@ -459,50 +404,8 @@ std::uint64_t save_snapshot(frozen_dodgr<VMeta, EMeta>& g, const std::string& pr
   h.vmeta_size = sd::element_size<VMeta>();
   h.emeta_size = sd::element_size<EMeta>();
   h.bm_words = ar.bm_words.size();
-
-  if (codec == snapshot_codec::raw) {
-    h.version = sd::kVersionRaw;
-    h.file_size = snapshot_file_bytes(h.n, h.m, h.vmeta_size, h.emeta_size, h.bm_words);
-
-    sd::file_writer out(snapshot_rank_path(prefix, c.rank()));
-    std::byte hdr[sd::kHeaderBytes];
-    h.encode(hdr);
-    out.write(hdr, sizeof(hdr));
-
-    const auto write_section = [&](const void* data, std::uint64_t bytes) {
-      out.pad_to_alignment();
-      out.write(data, bytes);
-    };
-    write_section(ar.vid.data(), ar.vid.bytes());
-    write_section(ar.degree.data(), ar.degree.bytes());
-    write_section(ar.order_rank.data(), ar.order_rank.bytes());
-    write_section(ar.offset.data(), ar.offset.bytes());
-    write_section(ar.vmeta.data(), ar.vmeta.bytes());
-    write_section(ar.target.data(), ar.target.bytes());
-    write_section(ar.target_rank.data(), ar.target_rank.bytes());
-    write_section(ar.target_out_degree.data(), ar.target_out_degree.bytes());
-    write_section(ar.emeta.data(), ar.emeta.bytes());
-    write_section(ar.target_vmeta.data(), ar.target_vmeta.bytes());
-    // v2 bitmap sections are always present in the walk; with no bitmap rows
-    // they are zero-sized and contribute only their alignment padding.
-    write_section(ar.bm_offset.data(), ar.bm_offset.bytes());
-    write_section(ar.bm_base.data(), ar.bm_base.bytes());
-    write_section(ar.bm_words.data(), ar.bm_words.bytes());
-    if (out.offset() != h.file_size) {
-      throw std::runtime_error("save_snapshot: internal size mismatch (wrote " +
-                               std::to_string(out.offset()) + ", expected " +
-                               std::to_string(h.file_size) + ")");
-    }
-    out.close();
-    c.barrier();
-    return h.file_size;
-  }
-
-  // --- compressed (v3) -------------------------------------------------------
-  h.version = sd::kVersionCompressed;
-  // v3 carries the content id in header word 12 so reloads (and operators
-  // inspecting files) get it without re-hashing the arenas.  v2 keeps word
-  // 12 zeroed: its byte layout predates the id and stays bit-identical.
+  // The content id rides in header word 12 so reloads (and operators
+  // inspecting files) get it without re-hashing the arenas.
   h.content_id = g.snapshot_id();
 
   const auto raw_of = [](const auto& column) {
@@ -512,15 +415,17 @@ std::uint64_t save_snapshot(frozen_dodgr<VMeta, EMeta>& g, const std::string& pr
     s.raw_bytes = column.bytes();
     return s;
   };
-  std::array<sd::staged_section, sd::kNumSections> secs;
-  secs[4] = raw_of(ar.vmeta);
-  secs[8] = raw_of(ar.emeta);
-  secs[9] = raw_of(ar.target_vmeta);
-  secs[12] = raw_of(ar.bm_words);
+  std::array<sd::staged_section, sd::kNumSections> secs = {
+      raw_of(ar.vid),          raw_of(ar.degree),      raw_of(ar.order_rank),
+      raw_of(ar.offset),       raw_of(ar.vmeta),       raw_of(ar.target),
+      raw_of(ar.target_rank),  raw_of(ar.target_out_degree),
+      raw_of(ar.emeta),        raw_of(ar.target_vmeta),
+      raw_of(ar.bm_offset),    raw_of(ar.bm_base),     raw_of(ar.bm_words)};
 
-  // Structural columns encode independently; fan the encoders out over the
-  // freeze thread pool sizing (the encode wall is one pass per column, so
-  // the slowest column -- targets -- bounds the stage).
+  // Compressed saves re-encode the structural columns independently; fan
+  // the encoders out over the freeze thread pool sizing (the encode wall is
+  // one pass per column, so the slowest column -- targets -- bounds the
+  // stage).  Raw saves have no jobs.
   using cc = sd::column_codec;
   const std::uint64_t* off64 = ar.offset.data();
   struct encode_job {
@@ -528,21 +433,24 @@ std::uint64_t save_snapshot(frozen_dodgr<VMeta, EMeta>& g, const std::string& pr
     cc codec;
     std::function<std::vector<std::byte>()> enc;
   };
-  const std::vector<encode_job> jobs = {
-      {5, cc::varint_vertex_delta,
-       [&] { return sd::encode_vertex_delta(ar.target.data(), off64, h.n); }},
-      {6, cc::varint_delta, [&] { return sd::encode_delta(ar.target_rank.data(), h.m); }},
-      {7, cc::varint_delta,
-       [&] { return sd::encode_delta(ar.target_out_degree.data(), h.m); }},
-      {0, cc::varint_delta, [&] { return sd::encode_delta(ar.vid.data(), h.n); }},
-      {1, cc::varint_delta, [&] { return sd::encode_delta(ar.degree.data(), h.n); }},
-      {2, cc::varint_delta, [&] { return sd::encode_delta(ar.order_rank.data(), h.n); }},
-      {3, cc::varint_gap, [&] { return sd::encode_gap(off64, h.n + 1); }},
-      {10, cc::varint_gap,
-       [&] { return sd::encode_gap(ar.bm_offset.data(), ar.bm_offset.size()); }},
-      {11, cc::varint_delta,
-       [&] { return sd::encode_delta(ar.bm_base.data(), ar.bm_base.size()); }},
-  };
+  std::vector<encode_job> jobs;
+  if (codec == snapshot_codec::compressed) {
+    jobs = {
+        {5, cc::varint_vertex_delta,
+         [&] { return sd::encode_vertex_delta(ar.target.data(), off64, h.n); }},
+        {6, cc::varint_delta, [&] { return sd::encode_delta(ar.target_rank.data(), h.m); }},
+        {7, cc::varint_delta,
+         [&] { return sd::encode_delta(ar.target_out_degree.data(), h.m); }},
+        {0, cc::varint_delta, [&] { return sd::encode_delta(ar.vid.data(), h.n); }},
+        {1, cc::varint_delta, [&] { return sd::encode_delta(ar.degree.data(), h.n); }},
+        {2, cc::varint_delta, [&] { return sd::encode_delta(ar.order_rank.data(), h.n); }},
+        {3, cc::varint_gap, [&] { return sd::encode_gap(off64, h.n + 1); }},
+        {10, cc::varint_gap,
+         [&] { return sd::encode_gap(ar.bm_offset.data(), ar.bm_offset.size()); }},
+        {11, cc::varint_delta,
+         [&] { return sd::encode_delta(ar.bm_base.data(), ar.bm_base.size()); }},
+    };
+  }
   std::atomic<std::size_t> enc_cursor{0};
   core::fork_join(core::resolve_threads(0), [&](int) {
     for (;;) {
@@ -585,19 +493,13 @@ std::uint64_t save_snapshot(frozen_dodgr<VMeta, EMeta>& g, const std::string& pr
   return h.file_size;
 }
 
-/// Raw (v2) save -- the historical default layout.
-template <typename VMeta, typename EMeta>
-std::uint64_t save_snapshot(frozen_dodgr<VMeta, EMeta>& g, const std::string& prefix) {
-  return save_snapshot(g, prefix, snapshot_codec::raw);
-}
-
-/// Collective: reload a frozen graph saved by `save_snapshot`.  Raw (v1/v2)
-/// sections -- and the raw sections of a v3 file -- are zero-copy views
-/// into the mapping, pinned for the graph's lifetime; compressed v3
-/// sections decode section-by-section (in parallel, TRIPOLL_THREADS) into
-/// owned arenas after their checksums verify.  The rank count must match
-/// the saving run's.  Throws std::runtime_error on any mismatch, on
-/// sections that overrun the file, and on checksum failures.
+/// Collective: reload a frozen graph saved by `save_snapshot`.  Raw
+/// sections are zero-copy views into the mapping, pinned for the graph's
+/// lifetime; compressed sections decode section-by-section (in parallel,
+/// TRIPOLL_THREADS) into owned arenas.  Every section's checksum verifies
+/// first, whatever its codec.  The rank count must match the saving run's.
+/// Throws std::runtime_error on any mismatch, on sections that overrun the
+/// file, on checksum failures and on out-of-range offset columns.
 template <typename VMeta, typename EMeta>
 [[nodiscard]] frozen_dodgr<VMeta, EMeta> load_snapshot(comm::communicator& c,
                                                        const std::string& prefix) {
@@ -606,7 +508,7 @@ template <typename VMeta, typename EMeta>
                 "snapshots require bitwise-serializable (or empty) metadata");
   const std::string path = snapshot_rank_path(prefix, c.rank());
   const auto file = mapped_file::map(path);
-  if (file->size() < sd::kHeaderBytes) {
+  if (file->size() < sd::kHeaderBytes + sd::kTableBytes) {
     throw std::runtime_error("load_snapshot: '" + path + "' is truncated");
   }
   const auto h = sd::header::decode(file->data(), path);
@@ -639,62 +541,6 @@ template <typename VMeta, typename EMeta>
   }
   if (h.file_size != file->size()) sd::throw_corrupt(path);
 
-  const std::shared_ptr<const void> keep = file;
-  frozen_arenas<VMeta, EMeta> ar;
-
-  if (h.version < 3) {
-    if (h.file_size != sd::file_bytes_for(h)) sd::throw_corrupt(path);
-
-    // Walk the aligned sections, handing out views pinned by the mapping.
-    std::size_t offset = sd::kHeaderBytes;
-    const auto sizes = sd::section_bytes(h);
-    std::array<const std::byte*, sd::kNumSections> base{};
-    for (std::size_t i = 0; i < sd::num_sections(h); ++i) {
-      offset = sd::align_up(offset);
-      base[i] = file->data() + offset;
-      offset += sizes[i];
-    }
-
-    const auto u64_view = [&](std::size_t sec, std::uint64_t count) {
-      return arena<std::uint64_t>(reinterpret_cast<const std::uint64_t*>(base[sec]),
-                                  count, keep);
-    };
-    const auto vid_view = [&](std::size_t sec, std::uint64_t count) {
-      return arena<vertex_id>(reinterpret_cast<const vertex_id*>(base[sec]), count,
-                              keep);
-    };
-
-    ar.vid = vid_view(0, h.n);
-    ar.degree = u64_view(1, h.n);
-    ar.order_rank = u64_view(2, h.n);
-    ar.offset = u64_view(3, h.n + 1);
-    if constexpr (std::is_empty_v<VMeta>) {
-      ar.vmeta = meta_column<VMeta>(h.n);
-      ar.target_vmeta = meta_column<VMeta>(h.m);
-    } else {
-      ar.vmeta = meta_column<VMeta>(reinterpret_cast<const VMeta*>(base[4]), h.n, keep);
-      ar.target_vmeta =
-          meta_column<VMeta>(reinterpret_cast<const VMeta*>(base[9]), h.m, keep);
-    }
-    ar.target = vid_view(5, h.m);
-    ar.target_rank = u64_view(6, h.m);
-    ar.target_out_degree = u64_view(7, h.m);
-    if constexpr (std::is_empty_v<EMeta>) {
-      ar.emeta = meta_column<EMeta>(h.m);
-    } else {
-      ar.emeta = meta_column<EMeta>(reinterpret_cast<const EMeta*>(base[8]), h.m, keep);
-    }
-    if (h.bm_words > 0) {  // v1 files and bitmap-free v2 files: arenas stay empty
-      ar.bm_offset = u64_view(10, h.n + 1);
-      ar.bm_base = u64_view(11, h.n);
-      ar.bm_words = u64_view(12, h.bm_words);
-    }
-    return frozen_dodgr<VMeta, EMeta>(c, std::move(ar),
-                                      static_cast<ordering_policy>(h.ordering));
-  }
-
-  // --- version 3: codec-tagged sections --------------------------------------
-  if (file->size() < sd::kHeaderBytes + sd::kTableBytes) sd::throw_corrupt(path);
   const std::byte* table = file->data() + sd::kHeaderBytes;
   if (sd::fnv1a(table, sd::kTableBytes) != h.table_checksum) sd::throw_corrupt(path);
 
@@ -773,18 +619,22 @@ template <typename VMeta, typename EMeta>
     }
   };
 
+  // A u64 column as the loader reads it: the mapping for raw sections, the
+  // decoded vector otherwise.
+  const auto u64_data = [&](std::size_t sec, const std::vector<std::uint64_t>& col) {
+    return secs[sec].codec == sd::column_codec::raw
+               ? reinterpret_cast<const std::uint64_t*>(secs[sec].data)
+               : col.data();
+  };
+
   verify(3);
   std::vector<std::uint64_t> offset_col;
-  if (secs[3].codec == sd::column_codec::raw) {
-    offset_col.assign(reinterpret_cast<const std::uint64_t*>(secs[3].data),
-                      reinterpret_cast<const std::uint64_t*>(secs[3].data) + h.n + 1);
-  } else {
-    decode_u64(3, offset_col);
-  }
+  if (secs[3].codec != sd::column_codec::raw) decode_u64(3, offset_col);
+  const std::uint64_t* offsets = u64_data(3, offset_col);
   // The CSR invariants double as decode bounds for the vertex-delta codec:
   // offset[i]..offset[i+1] become write indices into an h.m-sized buffer,
   // so every value -- not just front/back -- must be proven in range.
-  if (!sd::valid_offsets(offset_col.data(), offset_col.size(), h.m)) {
+  if (!sd::valid_offsets(offsets, static_cast<std::size_t>(h.n) + 1, h.m)) {
     sd::throw_corrupt(path);
   }
 
@@ -824,7 +674,7 @@ template <typename VMeta, typename EMeta>
           secs[5].codec == sd::column_codec::varint_vertex_delta) {
         task.out->resize(h.m);
         sd::decode_vertex_delta(secs[5].data, secs[5].data + secs[5].stored,
-                                task.out->data(), offset_col.data(),
+                                task.out->data(), offsets,
                                 static_cast<std::size_t>(h.n), path);
       } else {
         decode_u64(task.sec, *task.out);
@@ -834,15 +684,14 @@ template <typename VMeta, typename EMeta>
   // bm_offset feeds the survey bitmap kernels as indices into bm_words, so
   // it gets the same full monotonicity check as the CSR offsets -- whether
   // it was gap-decoded or is served raw from the mapping.
-  if (h.bm_words > 0) {
-    const std::uint64_t* bm_off = secs[10].codec == sd::column_codec::raw
-                                      ? reinterpret_cast<const std::uint64_t*>(secs[10].data)
-                                      : bmoff_col.data();
-    if (!sd::valid_offsets(bm_off, static_cast<std::size_t>(h.n) + 1, h.bm_words)) {
-      sd::throw_corrupt(path);
-    }
+  if (h.bm_words > 0 &&
+      !sd::valid_offsets(u64_data(10, bmoff_col), static_cast<std::size_t>(h.n) + 1,
+                         h.bm_words)) {
+    sd::throw_corrupt(path);
   }
 
+  const std::shared_ptr<const void> keep = file;
+  frozen_arenas<VMeta, EMeta> ar;
   const auto u64_arena = [&](std::size_t sec, std::vector<std::uint64_t>&& col) {
     if (secs[sec].codec == sd::column_codec::raw) {
       return arena<std::uint64_t>(reinterpret_cast<const std::uint64_t*>(secs[sec].data),
@@ -853,7 +702,7 @@ template <typename VMeta, typename EMeta>
   ar.vid = u64_arena(0, std::move(vid_col));
   ar.degree = u64_arena(1, std::move(degree_col));
   ar.order_rank = u64_arena(2, std::move(rank_col));
-  ar.offset = arena<std::uint64_t>(std::move(offset_col));
+  ar.offset = u64_arena(3, std::move(offset_col));
   if constexpr (std::is_empty_v<VMeta>) {
     ar.vmeta = meta_column<VMeta>(h.n);
     ar.target_vmeta = meta_column<VMeta>(h.m);
@@ -897,7 +746,7 @@ struct snapshot_peek {
   std::uint64_t m = 0;
   std::uint64_t vmeta_size = 0;
   std::uint64_t emeta_size = 0;
-  std::uint64_t content_id = 0;  ///< 0 for v1/v2 files (compute on load)
+  std::uint64_t content_id = 0;  ///< frozen_dodgr::snapshot_id() at save time
 };
 
 [[nodiscard]] inline snapshot_peek peek_snapshot(const std::string& path) {
@@ -907,8 +756,8 @@ struct snapshot_peek {
     throw std::runtime_error("peek_snapshot: '" + path + "' is truncated");
   }
   const auto h = sd::header::decode(file->data(), path);
-  return snapshot_peek{h.version, h.nranks,     h.rank,       h.ordering, h.n,
-                       h.m,       h.vmeta_size, h.emeta_size, h.content_id};
+  return snapshot_peek{sd::kVersion, h.nranks,     h.rank,       h.ordering, h.n,
+                       h.m,          h.vmeta_size, h.emeta_size, h.content_id};
 }
 
 }  // namespace tripoll::graph

@@ -404,8 +404,8 @@ TEST(Snapshot, LoadedArenasViewTheMapping) {
     build_meta_graph(c, g, tg::ordering_policy::degree);
     auto fz = tg::freeze(g);
     const auto bytes = tg::save_snapshot(fz, prefix);
-    EXPECT_EQ(bytes, tg::snapshot_file_bytes(fz.local_num_vertices(),
-                                             fz.local_num_edges(), 8, 8));
+    const std::string path = tg::snapshot_rank_path(prefix, 0);
+    EXPECT_EQ(bytes, std::filesystem::file_size(path));
 
     auto loaded = tg::load_snapshot<std::uint64_t, std::uint64_t>(c, prefix);
     // Column contents identical to the freshly frozen arenas.
@@ -415,6 +415,26 @@ TEST(Snapshot, LoadedArenasViewTheMapping) {
     EXPECT_EQ(std::memcmp(a.target.data(), b.target.data(), a.target.bytes()), 0);
     EXPECT_EQ(std::memcmp(a.offset.data(), b.offset.data(), a.offset.bytes()), 0);
     EXPECT_EQ(std::memcmp(a.vmeta.data(), b.vmeta.data(), a.vmeta.bytes()), 0);
+
+    // Served in place, not copied: every column sits as far from `vid` in
+    // memory as its section sits from section 0 in the file.
+    const auto sections = tg::snapshot_sections(path);
+    const auto distance = [&](const void* p) {
+      return static_cast<std::uint64_t>(static_cast<const std::byte*>(p) -
+                                        reinterpret_cast<const std::byte*>(b.vid.data()));
+    };
+    const auto in_file = [&](std::size_t sec) {
+      return sections[sec].offset - sections[0].offset;
+    };
+    EXPECT_EQ(distance(b.degree.data()), in_file(1));
+    EXPECT_EQ(distance(b.order_rank.data()), in_file(2));
+    EXPECT_EQ(distance(b.offset.data()), in_file(3));
+    EXPECT_EQ(distance(b.vmeta.data()), in_file(4));
+    EXPECT_EQ(distance(b.target.data()), in_file(5));
+    EXPECT_EQ(distance(b.target_rank.data()), in_file(6));
+    EXPECT_EQ(distance(b.target_out_degree.data()), in_file(7));
+    EXPECT_EQ(distance(b.emeta.data()), in_file(8));
+    EXPECT_EQ(distance(b.target_vmeta.data()), in_file(9));
   });
   remove_snapshot(prefix, 1);
 }
@@ -574,11 +594,11 @@ TEST(ParallelFreeze, HubBitmapRowsIdenticalAcrossThreadCounts) {
   });
 }
 
-// --- compressed snapshots (format v3) ---------------------------------------
+// --- compressed snapshots ---------------------------------------------------
 
 TEST(Snapshot, CompressedRoundTripMatchesRawAndShrinks) {
-  const std::string praw = fresh_prefix("v3_raw");
-  const std::string pcmp = fresh_prefix("v3_cmp");
+  const std::string praw = fresh_prefix("rt_raw");
+  const std::string pcmp = fresh_prefix("rt_cmp");
   tc::runtime::run(2, [&](tc::communicator& c) {
     meta_graph g(c);
     build_meta_graph(c, g, tg::ordering_policy::degeneracy);
@@ -590,7 +610,7 @@ TEST(Snapshot, CompressedRoundTripMatchesRawAndShrinks) {
 
     auto from_raw = tg::load_snapshot<std::uint64_t, std::uint64_t>(c, praw);
     auto from_cmp = tg::load_snapshot<std::uint64_t, std::uint64_t>(c, pcmp);
-    expect_arenas_identical(from_raw.arenas(), from_cmp.arenas(), "raw-vs-v3");
+    expect_arenas_identical(from_raw.arenas(), from_cmp.arenas(), "raw-vs-compressed");
 
     hist a, b;
     auto ra = tripoll::survey(from_raw).add(closure_cb{}, a).run({});
@@ -605,8 +625,8 @@ TEST(Snapshot, CompressedRoundTripMatchesRawAndShrinks) {
 }
 
 TEST(Snapshot, CompressedBitmapSectionsRoundTrip) {
-  const std::string praw = fresh_prefix("v3_bm_raw");
-  const std::string pcmp = fresh_prefix("v3_bm_cmp");
+  const std::string praw = fresh_prefix("rt_bm_raw");
+  const std::string pcmp = fresh_prefix("rt_bm_cmp");
   tc::runtime::run(1, [&](tc::communicator& c) {
     tg::dodgr<tg::none, tg::none> g(c);
     tg::graph_builder<tg::none, tg::none> builder(c, tg::ordering_policy::degree);
@@ -624,7 +644,7 @@ TEST(Snapshot, CompressedBitmapSectionsRoundTrip) {
     (void)tg::save_snapshot(fz, pcmp, tg::snapshot_codec::compressed);
     auto from_raw = tg::load_snapshot<tg::none, tg::none>(c, praw);
     auto from_cmp = tg::load_snapshot<tg::none, tg::none>(c, pcmp);
-    expect_arenas_identical(from_raw.arenas(), from_cmp.arenas(), "bm raw-vs-v3");
+    expect_arenas_identical(from_raw.arenas(), from_cmp.arenas(), "bm raw-vs-compressed");
   });
   remove_snapshot(praw, 1);
   remove_snapshot(pcmp, 1);
@@ -642,7 +662,7 @@ TEST(Snapshot, SectionTableReportsCodecs) {
   });
   const auto raw = tg::snapshot_sections(tg::snapshot_rank_path(praw, 0));
   ASSERT_EQ(raw.size(), 13u);
-  for (const auto& s : raw) EXPECT_EQ(s.codec, 0u);  // v2: everything raw
+  for (const auto& s : raw) EXPECT_EQ(s.codec, 0u);  // raw save: every row raw
 
   const auto cmp = tg::snapshot_sections(tg::snapshot_rank_path(pcmp, 0));
   ASSERT_EQ(cmp.size(), 13u);
@@ -694,7 +714,7 @@ TEST(Snapshot, TruncationSweepAtEverySectionBoundaryIsRejected) {
   // past the mapping.
   for (const auto codec : {tg::snapshot_codec::raw, tg::snapshot_codec::compressed}) {
     const std::string prefix =
-        fresh_prefix(codec == tg::snapshot_codec::raw ? "trunc_raw" : "trunc_v3");
+        fresh_prefix(codec == tg::snapshot_codec::raw ? "trunc_raw" : "trunc_cmp");
     tc::runtime::run(1, [&](tc::communicator& c) {
       meta_graph g(c);
       build_meta_graph(c, g, tg::ordering_policy::degree);
@@ -721,32 +741,73 @@ TEST(Snapshot, TruncationSweepAtEverySectionBoundaryIsRejected) {
   }
 }
 
-TEST(Snapshot, CompressedFlipSweepAtEverySectionIsRejected) {
-  // v3 checksums every section (including raw metadata), so flipping the
-  // first byte of ANY non-empty section -- or of the section table -- must
-  // be caught, and the magic/version words are checked in both layouts.
-  const std::string prefix = fresh_prefix("flip_v3");
+TEST(Snapshot, FlipSweepAtEverySectionIsRejected) {
+  // Every section is checksummed whatever its codec (raw metadata and raw
+  // structural columns included), so flipping the first byte of ANY
+  // non-empty section -- or of the section table, the magic or the version
+  // word -- must be caught.
+  for (const auto codec : {tg::snapshot_codec::raw, tg::snapshot_codec::compressed}) {
+    const std::string prefix =
+        fresh_prefix(codec == tg::snapshot_codec::raw ? "flip_raw" : "flip_cmp");
+    tc::runtime::run(1, [&](tc::communicator& c) {
+      meta_graph g(c);
+      build_meta_graph(c, g, tg::ordering_policy::degree);
+      auto fz = tg::freeze(g);
+      (void)tg::save_snapshot(fz, prefix, codec);
+    });
+    const std::string path = tg::snapshot_rank_path(prefix, 0);
+    const auto pristine = slurp_file(path);
+    const auto sections = tg::snapshot_sections(path);
+    std::vector<std::size_t> flip_at = {0, 8, 128};  // magic, version, section table
+    for (const auto& s : sections) {
+      if (s.stored_bytes > 0) flip_at.push_back(static_cast<std::size_t>(s.offset));
+    }
+    for (const std::size_t at : flip_at) {
+      ASSERT_LT(at, pristine.size());
+      auto corrupt = pristine;
+      corrupt[at] = static_cast<char>(corrupt[at] ^ 0x5A);
+      rewrite_file(path, corrupt);
+      expect_load_rejected(prefix, ("flipped byte " + std::to_string(at)).c_str());
+    }
+    rewrite_file(path, pristine);
+    remove_snapshot(prefix, 1);
+  }
+}
+
+TEST(Snapshot, LegacyVersionsAreRejected) {
+  // Only version 3 is readable; files claiming the retired v1/v2 layouts
+  // must be refused by name, both by the loader and by the header peek.
+  const std::string prefix = fresh_prefix("legacy");
   tc::runtime::run(1, [&](tc::communicator& c) {
     meta_graph g(c);
     build_meta_graph(c, g, tg::ordering_policy::degree);
     auto fz = tg::freeze(g);
-    (void)tg::save_snapshot(fz, prefix, tg::snapshot_codec::compressed);
+    (void)tg::save_snapshot(fz, prefix);
   });
   const std::string path = tg::snapshot_rank_path(prefix, 0);
   const auto pristine = slurp_file(path);
-  const auto sections = tg::snapshot_sections(path);
-  std::vector<std::size_t> flip_at = {0, 8, 128};  // magic, version, section table
-  for (const auto& s : sections) {
-    if (s.stored_bytes > 0) flip_at.push_back(static_cast<std::size_t>(s.offset));
+  const auto expect_version_error = [](const auto& fn, const std::string& what) {
+    try {
+      fn();
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported snapshot version"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  for (const char legacy : {'\x01', '\x02'}) {
+    auto old = pristine;
+    old[8] = legacy;  // header word 1 (little-endian), upper bytes stay 0
+    rewrite_file(path, old);
+    const std::string tag = "version " + std::to_string(static_cast<int>(legacy));
+    expect_version_error([&] { (void)tg::peek_snapshot(path); }, "peek " + tag);
+    tc::runtime::run(1, [&](tc::communicator& c) {
+      expect_version_error(
+          [&] { (void)tg::load_snapshot<std::uint64_t, std::uint64_t>(c, prefix); },
+          "load " + tag);
+    });
   }
-  for (const std::size_t at : flip_at) {
-    ASSERT_LT(at, pristine.size());
-    auto corrupt = pristine;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x5A);
-    rewrite_file(path, corrupt);
-    expect_load_rejected(prefix, ("flipped byte " + std::to_string(at)).c_str());
-  }
-  rewrite_file(path, pristine);
   remove_snapshot(prefix, 1);
 }
 
@@ -754,8 +815,8 @@ TEST(Snapshot, CompressedFlipSweepAtEverySectionIsRejected) {
 
 namespace {
 
-constexpr std::size_t kV3NumSections = 13;
-constexpr std::size_t kV3TableOffset = 128;
+constexpr std::size_t kNumSections = 13;
+constexpr std::size_t kTableOffset = 128;
 
 std::uint64_t test_fnv1a(const char* p, std::size_t n) {
   std::uint64_t h = 14695981039346656037ull;
@@ -812,18 +873,18 @@ void expect_load_rejected_plain(const std::string& prefix, const char* what) {
   });
 }
 
-/// Rebuild a v3 snapshot with section `idx` replaced by `bytes` under codec
+/// Rebuild a snapshot with section `idx` replaced by `bytes` under codec
 /// tag `codec`, recomputing the section checksum, the table checksum and
 /// the header file size.  The result is a well-formed hostile file -- every
 /// integrity check passes, so only semantic validation can reject it.
-void rewrite_v3_section(const std::string& path, std::size_t idx, std::uint64_t codec,
+void rewrite_section(const std::string& path, std::size_t idx, std::uint64_t codec,
                         std::vector<char> bytes) {
   const auto pristine = slurp_file(path);
   const auto sections = tg::snapshot_sections(path);
-  ASSERT_EQ(sections.size(), kV3NumSections);
-  std::vector<std::vector<char>> stored(kV3NumSections);
-  std::vector<std::uint64_t> codecs(kV3NumSections);
-  for (std::size_t i = 0; i < kV3NumSections; ++i) {
+  ASSERT_EQ(sections.size(), kNumSections);
+  std::vector<std::vector<char>> stored(kNumSections);
+  std::vector<std::uint64_t> codecs(kNumSections);
+  for (std::size_t i = 0; i < kNumSections; ++i) {
     const auto& s = sections[i];
     stored[i].assign(pristine.begin() + static_cast<std::ptrdiff_t>(s.offset),
                      pristine.begin() + static_cast<std::ptrdiff_t>(s.offset + s.stored_bytes));
@@ -832,16 +893,16 @@ void rewrite_v3_section(const std::string& path, std::size_t idx, std::uint64_t 
   stored[idx] = std::move(bytes);
   codecs[idx] = codec;
 
-  std::vector<char> out(pristine.begin(), pristine.begin() + kV3TableOffset);
-  out.resize(kV3TableOffset + kV3NumSections * 24, 0);
-  for (std::size_t i = 0; i < kV3NumSections; ++i) {
-    store_u64(out, kV3TableOffset + i * 24, codecs[i]);
-    store_u64(out, kV3TableOffset + i * 24 + 8, stored[i].size());
-    store_u64(out, kV3TableOffset + i * 24 + 16,
+  std::vector<char> out(pristine.begin(), pristine.begin() + kTableOffset);
+  out.resize(kTableOffset + kNumSections * 24, 0);
+  for (std::size_t i = 0; i < kNumSections; ++i) {
+    store_u64(out, kTableOffset + i * 24, codecs[i]);
+    store_u64(out, kTableOffset + i * 24 + 8, stored[i].size());
+    store_u64(out, kTableOffset + i * 24 + 16,
               test_fnv1a(stored[i].data(), stored[i].size()));
   }
-  store_u64(out, 88, test_fnv1a(out.data() + kV3TableOffset, kV3NumSections * 24));
-  for (std::size_t i = 0; i < kV3NumSections; ++i) {
+  store_u64(out, 88, test_fnv1a(out.data() + kTableOffset, kNumSections * 24));
+  for (std::size_t i = 0; i < kNumSections; ++i) {
     out.resize((out.size() + 63) / 64 * 64, 0);
     out.insert(out.end(), stored[i].begin(), stored[i].end());
   }
@@ -852,58 +913,71 @@ void rewrite_v3_section(const std::string& path, std::size_t idx, std::uint64_t 
 }  // namespace
 
 TEST(Snapshot, CraftedOffsetColumnsAreRejected) {
-  // A crafted v3 file carries valid checksums over hostile offset values --
+  // A crafted file carries valid checksums over hostile offset values --
   // a raw-tagged section with arbitrary interiors, or varint gaps whose
-  // running sum wraps past 2^64 back to m.  The decoded offsets become
-  // WRITE bounds for the vertex-delta target decode, so interior values
-  // must be validated, not just front/back.
-  const std::string prefix = fresh_prefix("evil_offsets");
-  std::vector<std::uint64_t> good_offsets;
-  tc::runtime::run(1, [&](tc::communicator& c) {
-    meta_graph g(c);
-    build_meta_graph(c, g, tg::ordering_policy::degree);
-    auto fz = tg::freeze(g);
-    (void)tg::save_snapshot(fz, prefix, tg::snapshot_codec::compressed);
-    good_offsets.assign(fz.arenas().offset.data(),
-                        fz.arenas().offset.data() + fz.arenas().offset.size());
-  });
-  const std::string path = tg::snapshot_rank_path(prefix, 0);
-  const auto pristine = slurp_file(path);
-  const std::uint64_t n = read_u64(pristine, 40);
-  const std::uint64_t m = read_u64(pristine, 48);
-  ASSERT_GE(n, 2u);
-  ASSERT_EQ(good_offsets.size(), n + 1);
+  // running sum wraps past 2^64 back to m.  The offsets become WRITE bounds
+  // for the vertex-delta target decode and read bounds for every survey,
+  // so interior values must be validated, not just front/back -- on raw
+  // saves as much as on compressed ones.
+  for (const auto codec : {tg::snapshot_codec::raw, tg::snapshot_codec::compressed}) {
+    const std::string prefix = fresh_prefix(
+        codec == tg::snapshot_codec::raw ? "evil_offsets_raw" : "evil_offsets_cmp");
+    std::vector<std::uint64_t> good_offsets;
+    tc::runtime::run(1, [&](tc::communicator& c) {
+      meta_graph g(c);
+      build_meta_graph(c, g, tg::ordering_policy::degree);
+      auto fz = tg::freeze(g);
+      (void)tg::save_snapshot(fz, prefix, codec);
+      good_offsets.assign(fz.arenas().offset.data(),
+                          fz.arenas().offset.data() + fz.arenas().offset.size());
+    });
+    const std::string path = tg::snapshot_rank_path(prefix, 0);
+    const auto pristine = slurp_file(path);
+    const std::uint64_t n = read_u64(pristine, 40);
+    const std::uint64_t m = read_u64(pristine, 48);
+    ASSERT_GE(n, 2u);
+    ASSERT_EQ(good_offsets.size(), n + 1);
 
-  // Sanity for the rewrite helper itself: a raw-tagged section 3 holding
-  // the TRUE offsets must load (else the rejections below prove nothing).
-  std::vector<char> raw_good;
-  for (const auto v : good_offsets) put_u64(raw_good, v);
-  rewrite_v3_section(path, 3, 0, raw_good);
-  tc::runtime::run(1, [&](tc::communicator& c) {
-    EXPECT_NO_THROW(((void)tg::load_snapshot<std::uint64_t, std::uint64_t>(c, prefix)));
-  });
+    // Sanity for the rewrite helper itself: a raw-tagged section 3 holding
+    // the TRUE offsets must load (else the rejections below prove nothing).
+    std::vector<char> raw_good;
+    for (const auto v : good_offsets) put_u64(raw_good, v);
+    rewrite_section(path, 3, 0, raw_good);
+    tc::runtime::run(1, [&](tc::communicator& c) {
+      EXPECT_NO_THROW(((void)tg::load_snapshot<std::uint64_t, std::uint64_t>(c, prefix)));
+    });
 
-  // Raw-tagged offsets: front/back pass the spot check, interiors point
-  // past m (would drive an out-of-bounds heap write while decoding targets).
-  std::vector<char> raw_evil;
-  put_u64(raw_evil, 0);
-  for (std::uint64_t i = 1; i < n; ++i) put_u64(raw_evil, m + 1000);
-  put_u64(raw_evil, m);
-  rewrite_file(path, pristine);
-  rewrite_v3_section(path, 3, 0, raw_evil);
-  expect_load_rejected(prefix, "raw offsets past m");
+    // Raw-tagged offsets: front/back pass the spot check, interiors point
+    // past m (would drive an out-of-bounds heap write while decoding targets).
+    std::vector<char> raw_evil;
+    put_u64(raw_evil, 0);
+    for (std::uint64_t i = 1; i < n; ++i) put_u64(raw_evil, m + 1000);
+    put_u64(raw_evil, m);
+    rewrite_file(path, pristine);
+    rewrite_section(path, 3, 0, raw_evil);
+    expect_load_rejected(prefix, "raw offsets past m");
 
-  // Gap-coded offsets wrapping 2^64: 0, 2^64-1, then +m+1 wraps back to m.
-  std::vector<char> gap_evil;
-  put_varint(gap_evil, 0);
-  put_varint(gap_evil, ~std::uint64_t{0});
-  put_varint(gap_evil, m + 1);
-  for (std::uint64_t i = 3; i <= n; ++i) put_varint(gap_evil, 0);
-  rewrite_file(path, pristine);
-  rewrite_v3_section(path, 3, 2, gap_evil);
-  expect_load_rejected(prefix, "gap sum wraps past 2^64");
+    // One hostile interior among true values: offset[1] = 2^40.
+    std::vector<char> raw_spike;
+    for (std::uint64_t i = 0; i <= n; ++i) {
+      put_u64(raw_spike, i == 1 ? std::uint64_t{1} << 40 : good_offsets[i]);
+    }
+    rewrite_file(path, pristine);
+    rewrite_section(path, 3, 0, raw_spike);
+    expect_load_rejected(prefix, "raw offset[1] = 2^40");
 
-  remove_snapshot(prefix, 1);
+    // Gap-coded offsets wrapping 2^64: 0, 2^64-1, then +m+1 wraps back to m.
+    std::vector<char> gap_evil;
+    put_varint(gap_evil, 0);
+    put_varint(gap_evil, ~std::uint64_t{0});
+    put_varint(gap_evil, m + 1);
+    for (std::uint64_t i = 3; i <= n; ++i) put_varint(gap_evil, 0);
+    rewrite_file(path, pristine);
+    rewrite_section(path, 3, 2, gap_evil);
+    expect_load_rejected(prefix, "gap sum wraps past 2^64");
+
+    remove_snapshot(prefix, 1);
+  }
 }
 
 TEST(Snapshot, NonRawCodecOnViewServedSectionsIsRejected) {
@@ -928,7 +1002,7 @@ TEST(Snapshot, NonRawCodecOnViewServedSectionsIsRejected) {
           pristine.begin() + static_cast<std::ptrdiff_t>(sections[sec].offset +
                                                          sections[sec].stored_bytes));
       rewrite_file(path, pristine);
-      rewrite_v3_section(path, sec, 1 /* varint_delta */, std::move(same));
+      rewrite_section(path, sec, 1 /* varint_delta */, std::move(same));
       expect_load_rejected(prefix,
                            ("non-raw tag on section " + std::to_string(sec)).c_str());
     }
@@ -955,7 +1029,7 @@ TEST(Snapshot, NonRawCodecOnViewServedSectionsIsRejected) {
         pristine.begin() + static_cast<std::ptrdiff_t>(sections[12].offset),
         pristine.begin() +
             static_cast<std::ptrdiff_t>(sections[12].offset + sections[12].stored_bytes));
-    rewrite_v3_section(path, 12, 1 /* varint_delta */, std::move(same));
+    rewrite_section(path, 12, 1 /* varint_delta */, std::move(same));
     expect_load_rejected_plain(pbm, "non-raw tag on section 12");
   }
   remove_snapshot(pbm, 1);
@@ -965,30 +1039,46 @@ TEST(Snapshot, CraftedBmOffsetColumnIsRejected) {
   // bm_offset values index into bm_words inside the survey bitmap kernels;
   // hostile interiors must be rejected at load time even when the section
   // is raw-tagged (where no decode would otherwise touch the values).
-  const std::string prefix = fresh_prefix("evil_bmoff");
-  tc::runtime::run(1, [&](tc::communicator& c) {
-    plain_graph g(c);
-    build_dense_plain_graph(c, g);
-    tg::freeze_options o;
-    o.hub_degree_threshold = 4;
-    auto fz = tg::freeze(g, o);
-    ASSERT_GT(fz.arenas().bm_words.size(), 0u);
-    (void)tg::save_snapshot(fz, prefix, tg::snapshot_codec::compressed);
-  });
-  const std::string path = tg::snapshot_rank_path(prefix, 0);
-  const auto pristine = slurp_file(path);
-  const std::uint64_t n = read_u64(pristine, 40);
-  const std::uint64_t bm_words = read_u64(pristine, 80);
-  ASSERT_GE(n, 2u);
-  ASSERT_GT(bm_words, 0u);
+  for (const auto codec : {tg::snapshot_codec::raw, tg::snapshot_codec::compressed}) {
+    const std::string prefix = fresh_prefix(
+        codec == tg::snapshot_codec::raw ? "evil_bmoff_raw" : "evil_bmoff_cmp");
+    std::vector<std::uint64_t> good_bm_offsets;
+    tc::runtime::run(1, [&](tc::communicator& c) {
+      plain_graph g(c);
+      build_dense_plain_graph(c, g);
+      tg::freeze_options o;
+      o.hub_degree_threshold = 4;
+      auto fz = tg::freeze(g, o);
+      ASSERT_GT(fz.arenas().bm_words.size(), 0u);
+      (void)tg::save_snapshot(fz, prefix, codec);
+      good_bm_offsets.assign(fz.arenas().bm_offset.data(),
+                             fz.arenas().bm_offset.data() + fz.arenas().bm_offset.size());
+    });
+    const std::string path = tg::snapshot_rank_path(prefix, 0);
+    const auto pristine = slurp_file(path);
+    const std::uint64_t n = read_u64(pristine, 40);
+    const std::uint64_t bm_words = read_u64(pristine, 80);
+    ASSERT_GE(n, 2u);
+    ASSERT_GT(bm_words, 0u);
+    ASSERT_EQ(good_bm_offsets.size(), n + 1);
 
-  std::vector<char> raw_evil;
-  put_u64(raw_evil, 0);
-  for (std::uint64_t i = 1; i < n; ++i) put_u64(raw_evil, bm_words + 100);
-  put_u64(raw_evil, bm_words);
-  rewrite_v3_section(path, 10, 0, raw_evil);
-  expect_load_rejected_plain(prefix, "raw bm_offset past bm_words");
-  remove_snapshot(prefix, 1);
+    // Sanity for the rewrite helper: the TRUE values, raw-tagged, load.
+    std::vector<char> raw_good;
+    for (const auto v : good_bm_offsets) put_u64(raw_good, v);
+    rewrite_section(path, 10, 0, raw_good);
+    tc::runtime::run(1, [&](tc::communicator& c) {
+      EXPECT_NO_THROW(((void)tg::load_snapshot<tg::none, tg::none>(c, prefix)));
+    });
+
+    std::vector<char> raw_evil;
+    put_u64(raw_evil, 0);
+    for (std::uint64_t i = 1; i < n; ++i) put_u64(raw_evil, bm_words + 100);
+    put_u64(raw_evil, bm_words);
+    rewrite_file(path, pristine);
+    rewrite_section(path, 10, 0, raw_evil);
+    expect_load_rejected_plain(prefix, "raw bm_offset past bm_words");
+    remove_snapshot(prefix, 1);
+  }
 }
 
 // --- analytics over frozen storage ---------------------------------------------------

@@ -245,16 +245,17 @@ TEST(SnapshotContentId, StableAcrossCodecsAndStamped) {
     (void)tg::save_snapshot(g, v3_prefix, tg::snapshot_codec::compressed);
     auto raw_loaded = tg::load_snapshot<std::uint64_t, std::uint64_t>(c, raw_prefix);
     auto v3_loaded = tg::load_snapshot<std::uint64_t, std::uint64_t>(c, v3_prefix);
-    id_raw_loaded = raw_loaded.snapshot_id();  // recomputed from the columns
-    id_v3_loaded = v3_loaded.snapshot_id();    // adopted from the v3 header
+    id_raw_loaded = raw_loaded.snapshot_id();  // adopted from the header
+    id_v3_loaded = v3_loaded.snapshot_id();
     id_peeked = tg::peek_snapshot(tg::snapshot_rank_path(v3_prefix, 0)).content_id;
   });
   EXPECT_NE(id_fresh, 0u);
   EXPECT_EQ(id_raw_loaded, id_fresh);
   EXPECT_EQ(id_v3_loaded, id_fresh);
   EXPECT_EQ(id_peeked, id_fresh);
-  // Raw (v2) headers keep the id word zeroed for byte-stability.
-  EXPECT_EQ(tg::peek_snapshot(tg::snapshot_rank_path(raw_prefix, 0)).content_id, 0u);
+  // Raw saves stamp the same id into header word 12.
+  EXPECT_EQ(tg::peek_snapshot(tg::snapshot_rank_path(raw_prefix, 0)).content_id,
+            id_fresh);
   (void)std::remove(tg::snapshot_rank_path(raw_prefix, 0).c_str());
   (void)std::remove(tg::snapshot_rank_path(v3_prefix, 0).c_str());
 }

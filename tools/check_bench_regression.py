@@ -44,8 +44,8 @@ baseline; BENCH_pr6.json records the trajectory for humans.
 
 IO gates (PR 8): --io-gates points at the JSON emitted by
 `bench_snapshot_io --json` and asserts, from that run's `pr8_io_cases`:
-  * identical triangle counts between the raw (v2) and compressed (v3)
-    snapshot loads of every case (bit-identity is unconditional),
+  * identical triangle counts between the raw and compressed snapshot
+    loads of every case (bit-identity is unconditional),
   * raw/compressed snapshot byte ratio >= --io-compression-min (1.7) per
     case (the delta/varint codecs must actually shrink the file),
   * compressed/raw load wall ratio <= --io-load-max (1.15) per case (the

@@ -29,7 +29,7 @@
 //   snapshot save <edges.txt> <prefix> [ranks]
 //                                       build + freeze a graph from a file and
 //                                       write per-rank CSR snapshot files
-//                                       (--compress: delta/varint v3 layout)
+//                                       (raw columns; --compress: delta/varint)
 //   snapshot load <prefix> [ranks] [push_pull|push_only]
 //                                       mmap the snapshot (skipping edge
 //                                       shuffle and ordering peel) and run the
@@ -44,7 +44,7 @@
 //   ingest <prefix> <batch.txt> [ranks] load a snapshot, wrap it in the mutable
 //                                       streaming overlay, apply the edge batch
 //                                       and survey base+delta (--compact: also
-//                                       re-freeze incrementally and save a v3
+//                                       re-freeze incrementally and save a
 //                                       snapshot at <prefix>-compacted); see
 //                                       docs/STREAMING.md
 //
@@ -129,8 +129,8 @@ int usage() {
                "                                  parallel ingest and freeze\n"
                "                                  (default: TRIPOLL_THREADS env or 1;\n"
                "                                  results are identical at any count)\n"
-               "  --compress                      snapshot save: write the v3 compressed\n"
-               "                                  layout (delta/varint-packed columns)\n"
+               "  --compress                      snapshot save: write compressed columns\n"
+               "                                  (delta/varint-packed)\n"
                "  --meta                          snapshot save: attach the deterministic\n"
                "                                  plan metadata (u64 timestamps + labels)\n"
                "  --endpoint <spec>               serve/query: unix:<path> or tcp:host:port\n"
@@ -148,7 +148,7 @@ int usage() {
 graph::ordering_policy g_ordering = graph::ordering_policy::degree;
 comm::backend_kind g_backend = comm::backend_kind::inproc;
 int g_threads = 0;  ///< 0 = TRIPOLL_THREADS env, else 1 (docs/THREADING.md)
-bool g_compress = false;  ///< snapshot save: v3 compressed layout
+bool g_compress = false;  ///< snapshot save: compressed column codecs
 bool g_meta = false;      ///< snapshot save: attach deterministic plan metadata
 bool g_compact = false;   ///< ingest: re-freeze + save after applying the batch
 std::string g_endpoint = "unix:/tmp/tripoll-service.sock";
@@ -747,7 +747,7 @@ int cmd_serve(int argc, char** argv) {
 /// `ingest` body: load the snapshot as the given metadata types, wrap it in
 /// the streaming overlay, apply the batch file and survey base+delta.  With
 /// --compact, also re-freeze incrementally (reusing the stored ordering
-/// ranks) and save a v3 snapshot at <prefix>-compacted.  Every printed
+/// ranks) and save a snapshot at <prefix>-compacted.  Every printed
 /// value is a global reduction -- the socket smoke test diffs this output
 /// across backends.
 template <bool WithMeta>
