@@ -13,7 +13,10 @@
 #include <vector>
 
 #include "bench_micro_main.hpp"
+#include "core/packed_batch.hpp"
+#include "graph/types.hpp"
 #include "serial/buffer.hpp"
+#include "serial/hash.hpp"
 #include "serial/serialize.hpp"
 
 namespace ts = tripoll::serial;
@@ -130,6 +133,48 @@ void BM_RoundtripWedgeMessageView(benchmark::State& state) {
                           static_cast<std::int64_t>(suffix.size()) * 16);
 }
 
+void BM_RoundtripPackedBatch(benchmark::State& state) {
+  // The survey's wire form of the same message (core/packed_batch.hpp):
+  // the sender encodes (rank delta, r) varints straight into the buffer,
+  // the receiver decodes into reusable scratch and walks it.  Entries are
+  // <+ sorted (rank first, small ranks, ids below 2^20) like a real
+  // adjacency suffix.  Reports ns and wire bytes per entry.
+  using batch = tripoll::core::packed_batch<tripoll::graph::none>;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<batch::entry> suffix(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    suffix[k].r = ts::splitmix64(k) % (1u << 20);
+    suffix[k].r_rank = 3 + k / 4;
+  }
+  const auto fill = [&](batch::encoder& enc) {
+    for (const auto& e : suffix) enc.push(e.r, e.r_rank, e.meta);
+  };
+  ts::byte_buffer buf(1 << 22);
+  std::vector<batch::entry> scratch;
+  for (auto _ : state) {
+    buf.clear();
+    ts::pack(buf, std::uint32_t{3}, std::uint64_t{11}, std::uint64_t{13}, batch::encode(fill));
+    ts::buffer_reader rd(buf.view());
+    std::uint32_t h;
+    std::uint64_t q, p;
+    batch out;
+    ts::unpack(rd, h, q, p, out);
+    out.decode(scratch);
+    std::uint64_t sum = 0;
+    for (const auto& e : scratch) sum += e.r + e.r_rank;
+    benchmark::DoNotOptimize(sum);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_entry"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * n),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert, benchmark::Counter::kIs1000);
+  // Batch bytes (header included) per entry: the message minus handle, q, p.
+  state.counters["bytes_per_entry"] =
+      static_cast<double>(buf.size() - 4 - 16) / static_cast<double>(n);
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(n) * 16);
+}
+
 void BM_UnpackStringView(benchmark::State& state) {
   // Zero-copy string deserialization: string_view pointing into the buffer.
   ts::byte_buffer buf;
@@ -233,6 +278,8 @@ void register_benchmarks(bool quick) {
              ->Arg(n));
     tune(benchmark::RegisterBenchmark("BM_RoundtripWedgeMessageView",
                                       BM_RoundtripWedgeMessageView)
+             ->Arg(n));
+    tune(benchmark::RegisterBenchmark("BM_RoundtripPackedBatch", BM_RoundtripPackedBatch)
              ->Arg(n));
   }
 

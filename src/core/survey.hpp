@@ -46,6 +46,11 @@
 // wire (and handler) types below are templated on the PROJECTED metadata
 // types, not the graph's.  Owning std::string projections additionally
 // deserialize as std::string_view into the drained payload (zero copies).
+// The candidate list of a wedge batch and the entry list of a pulled
+// adjacency travel packed (core/packed_batch.hpp): varint rank deltas and
+// varint ids, encoded straight into the send buffer, decoded into reusable
+// scratch by whichever thread intersects the batch -- a worker task for
+// add_reduced plans, otherwise the owning thread.
 //
 // The legacy single-callback entry point `triangle_survey(graph, callback,
 // context)` is a thin identity-projection wrapper over a one-callback plan.
@@ -53,13 +58,12 @@
 
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <concepts>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -69,10 +73,10 @@
 
 #include "comm/communicator.hpp"
 #include "core/intersect.hpp"
+#include "core/packed_batch.hpp"
 #include "core/parallel.hpp"
 #include "core/plan.hpp"
 #include "graph/types.hpp"
-#include "serial/wire_guard.hpp"
 
 namespace tripoll {
 
@@ -82,117 +86,6 @@ using clock = std::chrono::steady_clock;
 
 [[nodiscard]] inline double seconds_since(clock::time_point start) {
   return std::chrono::duration<double>(clock::now() - start).count();
-}
-
-/// A candidate closing vertex r shipped with a wedge batch: enough to merge
-/// against Adjm+(q) under the <+ order, plus the PROJECTED meta(p,r) for
-/// the callbacks.  [[no_unique_address]] lets a dropped (graph::none)
-/// projection cost zero struct bytes, so the bitwise wire image shrinks
-/// from 24 to 16 bytes per candidate on metadata-free surveys.
-template <typename EdgeMeta>
-struct wedge_candidate {
-  /// string_view metadata makes the struct trivially copyable, but its
-  /// interior pointer is meaningless on the destination rank -- force the
-  /// archive path so views re-point into the received payload.
-  static constexpr bool tripoll_force_member_serialize =
-      !serial::detail::bitwise<EdgeMeta>;
-
-  graph::vertex_id r = 0;
-  std::uint64_t r_rank = 0;  ///< r's <+ ordering rank (degree or peel rank)
-  [[no_unique_address]] EdgeMeta meta_pr{};
-
-  /// Construct with deterministic padding.  A narrow EdgeMeta (say a
-  /// uint32_t behind the two u64s) leaves alignment padding inside the
-  /// struct, and the bitwise serialize path memcpys sizeof(*this) -- so
-  /// padding bytes ship.  Zero the object representation first so they
-  /// ship as zeros, keeping payloads bit-identical run to run
-  /// (tripoll-wire-padding; see docs/STATIC_ANALYSIS.md).
-  [[nodiscard]] static wedge_candidate make(graph::vertex_id r, std::uint64_t r_rank,
-                                            const EdgeMeta& meta_pr) {
-    wedge_candidate c;
-    if constexpr (serial::detail::bitwise<wedge_candidate>) {
-      if constexpr (sizeof(wedge_candidate) >
-                    serial::packed_size_of<&wedge_candidate::r, &wedge_candidate::r_rank,
-                                           &wedge_candidate::meta_pr>) {
-        std::memset(static_cast<void*>(&c), 0, sizeof(c));
-      }
-    }
-    c.r = r;
-    c.r_rank = r_rank;
-    c.meta_pr = meta_pr;
-    return c;
-  }
-
-  [[nodiscard]] graph::order_key key() const noexcept {
-    return graph::make_order_key(r, r_rank);
-  }
-
-  template <typename Archive>
-  void serialize(Archive& ar) {
-    ar(r, r_rank, meta_pr);
-  }
-};
-
-/// One entry of a pulled adjacency list Adjm+(q): target vertex metadata is
-/// deliberately omitted -- the puller already stores meta(r) in its own
-/// Adjm+(p) (paper Sec. 4.3: "this extra metadata is never actually
-/// transmitted").  Edge metadata is the projected type, as above.
-template <typename EdgeMeta>
-struct pulled_entry {
-  static constexpr bool tripoll_force_member_serialize =
-      !serial::detail::bitwise<EdgeMeta>;
-
-  graph::vertex_id r = 0;
-  std::uint64_t r_rank = 0;  ///< r's <+ ordering rank (degree or peel rank)
-  [[no_unique_address]] EdgeMeta meta_qr{};
-
-  /// Deterministic-padding constructor; see wedge_candidate::make.
-  [[nodiscard]] static pulled_entry make(graph::vertex_id r, std::uint64_t r_rank,
-                                         const EdgeMeta& meta_qr) {
-    pulled_entry e;
-    if constexpr (serial::detail::bitwise<pulled_entry>) {
-      if constexpr (sizeof(pulled_entry) >
-                    serial::packed_size_of<&pulled_entry::r, &pulled_entry::r_rank,
-                                           &pulled_entry::meta_qr>) {
-        std::memset(static_cast<void*>(&e), 0, sizeof(e));
-      }
-    }
-    e.r = r;
-    e.r_rank = r_rank;
-    e.meta_qr = meta_qr;
-    return e;
-  }
-
-  [[nodiscard]] graph::order_key key() const noexcept {
-    return graph::make_order_key(r, r_rank);
-  }
-
-  template <typename Archive>
-  void serialize(Archive& ar) {
-    ar(r, r_rank, meta_qr);
-  }
-};
-
-/// Receive-side type of a shipped element batch.  For bitwise metadata (the
-/// common case: plain counting, timestamps) the batch arrives as a
-/// serial::wire_span viewing the drained transport payload directly -- the
-/// receive path performs zero copies and zero allocations per batch.  Rich
-/// metadata (strings, containers) keeps the owning vector of elements, but
-/// string fields inside the elements still deserialize as string_view into
-/// the payload.  Both encode identically on the wire, so this is purely a
-/// receive-path optimization.
-template <typename T>
-using batch_arg =
-    std::conditional_t<serial::detail::bitwise<T>, serial::wire_span<T>, std::vector<T>>;
-
-/// Sender-side adapter matching batch_arg<T>'s deserialization type.
-template <typename T>
-[[nodiscard]] decltype(auto) as_batch_arg(const std::vector<T>& v) noexcept {
-  if constexpr (serial::detail::bitwise<T>) {
-    return serial::as_wire_span(v);
-  } else {
-    return (v);
-  }
 }
 
 }  // namespace core::detail
@@ -235,8 +128,10 @@ class survey_engine {
   using wire_vm = core::detail::wire_type_t<pv_type>;
   using wire_em = core::detail::wire_type_t<pe_type>;
 
-  using candidate_type = core::detail::wedge_candidate<wire_em>;
-  using pulled_type = core::detail::pulled_entry<wire_em>;
+  /// Wedge candidates and pulled entries share one packed wire form
+  /// (core/packed_batch.hpp) and one decoded entry type.
+  using batch_type = core::packed_batch<wire_em>;
+  using batch_entry = typename batch_type::entry;
   using view_type = triangle_view<wire_vm, wire_em>;
   using self = survey_engine<Graph, Plan>;
 
@@ -331,6 +226,7 @@ class survey_engine {
     targets_ = {};
     pull_grants_.clear();
     pull_grants_ = {};
+    scratch_ = {};
     return out;
   }
 
@@ -416,29 +312,6 @@ class survey_engine {
     return v;
   }
 
-  /// True when edge projections return owning strings BY VALUE: the wire
-  /// views then need scratch storage that outlives the async() call.
-  static constexpr bool edge_scratch_needed =
-      !std::is_same_v<wire_em, pe_type> &&
-      !std::is_reference_v<
-          std::invoke_result_t<const typename Plan::edge_projection_type&,
-                               const edge_meta_type&>>;
-
-  /// Projected edge metadata as its wire type, parking by-value string
-  /// results in `owned` (reserved by the caller) so the view stays valid
-  /// until the batch is serialized.
-  [[nodiscard]] wire_em em_wire(const edge_meta_type& m,
-                                [[maybe_unused]] std::vector<pe_type>& owned) const {
-    if constexpr (std::is_same_v<wire_em, pe_type>) {
-      return pe(m);
-    } else if constexpr (edge_scratch_needed) {
-      owned.push_back(pe(m));
-      return wire_em(owned.back());
-    } else {
-      return wire_em(pe(m));  // projection returned a reference into the graph
-    }
-  }
-
   // --- plan-window predicate ---------------------------------------------------
 
   /// Does the stored edge metadata fall inside the plan's half-open window
@@ -453,6 +326,31 @@ class survey_engine {
       }
     }
     return true;
+  }
+
+  /// Number of in-window entries of rec.adj from position `first` on: the
+  /// entry count of a wedge batch or pulled list, and the candidates one
+  /// pulled source stands for.
+  template <typename Rec>
+  [[nodiscard]] std::uint64_t admitted_from(const Rec& rec, std::size_t first) const {
+    bool windowed = false;
+    if constexpr (window_capable) windowed = win_active_;
+    if (!windowed) return rec.adj.size() - first;
+    std::uint64_t n = 0;
+    for (std::size_t j = first; j < rec.adj.size(); ++j) {
+      n += admits(rec.adj[j].edge_meta) ? 1u : 0u;
+    }
+    return n;
+  }
+
+  /// Encode those same entries, metadata projected, into a batch on the wire.
+  template <typename Rec>
+  void encode_from(typename batch_type::encoder& enc, const Rec& rec,
+                   std::size_t first) const {
+    for (std::size_t j = first; j < rec.adj.size(); ++j) {
+      const entry_type& e = rec.adj[j];
+      if (admits(e.edge_meta)) enc.push(e.target, e.target_rank, pe(e.edge_meta));
+    }
   }
 
   /// Walk the wedge splits of `rec` that survive the plan window, invoking
@@ -558,25 +456,16 @@ class survey_engine {
                         std::uint64_t& batch_ctr) const {
     const entry_type& q_entry = rec.adj[i];
     if (!admits(q_entry.edge_meta)) return;  // wedge edge outside the plan window
-    const std::size_t n = rec.adj.size() - i - 1;
-    std::vector<candidate_type> candidates;
-    candidates.reserve(n);
-    std::vector<pe_type> owned;
-    if constexpr (edge_scratch_needed) owned.reserve(n);
-    for (std::size_t j = i + 1; j < rec.adj.size(); ++j) {
-      const entry_type& e = rec.adj[j];
-      if (!admits(e.edge_meta)) continue;  // candidate edge outside the window
-      candidates.push_back(
-          candidate_type::make(e.target, e.target_rank, em_wire(e.edge_meta, owned)));
-    }
-    if (candidates.empty()) return;  // only reachable with an active window
-    cand_ctr += candidates.size();
+    const std::uint64_t n = admitted_from(rec, i + 1);
+    if (n == 0) return;  // only reachable with an active window
+    cand_ctr += n;
     ++batch_ctr;
     decltype(auto) meta_p = pv(rec.meta);
     decltype(auto) meta_pq = pe(q_entry.edge_meta);
+    const auto fill = [&](typename batch_type::encoder& enc) { encode_from(enc, rec, i + 1); };
     snd.async(graph_->owner(q_entry.target), wedge_batch_handler{}, handle_,
               q_entry.target, p, vm_view(meta_p), em_view(meta_pq),
-              core::detail::as_batch_arg(candidates));
+              batch_type::encode(fill));
   }
 
   void fire_callback(const view_type& view) {
@@ -629,6 +518,7 @@ class survey_engine {
     std::uint64_t triangles = 0;
     std::uint64_t bitmap_batches = 0;
     std::uint64_t list_batches = 0;
+    std::vector<batch_entry> scratch;  ///< decoded batches this worker intersects
   };
 
   using task_fn = std::function<void(worker_ctx&)>;
@@ -739,7 +629,14 @@ class survey_engine {
 
   // --- intersection (shared by the inline and worker-task receive paths) ------
 
-  /// Close one wedge batch against Adjm+(q).  Hub targets with a bitmap row
+  /// The decoded ids for core::bitmap_probe: entry k's r at byte offset
+  /// k * sizeof(batch_entry).
+  [[nodiscard]] static const std::byte* ids_of(const std::vector<batch_entry>& v) noexcept {
+    return v.empty() ? nullptr : reinterpret_cast<const std::byte*>(&v.front().r);
+  }
+
+  /// Close one wedge batch against Adjm+(q), decoding it into `candidates`
+  /// (the intersecting thread's scratch).  Hub targets with a bitmap row
   /// take the sparse-vs-dense probe (only when the wire carries no metadata,
   /// so the dummies below are exactly what the projections produce);
   /// everything else takes the adaptive merge/gallop.  The kernel counters
@@ -747,19 +644,18 @@ class survey_engine {
   template <typename Sink>
   void process_wedge_batch(graph::vertex_id q, graph::vertex_id p,
                            const wire_vm& meta_p, const wire_em& meta_pq,
-                           const core::detail::batch_arg<candidate_type>& candidates,
+                           const batch_type& batch, std::vector<batch_entry>& candidates,
                            Sink&& sink, std::uint64_t& bitmap_ctr,
                            std::uint64_t& list_ctr) const {
     const std::uint32_t slot = graph_->locate(q);
+    batch.decode(candidates);
     if constexpr (bitmap_eligible) {
-      static_assert(serial::detail::bitwise<candidate_type>);
       const core::bitmap_view bm = graph_->hub_bitmap(slot);
       if (!bm.empty()) {
         ++bitmap_ctr;
-        core::bitmap_probe(bm, candidates.data(), sizeof(candidate_type),
-                           candidates.size(), [&](std::size_t k) {
-                             const candidate_type cand = candidates[k];
-                             sink(view_type{p, q, cand.r, meta_p, dummy_vm(),
+        core::bitmap_probe(bm, ids_of(candidates), sizeof(batch_entry), candidates.size(),
+                           [&](std::size_t k) {
+                             sink(view_type{p, q, candidates[k].r, meta_p, dummy_vm(),
                                             dummy_vm(), meta_pq, dummy_em(),
                                             dummy_em()});
                            });
@@ -774,50 +670,42 @@ class survey_engine {
     // Pashanasangi & Seshadhri; see core/intersect.hpp).
     core::adaptive_intersect(
         candidates.begin(), candidates.end(), rec_q.adj.begin(), rec_q.adj.end(),
-        [](const candidate_type& cand) { return cand.key(); },
+        [](const batch_entry& cand) { return cand.key(); },
         [](const entry_type& e) { return e.key(); },
-        [&](const candidate_type& cand, const entry_type& e) {
+        [&](const batch_entry& cand, const entry_type& e) {
           if (!admits(e.edge_meta)) return;  // closing edge outside the window
           decltype(auto) meta_r = pv(e.target_meta);
           decltype(auto) meta_qr = pe(e.edge_meta);
           sink(view_type{p, q, e.target, meta_p, vm_view(meta_q), vm_view(meta_r),
-                         meta_pq, cand.meta_pr, em_view(meta_qr)});
+                         meta_pq, cand.meta, em_view(meta_qr)});
         });
   }
 
-  /// Close one pulled adjacency Adjm+(q) against every local source (p, i).
+  /// Close one pulled adjacency Adjm+(q), decoded once into `entries` (the
+  /// intersecting thread's scratch), against every local source (p, i).
   /// A source p owning a hub bitmap probes the pulled entries against its
   /// FULL adjacency row: a hit r satisfies q <+ r (r ∈ Adjm+(q)), and any
   /// entry of Adjm+(p) at a position <= i satisfies <=+ q, so every hit
   /// necessarily lies past the split -- the probe equals the suffix
   /// intersection.  Tail sources keep the gallop over the suffix.
   template <typename Sink>
-  void process_pulled(graph::vertex_id q, const wire_vm& meta_q,
-                      const core::detail::batch_arg<pulled_type>& entries,
-                      const per_target& t, Sink&& sink, std::uint64_t& cand_ctr,
-                      std::uint64_t& bitmap_ctr, std::uint64_t& list_ctr) const {
+  void process_pulled(graph::vertex_id q, const wire_vm& meta_q, const batch_type& batch,
+                      std::vector<batch_entry>& entries, const per_target& t,
+                      Sink&& sink, std::uint64_t& cand_ctr, std::uint64_t& bitmap_ctr,
+                      std::uint64_t& list_ctr) const {
+    batch.decode(entries);
     for (const source_ref& s : t.sources) {
       decltype(auto) rec_p = graph_->resolve_record(s.slot);
       const graph::vertex_id p = s.p;
       const std::uint32_t i = s.split;
-      bool windowed = false;
-      if constexpr (window_capable) windowed = win_active_;
-      if (!windowed) {
-        cand_ctr += rec_p.adj.size() - i - 1;
-      } else {
-        for (std::size_t j = i + 1; j < rec_p.adj.size(); ++j) {
-          cand_ctr += admits(rec_p.adj[j].edge_meta) ? 1u : 0u;
-        }
-      }
+      cand_ctr += admitted_from(rec_p, i + 1);
       if constexpr (bitmap_eligible) {
-        static_assert(serial::detail::bitwise<pulled_type>);
         const core::bitmap_view bm = graph_->hub_bitmap(s.slot);
         if (!bm.empty()) {
           ++bitmap_ctr;
-          core::bitmap_probe(bm, entries.data(), sizeof(pulled_type), entries.size(),
+          core::bitmap_probe(bm, ids_of(entries), sizeof(batch_entry), entries.size(),
                              [&](std::size_t k) {
-                               const pulled_type e_qr = entries[k];
-                               sink(view_type{p, q, e_qr.r, dummy_vm(), meta_q,
+                               sink(view_type{p, q, entries[k].r, dummy_vm(), meta_q,
                                               dummy_vm(), dummy_em(), dummy_em(),
                                               dummy_em()});
                              });
@@ -832,15 +720,15 @@ class survey_engine {
           rec_p.adj.begin() + static_cast<std::ptrdiff_t>(i) + 1, rec_p.adj.end(),
           entries.begin(), entries.end(),
           [](const entry_type& e) { return e.key(); },
-          [](const pulled_type& pe_) { return pe_.key(); },
-          [&](const entry_type& e_pr, const pulled_type& e_qr) {
+          [](const batch_entry& e_qr) { return e_qr.key(); },
+          [&](const entry_type& e_pr, const batch_entry& e_qr) {
             if (!admits(e_pr.edge_meta)) return;  // candidate edge outside window
             // Callback on Rank(p): meta(r) comes from p's own Adjm+ entry.
             decltype(auto) meta_r = pv(e_pr.target_meta);
             decltype(auto) meta_pr = pe(e_pr.edge_meta);
             sink(view_type{p, q, e_pr.target, vm_view(meta_p), meta_q,
                            vm_view(meta_r), em_view(meta_pq), em_view(meta_pr),
-                           e_qr.meta_qr});
+                           e_qr.meta});
           });
     }
   }
@@ -905,19 +793,19 @@ class survey_engine {
   struct wedge_batch_handler {
     void operator()(comm::communicator& c, comm::dist_handle<self> h, graph::vertex_id q,
                     graph::vertex_id p, const wire_vm& meta_p, const wire_em& meta_pq,
-                    const core::detail::batch_arg<candidate_type>& candidates) {
+                    const batch_type& candidates) {
       self& eng = c.resolve(h);
       if constexpr (self::task_capable) {
         if (eng.tasks_enabled_) {
           // Steal the drained payload (the candidates/meta views point into
-          // it) and hand the intersection to a worker, which fires into its
-          // own context slices -- the owning-thread-only contract holds for
-          // the registered contexts (docs/THREADING.md).
+          // it) and hand decoding and intersection to a worker, which fires
+          // into its own context slices -- the owning-thread-only contract
+          // holds for the registered contexts (docs/THREADING.md).
           auto payload = c.share_current_payload();
           eng.tasks_.push([&eng, payload = std::move(payload), q, p, meta_p, meta_pq,
                            candidates](worker_ctx& wc) {
             eng.process_wedge_batch(
-                q, p, meta_p, meta_pq, candidates,
+                q, p, meta_p, meta_pq, candidates, wc.scratch,
                 [&](const view_type& view) {
                   ++wc.triangles;
                   eng.plan_->fire_slices(view, wc.slices, wc.fired);
@@ -928,7 +816,7 @@ class survey_engine {
         }
       }
       eng.process_wedge_batch(
-          q, p, meta_p, meta_pq, candidates,
+          q, p, meta_p, meta_pq, candidates, eng.scratch_,
           [&eng](const view_type& view) { eng.fire_callback(view); },
           eng.local_bitmap_batches_, eng.local_list_batches_);
     }
@@ -1009,6 +897,11 @@ class survey_engine {
     void operator()(comm::communicator& c, comm::dist_handle<self> h, graph::vertex_id q,
                     int source_rank, std::uint64_t candidate_count) {
       self& eng = c.resolve(h);
+      if (source_rank < 0 || source_rank >= c.size()) {
+        throw std::runtime_error("survey propose_handler: source_rank " +
+                                 std::to_string(source_rank) + " outside [0, " +
+                                 std::to_string(c.size()) + ") for q=" + std::to_string(q));
+      }
       // Pull pays off when shipping Adjm+(q) once beats receiving the
       // candidates: |Adj+(q)| < sum of suffix lengths from that rank.
       const bool pull =
@@ -1025,9 +918,7 @@ class survey_engine {
     void operator()(comm::communicator& c, comm::dist_handle<self> h, graph::vertex_id q,
                     bool pull) {
       self& eng = c.resolve(h);
-      auto it = eng.targets_.find(q);
-      assert(it != eng.targets_.end());
-      it->second.pull_granted = pull;
+      eng.target_of("decision_handler", q).pull_granted = pull;
     }
   };
 
@@ -1058,46 +949,47 @@ class survey_engine {
     });
   }
 
-  /// Serialize Adjm+(q) once and ship it to every granted rank.
+  /// Ship Adjm+(q)'s in-window entries to every granted rank (encoded into
+  /// each destination's buffer).
   template <typename Sender>
   void send_pulled_adjacency(Sender& snd, graph::vertex_id q,
                              const std::vector<int>& ranks) const {
     decltype(auto) rec_q = graph_->resolve_record(graph_->locate(q));
-    std::vector<pulled_type> entries;
-    entries.reserve(rec_q.adj.size());
-    std::vector<pe_type> owned;
-    if constexpr (edge_scratch_needed) owned.reserve(rec_q.adj.size());
-    for (const entry_type& e : rec_q.adj) {
-      if (!admits(e.edge_meta)) continue;  // closing edge outside the window
-      entries.push_back(
-          pulled_type::make(e.target, e.target_rank, em_wire(e.edge_meta, owned)));
-    }
     bool windowed = false;
     if constexpr (window_capable) windowed = win_active_;
-    if (windowed && entries.empty()) return;  // nothing in-window to close against
+    if (windowed && admitted_from(rec_q, 0) == 0) return;  // nothing to close against
     decltype(auto) meta_q = pv(rec_q.meta);
+    const auto fill = [&](typename batch_type::encoder& enc) { encode_from(enc, rec_q, 0); };
     for (const int dest : ranks) {
       snd.async(dest, pulled_adj_handler{}, handle_, q, vm_view(meta_q),
-                core::detail::as_batch_arg(entries));
+                batch_type::encode(fill));
     }
+  }
+
+  /// The dry-run target a decision or pulled list names.  A frame naming a
+  /// q this rank never proposed for is corrupt (or hostile): refuse it.
+  [[nodiscard]] per_target& target_of(const char* handler, graph::vertex_id q) {
+    const auto it = targets_.find(q);
+    if (it == targets_.end()) {
+      throw std::runtime_error(std::string("survey ") + handler +
+                               ": no dry-run target for q=" + std::to_string(q));
+    }
+    return it->second;
   }
 
   struct pulled_adj_handler {
     void operator()(comm::communicator& c, comm::dist_handle<self> h, graph::vertex_id q,
-                    const wire_vm& meta_q,
-                    const core::detail::batch_arg<pulled_type>& entries) {
+                    const wire_vm& meta_q, const batch_type& entries) {
       self& eng = c.resolve(h);
-      auto it = eng.targets_.find(q);
-      assert(it != eng.targets_.end());
       // Stable reference: targets_ sees no inserts after the dry run.
-      const per_target& t = it->second;
+      const per_target& t = eng.target_of("pulled_adj_handler", q);
       if constexpr (self::task_capable) {
         if (eng.tasks_enabled_) {
           auto payload = c.share_current_payload();
           eng.tasks_.push(
               [&eng, payload = std::move(payload), q, meta_q, entries, &t](worker_ctx& wc) {
                 eng.process_pulled(
-                    q, meta_q, entries, t,
+                    q, meta_q, entries, wc.scratch, t,
                     [&](const view_type& view) {
                       ++wc.triangles;
                       eng.plan_->fire_slices(view, wc.slices, wc.fired);
@@ -1108,7 +1000,7 @@ class survey_engine {
         }
       }
       eng.process_pulled(
-          q, meta_q, entries, t,
+          q, meta_q, entries, eng.scratch_, t,
           [&eng](const view_type& view) { eng.fire_callback(view); },
           eng.local_candidates_, eng.local_bitmap_batches_, eng.local_list_batches_);
     }
@@ -1121,6 +1013,9 @@ class survey_engine {
 
   targets_map targets_;
   std::unordered_map<graph::vertex_id, std::vector<int>> pull_grants_;
+  /// Owning-thread decode scratch: batches intersected inline (no worker
+  /// task) decode here.  Handlers never nest, so one vector suffices.
+  std::vector<batch_entry> scratch_;
 
   int threads_ = 1;
   bool pin_ = false;  ///< resolved survey_options::pin_threads / TRIPOLL_PIN

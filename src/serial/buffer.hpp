@@ -96,6 +96,16 @@ class byte_buffer {
 
   void commit(std::size_t n) noexcept { size_ += n; }
 
+  /// Replace the `gap` committed bytes at `pos` with the `n <= gap` bytes at
+  /// `src`, shifting the tail down: an encoder reserves room for a prefix
+  /// whose size is known only after the body is written, then closes it.
+  void replace_shrink(std::size_t pos, std::size_t gap, const void* src,
+                      std::size_t n) noexcept {
+    std::memcpy(data_ + pos, src, n);
+    std::memmove(data_ + pos + n, data_ + pos + gap, size_ - pos - gap);
+    size_ -= gap - n;
+  }
+
   [[nodiscard]] const std::byte* data() const noexcept { return data_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }

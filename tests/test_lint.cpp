@@ -290,11 +290,14 @@ TEST(Parser, WireAssertAndAliasCapture) {
     struct edge { vertex_id u = 0; vertex_id v = 0; };
     TRIPOLL_WIRE_ASSERT(edge, u, v);
     void f(const wire_span<edge>& es);
+    struct stamp { unsigned long long t = 0; };
+    void g(const packed_batch<stamp>& b);
   )");
   ASSERT_EQ(m.wire_asserts.size(), 1u);
   EXPECT_EQ(m.wire_asserts[0].first, "edge");
   EXPECT_EQ(m.wire_asserts[0].second, (std::vector<std::string>{"u", "v"}));
-  EXPECT_EQ(m.wire_span_elems.count("edge"), 1u);
+  EXPECT_EQ(m.wire_elems.count("edge"), 1u);
+  EXPECT_EQ(m.wire_elems.count("stamp"), 1u);
   ASSERT_EQ(m.aliases.count("vertex_id"), 1u);
 }
 

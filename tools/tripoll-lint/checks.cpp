@@ -3,7 +3,8 @@
 // Checks 1-2 reason about "wire types": structs that reach serialize.hpp's
 // bitwise path.  Lacking a real frontend, wire types are anchored
 // syntactically -- a struct is a wire type when any scanned file registers
-// it with TRIPOLL_WIRE_ASSERT, names it as a wire_span element, or
+// it with TRIPOLL_WIRE_ASSERT, names it as a wire_span or packed_batch
+// element, or
 // annotates it `// tripoll-lint: wire-type`; `// tripoll-lint: not-wire`
 // and a literal-`true` tripoll_force_member_serialize flag opt a struct
 // out.  Checks 3-5 are scoped by the repo's structural conventions:
@@ -61,11 +62,11 @@ global_ctx build_ctx(const std::vector<file_model>& files) {
     for (const auto& [k, v] : f.enum_underlying) g.enums[k] = v;
   }
   // Anchor wire types, then expand one level of aliases so that
-  // `wire_span<candidate_type>` anchors `wedge_candidate`.
+  // `packed_batch<meta_alias>` anchors the struct `meta_alias` names.
   std::set<std::string> anchors;
   for (const auto& f : files) {
     for (const auto& [type, members] : f.wire_asserts) anchors.insert(type);
-    for (const auto& e : f.wire_span_elems) anchors.insert(e);
+    for (const auto& e : f.wire_elems) anchors.insert(e);
     for (const auto& s : f.structs) {
       if (s.annotated_wire) anchors.insert(s.name);
     }
@@ -287,8 +288,8 @@ void check_wire_padding(const std::vector<file_model>& files, const global_ctx& 
 bool is_view_type(const std::vector<std::string>& toks) {
   for (const auto& t : toks) {
     if (t == "*" || t == "&" || t == "&&") return true;
-    if (t == "string_view" || t == "wire_span" || t == "span" ||
-        t == "unique_ptr" || t == "shared_ptr" || t == "observer_ptr") {
+    if (t == "string_view" || t == "wire_span" || t == "packed_batch" ||
+        t == "span" || t == "unique_ptr" || t == "shared_ptr" || t == "observer_ptr") {
       return true;
     }
   }
@@ -339,14 +340,14 @@ void check_handler_static_init(const std::vector<file_model>& files,
 // Check 4: tripoll-view-escape.
 // ---------------------------------------------------------------------------
 
-/// View-ish tokens for handler parameters.  batch_arg<T> resolves to
-/// wire_span<T> for bitwise T, and wire_type_t maps std::string to
-/// string_view -- both are views into the drained payload.
+/// View-ish tokens for handler parameters.  A received packed_batch<T>
+/// views its encoded entries, and wire_type_t maps std::string to
+/// string_view -- both point into the drained payload.
 bool toks_contain_view(const std::vector<std::string>& toks, const global_ctx& g,
                        std::set<std::string>& seen) {
   for (const auto& t : toks) {
     if (t == "wire_span" || t == "string_view" || t == "span" ||
-        t == "batch_arg" || t == "wire_type_t") {
+        t == "packed_batch" || t == "wire_type_t") {
       return true;
     }
   }

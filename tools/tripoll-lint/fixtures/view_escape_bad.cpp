@@ -28,6 +28,18 @@ struct name_handler {
   task_queue tasks_;
 };
 
+struct pulled_handler {
+  // A received packed_batch views encoded entries inside the payload, so
+  // deferring it needs the same keepalive as a wire_span.
+  void operator()(communicator& c, const packed_batch<std::uint64_t>& entries) {
+    tasks_.push([&c, entries] {  // EXPECT: tripoll-view-escape
+      (void)c;
+      (void)entries;
+    });
+  }
+  task_queue tasks_;
+};
+
 struct store_handler {
   void operator()(communicator& c, std::string_view label, wire_span<int> xs) {
     last_label_ = label;  // EXPECT: tripoll-view-escape

@@ -30,6 +30,22 @@ struct escorted_handler {
   task_queue tasks_;
 };
 
+struct batch_handler {
+  // The survey engine's shape: a packed_batch handed to a worker task next
+  // to the payload keepalive, or decoded synchronously into scratch.
+  void operator()(communicator& c, const packed_batch<std::uint64_t>& entries) {
+    if (defer_) {
+      auto payload = c.share_current_payload();
+      tasks_.push([payload = std::move(payload), entries] { (void)entries; });
+      return;
+    }
+    entries.decode(scratch_);
+  }
+  bool defer_ = true;
+  std::vector<entry> scratch_;
+  task_queue tasks_;
+};
+
 struct copying_handler {
   // Deferring an owned copy (not the view) is fine; the lambda captures
   // only the copy's name.

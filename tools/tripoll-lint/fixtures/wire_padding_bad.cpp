@@ -29,6 +29,14 @@ struct annotated_padded {  // EXPECT: tripoll-wire-padding
   std::uint64_t b = 0;
 };
 
+// Anchored as packed_batch metadata, which the archive memcpys when the
+// type is trivially copyable.
+struct padded_stamp {  // EXPECT: tripoll-wire-padding
+  std::uint32_t lo = 0;
+  std::uint64_t hi = 0;
+};
+inline void uses_batch(const packed_batch<padded_stamp>& b) { (void)b; }
+
 // Enum with explicit narrow underlying type + multi-declarator members.
 enum class color : std::uint8_t { red, green };
 

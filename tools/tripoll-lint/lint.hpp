@@ -10,7 +10,8 @@
 //   * handler registration must happen during namespace-scope static
 //     initialization, or handler ids desynchronize across socket ranks
 //     (comm/handler_registry.hpp);
-//   * wire_span/string_view handler arguments die with the drained payload
+//   * wire_span/packed_batch/string_view handler arguments die with the
+//     drained payload
 //     and must not escape the handler scope;
 //   * receiver-side handlers and `add_reduced` worker callbacks must never
 //     block (docs/THREADING.md).
@@ -139,7 +140,10 @@ struct file_model {
   std::vector<function_decl> free_functions;  ///< namespace-scope bodies
   std::vector<call_site> register_calls;      ///< register_thunk call sites
   std::vector<std::size_t> add_reduced_calls; ///< token index of `add_reduced`
-  std::set<std::string> wire_span_elems;      ///< X in wire_span<...X>
+  /// X in wire_span<...X> or packed_batch<...X>: element types a batch
+  /// puts on the wire (packed_batch serializes its metadata X through the
+  /// archive, which memcpys a bitwise X).
+  std::set<std::string> wire_elems;
   /// TRIPOLL_WIRE_ASSERT(T, members...) registrations: type -> member list.
   std::vector<std::pair<std::string, std::vector<std::string>>> wire_asserts;
   std::map<int, std::string> comments;        ///< line -> raw comment text

@@ -5,7 +5,8 @@
 // with data members and inline methods, enums with underlying types, free
 // functions -- and records everything the checks need: member lists with
 // type tokens, method body token ranges, `register_thunk` call sites,
-// `wire_span<...>` element anchors and TRIPOLL_WIRE_ASSERT registrations.
+// `wire_span<...>` / `packed_batch<...>` element anchors and
+// TRIPOLL_WIRE_ASSERT registrations.
 // Anything it does not understand it skips with balanced-delimiter
 // matching; unknown constructs degrade to "no model", never to a crash.
 // The fixture suite (fixtures/) and the lint-is-clean-on-the-real-tree
@@ -731,13 +732,13 @@ class scanner {
         }
       } else if (s == "add_reduced" && is(i + 1, "(")) {
         m_.add_reduced_calls.push_back(i);
-      } else if (s == "wire_span" && is(i + 1, "<")) {
+      } else if ((s == "wire_span" || s == "packed_batch") && is(i + 1, "<")) {
         const std::size_t close = skip_angles(i + 1);
         std::string last_ident;
         for (std::size_t k = i + 2; k + 1 < close; ++k) {
           if (is_ident(k)) last_ident = tok(k).text;
         }
-        if (!last_ident.empty()) m_.wire_span_elems.insert(last_ident);
+        if (!last_ident.empty()) m_.wire_elems.insert(last_ident);
       } else if (s == "using" && is_ident(i + 1) && is(i + 2, "=")) {
         // Type alias: record the right-hand-side tokens for size lookup.
         std::vector<std::string> rhs;
