@@ -70,6 +70,24 @@ double plain_rate(int ranks, std::uint32_t scale, tripoll::survey_mode mode) {
          (static_cast<double>(ranks) * result.total.seconds);
 }
 
+/// Collective: this rank's (vertex, degree) pairs of the metadata-free
+/// graph over `rmat`'s edges, so degree-derived vertex metadata can be
+/// contributed to the metadata build.
+std::vector<std::pair<graph::vertex_id, std::uint64_t>> local_degrees(
+    comm::communicator& c, const gen::rmat_generator& rmat) {
+  graph::graph_builder<graph::none, graph::none> builder(c);
+  gen::for_rank_slice(c, rmat.num_edges(), [&](std::uint64_t k) {
+    const auto e = rmat.edge_at(k);
+    builder.add_edge(e.u, e.v);
+  });
+  graph::dodgr<graph::none, graph::none> g(c);
+  builder.build_into(g);
+  std::vector<std::pair<graph::vertex_id, std::uint64_t>> out;
+  g.for_all_local(
+      [&](const graph::vertex_id& v, const auto& rec) { out.emplace_back(v, rec.degree); });
+  return out;
+}
+
 /// Work rate with per-vertex degree metadata and the log2-degree-triple
 /// counting callback (Sec. 5.9).  Deliberately identity-projected: this is
 /// the paper's "nontrivial metadata on the wire" data point.
@@ -78,22 +96,16 @@ double metadata_rate(int ranks, std::uint32_t scale, tripoll::survey_mode mode) 
   graph::graph_census census{};
   comm::runtime::run(ranks, [&](comm::communicator& c) {
     gen::rmat_generator rmat(gen::rmat_params{scale, 16, 0.57, 0.19, 0.19, 777, true});
-    // First pass: count degrees locally from the deterministic stream (the
-    // degree is the metadata the paper attaches in this experiment).
+    // First pass: the degrees (the metadata the paper attaches in this
+    // experiment), then the metadata build.
     graph::graph_builder<std::uint64_t, graph::none> builder(c);
     gen::for_rank_slice(c, rmat.num_edges(), [&](std::uint64_t k) {
       const auto e = rmat.edge_at(k);
       builder.add_edge(e.u, e.v);
     });
+    for (const auto& [v, degree] : local_degrees(c, rmat)) builder.add_vertex_meta(v, degree);
     graph::dodgr<std::uint64_t, graph::none> g(c);
     builder.build_into(g);
-    // Set each vertex's metadata to its own ordering rank (== degree under
-    // the default policy this bench builds with; rank-local fix-up).
-    g.for_all_local([](const graph::vertex_id&, auto& rec) { rec.meta = rec.order_rank; });
-    // Target metadata along adjacency must match too.
-    g.for_all_local([](const graph::vertex_id&, auto& rec) {
-      for (auto& e : rec.adj) e.target_meta = e.target_rank;
-    });
     census = g.census();
     auto fz = graph::freeze(g);
     comm::counting_set<cb::degree_triple> counters(c);
@@ -206,6 +218,14 @@ std::uint64_t hist_checksum(const closure_hist_ctx& ctx) {
 void build_rich_graph(comm::communicator& c, rich_graph& g, std::uint32_t scale) {
   graph::graph_builder<rich_vertex_meta, rich_edge_meta> builder(c);
   gen::rmat_generator rmat(gen::rmat_params{scale, 16, 0.57, 0.19, 0.19, 777, true});
+  // Vertex metadata is a pure function of the id and the degree.
+  for (const auto& [v, degree] : local_degrees(c, rmat)) {
+    rich_vertex_meta m;
+    m.degree = degree;
+    m.join_time = tripoll::serial::splitmix64(v) % 1000000;
+    std::snprintf(m.name, sizeof m.name, "user-%llu", (unsigned long long)v);
+    builder.add_vertex_meta(v, m);
+  }
   gen::for_rank_slice(c, rmat.num_edges(), [&](std::uint64_t k) {
     const auto e = rmat.edge_at(k);
     rich_edge_meta em;
@@ -216,16 +236,6 @@ void build_rich_graph(comm::communicator& c, rich_graph& g, std::uint32_t scale)
     builder.add_edge(e.u, e.v, em);
   });
   builder.build_into(g);
-  // Rank-local metadata fix-up (pure function of the id: deterministic).
-  g.for_all_local([](const graph::vertex_id& v, auto& rec) {
-    const auto fill = [](rich_vertex_meta& m, graph::vertex_id id, std::uint64_t degree) {
-      m.degree = degree;
-      m.join_time = tripoll::serial::splitmix64(id) % 1000000;
-      std::snprintf(m.name, sizeof m.name, "user-%llu", (unsigned long long)id);
-    };
-    fill(rec.meta, v, rec.degree);
-    for (auto& e : rec.adj) fill(e.target_meta, e.target, 0);
-  });
 }
 
 /// Run one plan case over a freshly built (and frozen) rich graph.

@@ -22,13 +22,13 @@ struct closure_probe_handler {
   void operator()(comm::communicator& c, comm::dist_handle<approx_state> h,
                   graph::vertex_id q, graph::vertex_id r, std::uint64_t r_rank) {
     approx_state& st = c.resolve(h);
-    const auto* rec = st.g->local_find(q);
-    if (rec == nullptr) return;
+    const auto rec = st.g->local_find(q);
+    if (!rec) return;
     const auto key = graph::make_order_key(r, r_rank);
     const auto it = std::lower_bound(
         rec->adj.begin(), rec->adj.end(), key,
         [](const auto& e, const graph::order_key& k) { return e.key() < k; });
-    if (it != rec->adj.end() && it->target == r) ++st.closed;
+    if (it != rec->adj.end() && (*it).target == r) ++st.closed;
   }
 };
 
@@ -93,7 +93,7 @@ approx_count_result approx_triangle_count(comm::communicator& c, plain_graph& g,
         cumulative.begin(), cumulative.end(), pick,
         [](std::uint64_t value, const auto& entry) { return value < entry.second; });
     const graph::vertex_id p = it->first;
-    const auto* rec = g.local_find(p);
+    const auto rec = g.local_find(p);
     const std::uint64_t d = rec->out_degree();
     const std::uint64_t wedges_at_p = d * (d - 1) / 2;
     rng = serial::splitmix64(rng);

@@ -19,13 +19,13 @@ struct wedge_query_handler {
   void operator()(comm::communicator& c, comm::dist_handle<pearce_state> h,
                   graph::vertex_id q, graph::vertex_id r, std::uint64_t r_rank) {
     pearce_state& st = c.resolve(h);
-    const auto* rec = st.g->local_find(q);
-    if (rec == nullptr) return;
+    const auto rec = st.g->local_find(q);
+    if (!rec) return;
     const auto key = graph::make_order_key(r, r_rank);
     const auto it = std::lower_bound(
         rec->adj.begin(), rec->adj.end(), key,
         [](const auto& e, const graph::order_key& k) { return e.key() < k; });
-    if (it != rec->adj.end() && it->target == r) ++st.local_count;
+    if (it != rec->adj.end() && (*it).target == r) ++st.local_count;
   }
 };
 

@@ -19,7 +19,7 @@
 //
 // The engine walks slot-addressed graphs (core::slot_addressed_graph): the
 // frozen CSR `graph::frozen_dodgr` and the streaming `graph::overlay`.  The
-// map-form `graph::dodgr` is a build step only -- freeze() it first.
+// built `graph::dodgr` has no slot-addressed API -- freeze() it first.
 //
 // Intra-rank parallelism (docs/THREADING.md): with survey_options::threads
 // > 1, each phase's slot walk is partitioned into work-stealing chunks
@@ -137,7 +137,7 @@ class survey_engine {
 
   static_assert(core::slot_addressed_graph<Graph>,
                 "the survey engine walks slot-addressed graphs (graph::frozen_dodgr, "
-                "graph::overlay); the map-form graph::dodgr is a build step only -- "
+                "graph::overlay); a built graph::dodgr is not surveyable -- "
                 "call graph::freeze(g) first and survey the frozen graph");
 
   /// A bitmap answers membership, not which adjacency entry matched, so the

@@ -1,37 +1,48 @@
 // builder.hpp -- distributed construction of the DODGr from raw edges.
 //
-// The input is a stream of undirected edges with optional metadata plus
-// per-vertex metadata, contributed by every rank.  Construction is itself a
-// distributed computation (the input never lands on one rank):
+// Every rank contributes undirected edges (optional metadata) and vertex
+// metadata; the input never lands on one rank.  Construction is a bulk,
+// sort-based pipeline over rank-local arrays whose exchanges all go through
+// comm::column_exchange (one RPC per ~buffer_capacity bytes of entries):
 //
-//   P1  dedup    : edges shuffle to the owner of their normalized (min,max)
-//                  pair; duplicates merge under a policy (e.g. keep the
-//                  chronologically-first timestamp, the paper's Reddit rule).
-//   P2  scatter  : each unique edge (a,b) delivers (b,meta) to Rank(a) and
-//                  (a,meta) to Rank(b), building undirected adjacency.
-//   P3  degrees  : d(v) = |Adj(v)| is now local.
-//   P3b ordering : assign each vertex its <+ rank under the chosen
-//                  ordering_policy -- the degree itself, or the peel-wave
-//                  index of a distributed k-core peeling pass
-//                  (graph/ordering.hpp).
-//   P4  exchange : every vertex sends (v, rank(v), meta(v)) to each neighbor;
-//                  receivers learn target ranks/metadata for the <+ order
-//                  and the Adjm+ entries.
-//   P5  assemble : locally orient edges by <+, sort Adjm+(v), fill records.
-//   P6  d+ flow  : every vertex reports d+(v) to its DODGr in-neighbors so
-//                  their adjacency entries can drive Push-Pull decisions.
+//   feed         : add_edge(u, v) stages the half-edges u->v for Rank(u) and
+//                  v->u for Rank(v) (self-loops are dropped);
+//                  add_vertex_meta(v) stages (v, meta) for Rank(v).
+//   P1  dedup    : sort half-edges by (source, target, arrival) and merge
+//                  duplicates under a policy (e.g. keep the chronologically
+//                  first timestamp, the paper's Reddit rule).  Vertex
+//                  metadata keeps the last arrival.
+//   P2  CSR      : the merged half-edges are the undirected adjacency, rows
+//                  ascending by id; a metadata-only vertex is a degree-0 row.
+//   P3  ordering : each vertex's <+ rank -- its degree, or its peel wave
+//                  from degeneracy_peel over the CSR (graph/ordering.hpp).
+//   P4  exchange : each vertex sends (v, rank(v), meta(v)) once to every rank
+//                  holding one of its neighbors.
+//   P5  assemble : orient edges by <+, sort each Adjm+(v) and the vertices by
+//                  <+, and write the CSR columns of the dodgr.
+//   P6  d+ flow  : each vertex sends d+(v) once to every rank holding a DODGr
+//                  in-neighbor, which fills target_out_degree for Push-Pull.
+//
+// Adjm+ stores each undirected edge once, at its <+-lower endpoint, with the
+// metadata merged there; keep_least/keep_greatest (any order-independent
+// policy) give the same value at either endpoint.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "comm/column_exchange.hpp"
 #include "comm/communicator.hpp"
-#include "comm/distributed_map.hpp"
+#include "comm/key_hash.hpp"
 #include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 #include "graph/types.hpp"
 
@@ -40,8 +51,8 @@ namespace tripoll::graph {
 /// Merge policies for duplicate undirected edges (multigraph reduction).
 namespace merge {
 
-/// First writer wins (arrival order; nondeterministic under races across
-/// ranks, acceptable for metadata-free counting).
+/// First writer wins (arrival order at the owner; nondeterministic under
+/// races across ranks, acceptable for metadata-free counting).
 struct keep_existing {
   template <typename EM>
   void operator()(EM& /*existing*/, const EM& /*incoming*/) const noexcept {}
@@ -70,11 +81,10 @@ template <typename VertexMeta, typename EdgeMeta, typename MergePolicy = merge::
 class graph_builder {
  public:
   using graph_type = dodgr<VertexMeta, EdgeMeta>;
-  using self = graph_builder<VertexMeta, EdgeMeta, MergePolicy>;
 
   explicit graph_builder(comm::communicator& c,
                          ordering_policy ordering = ordering_policy::degree)
-      : comm_(&c), edges_(c), records_(c), ordering_(ordering) {}
+      : comm_(&c), half_edges_(c), vertex_meta_(c), ordering_(ordering) {}
 
   graph_builder(const graph_builder&) = delete;
   graph_builder& operator=(const graph_builder&) = delete;
@@ -84,20 +94,21 @@ class graph_builder {
   /// Contribute one undirected edge.  Self-loops are dropped (triangles
   /// never use them); duplicates merge under MergePolicy at build time.
   void add_edge(vertex_id u, vertex_id v, const EdgeMeta& meta = EdgeMeta{}) {
+    require_unbuilt("add_edge");
     if (u == v) {
       ++dropped_self_loops_;
       return;
     }
-    const auto key = normalize(u, v);
-    edges_.async_visit(key, dedup_visitor{}, meta);
-    // Both endpoints must exist as vertices even if metadata never arrives.
-    records_.async_visit(u, touch_visitor{});
-    records_.async_visit(v, touch_visitor{});
+    half_edges_.push(owner(u), u, v, meta);
+    half_edges_.push(owner(v), v, u, meta);
   }
 
-  /// Contribute metadata for a vertex (may arrive from any rank).
+  /// Contribute metadata for a vertex (may arrive from any rank; the last
+  /// arrival at the vertex's owner wins).  The vertex exists even if no
+  /// edge names it.
   void add_vertex_meta(vertex_id v, const VertexMeta& meta) {
-    records_.async_visit(v, set_meta_visitor{}, meta);
+    require_unbuilt("add_vertex_meta");
+    vertex_meta_.push(owner(v), v, meta);
   }
 
   [[nodiscard]] std::uint64_t local_dropped_self_loops() const noexcept {
@@ -110,195 +121,292 @@ class graph_builder {
     return peel_stats_;
   }
 
-  /// Collective: run the construction pipeline, filling `g`.  The builder's
-  /// staging storage is released afterwards; the builder may not be reused.
+  /// Collective: run the construction pipeline, filling `g`.  A builder
+  /// builds once: a second build_into, or an add_edge/add_vertex_meta after
+  /// it, throws std::logic_error.
   void build_into(graph_type& g) {
+    require_unbuilt("build_into");
+    built_ = true;
     auto& c = *comm_;
-    c.barrier();  // P1 complete: all edges deduped, all vertex meta landed
+    half_edges_.flush();
+    vertex_meta_.flush();
+    c.barrier();  // every half-edge and metadata entry is on its owner
 
-    // P2: scatter unique edges to both endpoints.
-    edges_.for_all_local([&](const pair_key& key, const dedup_slot& slot) {
-      records_.async_visit_if_exists(key.first, append_raw_visitor{}, key.second,
-                                     slot.meta);
-      records_.async_visit_if_exists(key.second, append_raw_visitor{}, key.first,
-                                     slot.meta);
-    });
-    c.barrier();
-
-    // P3+P3b: degrees are local; assign <+ ranks under the chosen policy.
+    const undirected und = dedup_to_csr();  // P1 + P2
+    std::vector<std::uint64_t> rank;        // P3
     if (ordering_ == ordering_policy::degeneracy) {
-      peel_stats_ = degeneracy_peel(
-          c, records_, [](const build_record& rec, auto&& fn) {
-            for (const auto& [u, em] : rec.raw_adj) {
-              (void)em;
-              fn(u);
-            }
-          });
-      records_.for_all_local([](const vertex_id&, build_record& rec) {
-        rec.order_rank = rec.peel.rank;
-      });
+      peel_stats_ = degeneracy_peel(c, und.adjacency(), rank);
     } else {
-      records_.for_all_local([](const vertex_id&, build_record& rec) {
-        rec.order_rank = static_cast<std::uint64_t>(rec.raw_adj.size());
-      });
+      rank.resize(und.size());
+      for (std::size_t i = 0; i < und.size(); ++i) rank[i] = und.degree(i);
     }
-
-    // P4: exchange (id, rank, meta) with neighbors.
-    records_.for_all_local([&](const vertex_id& v, build_record& rec) {
-      for (const auto& [u, em] : rec.raw_adj) {
-        (void)em;
-        records_.async_visit_if_exists(u, deliver_ninfo_visitor{}, v, rec.order_rank,
-                                       rec.meta);
-      }
-    });
-    c.barrier();
-
-    // P5: orient by <+, sort, assemble final records (rank-local).
-    records_.for_all_local([&](const vertex_id& v, build_record& rec) {
-      std::sort(rec.ninfo.begin(), rec.ninfo.end(),
-                [](const ninfo_entry& a, const ninfo_entry& b) { return a.id < b.id; });
-      auto& out = g.storage().local_at_or_create(v);
-      out.degree = rec.raw_adj.size();
-      out.order_rank = rec.order_rank;
-      out.meta = rec.meta;
-      out.adj.clear();
-      for (const auto& [u, em] : rec.raw_adj) {
-        const ninfo_entry& info = find_ninfo(rec, v, u, "P5");
-        if (order_less(v, rec.order_rank, u, info.rank)) {
-          out.adj.push_back(adj_entry<VertexMeta, EdgeMeta>{u, info.rank, 0, em, info.meta});
-        }
-      }
-      std::sort(out.adj.begin(), out.adj.end(),
-                [](const auto& a, const auto& b) { return a.key() < b.key(); });
-    });
-    c.barrier();
-
-    // P6: report d+(v) to DODGr in-neighbors (u <+ v holds their entry for v).
-    records_.for_all_local([&](const vertex_id& v, build_record& rec) {
-      const auto* gv = g.local_find(v);
-      if (gv == nullptr) {
-        throw std::runtime_error("tripoll: graph_builder P6: vertex " +
-                                 std::to_string(v) +
-                                 " has no assembled record on its owner rank");
-      }
-      const auto dplus_v = static_cast<std::uint64_t>(gv->adj.size());
-      for (const auto& [u, em] : rec.raw_adj) {
-        (void)em;
-        const ninfo_entry& info = find_ninfo(rec, v, u, "P6");
-        if (order_less(u, info.rank, v, rec.order_rank)) {
-          g.async_visit(u, set_dplus_visitor{}, v, rec.order_rank, dplus_v);
-        }
-      }
-    });
-    c.barrier();
-
-    edges_.clear_local();
-    records_.clear_local();
-    g.set_ordering(ordering_);
-    g.invalidate_census();
+    const neighbor_table nt = exchange_neighbors(und, rank);  // P4
+    g.assign(assemble(und, rank, nt), ordering_);              // P5 + P6
   }
 
  private:
-  using pair_key = std::pair<vertex_id, vertex_id>;
+  static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
 
-  [[nodiscard]] static pair_key normalize(vertex_id u, vertex_id v) noexcept {
-    return u < v ? pair_key{u, v} : pair_key{v, u};
-  }
+  /// One rank's deduplicated undirected adjacency (P2).
+  struct undirected {
+    std::vector<vertex_id> vid;         ///< ascending
+    std::vector<VertexMeta> vmeta;      ///< parallel to vid
+    std::vector<std::uint64_t> offset;  ///< CSR row starts, size()+1 entries
+    std::vector<vertex_id> nbr;         ///< ascending within each row
+    std::vector<EdgeMeta> emeta;        ///< merged, parallel to nbr
 
-  struct dedup_slot {
-    EdgeMeta meta{};
-    bool set = false;
+    [[nodiscard]] std::size_t size() const noexcept { return vid.size(); }
+    [[nodiscard]] std::uint64_t degree(std::size_t i) const noexcept {
+      return offset[i + 1] - offset[i];
+    }
+    [[nodiscard]] local_adjacency adjacency() const noexcept { return {vid, offset, nbr}; }
+  };
 
-    template <typename Archive>
-    void serialize(Archive& ar) {
-      ar(meta, set);
+  /// The distinct neighbors of this rank's vertices, with their P4 reports.
+  struct neighbor_table {
+    std::vector<vertex_id> id;          ///< ascending
+    std::vector<int> owner;
+    std::vector<order_key> key;         ///< <+ key, from the reported rank
+    std::vector<VertexMeta> meta;
+    std::vector<std::size_t> of_nbr;   ///< table index of every undirected nbr[e]
+
+    [[nodiscard]] std::size_t size() const noexcept { return id.size(); }
+    [[nodiscard]] std::size_t find(vertex_id v) const noexcept {
+      const auto it = std::lower_bound(id.begin(), id.end(), v);
+      return it != id.end() && *it == v ? static_cast<std::size_t>(it - id.begin()) : npos;
     }
   };
 
-  struct ninfo_entry {
-    vertex_id id = 0;
-    std::uint64_t rank = 0;  ///< neighbor's <+ ordering rank
-    VertexMeta meta{};
-  };
-
-  struct build_record {
-    VertexMeta meta{};
-    std::uint64_t order_rank = 0;
-    peel_state peel{};
-    std::vector<std::pair<vertex_id, EdgeMeta>> raw_adj;
-    std::vector<ninfo_entry> ninfo;
-  };
-
-  /// The P4 report neighbor `u` delivered to `v`.  Every neighbor must have
-  /// reported itself; a miss means a lost or mis-routed P4 message and is a
-  /// construction-breaking bug, so fail loudly instead of dereferencing an
-  /// invalid iterator.
-  [[nodiscard]] static const ninfo_entry& find_ninfo(const build_record& rec, vertex_id v,
-                                                     vertex_id u, const char* phase) {
-    const auto it = std::lower_bound(
-        rec.ninfo.begin(), rec.ninfo.end(), u,
-        [](const ninfo_entry& e, vertex_id id) { return e.id < id; });
-    if (it == rec.ninfo.end() || it->id != u) {
-      throw std::runtime_error("tripoll: graph_builder " + std::string(phase) +
-                               ": neighbor " + std::to_string(u) + " of vertex " +
-                               std::to_string(v) + " never arrived in the P4 exchange");
-    }
-    return *it;
+  [[nodiscard]] int owner(vertex_id v) const noexcept {
+    return comm_->owner(comm::key_hash<vertex_id>{}(v));
   }
 
-  struct dedup_visitor {
-    void operator()(const pair_key& /*key*/, dedup_slot& slot, const EdgeMeta& incoming) {
-      if (!slot.set) {
-        slot.meta = incoming;
-        slot.set = true;
+  void require_unbuilt(const char* call) const {
+    if (built_) {
+      throw std::logic_error(std::string("tripoll: graph_builder::") + call +
+                             " after build_into; a builder builds one graph");
+    }
+  }
+
+  /// P1 + P2: sort the received half-edges, merge duplicates, and lay the
+  /// result out as a CSR over every local vertex (metadata-only ones too).
+  [[nodiscard]] undirected dedup_to_csr() {
+    auto& [src, dst, meta] = half_edges_.inbox();
+    struct half {
+      vertex_id src, dst;
+      std::size_t arrival;
+    };
+    std::vector<half> halves(src.size());
+    for (std::size_t i = 0; i < halves.size(); ++i) halves[i] = {src[i], dst[i], i};
+    src = {};
+    dst = {};
+    std::sort(halves.begin(), halves.end(), [](const half& a, const half& b) {
+      return std::tie(a.src, a.dst, a.arrival) < std::tie(b.src, b.dst, b.arrival);
+    });
+
+    auto& [meta_id, meta_value] = vertex_meta_.inbox();
+    std::vector<std::pair<vertex_id, std::size_t>> metas(meta_id.size());
+    for (std::size_t i = 0; i < metas.size(); ++i) metas[i] = {meta_id[i], i};
+    std::sort(metas.begin(), metas.end());
+
+    undirected out;
+    out.nbr.reserve(halves.size());
+    out.emeta.reserve(halves.size());
+    out.offset.push_back(0);
+    std::size_t e = 0, m = 0;
+    while (e < halves.size() || m < metas.size()) {
+      vertex_id v = e < halves.size() ? halves[e].src : metas[m].first;
+      if (m < metas.size()) v = std::min(v, metas[m].first);
+      out.vid.push_back(v);
+      if (m < metas.size() && metas[m].first == v) {
+        while (m + 1 < metas.size() && metas[m + 1].first == v) ++m;
+        out.vmeta.push_back(std::move(meta_value[metas[m++].second]));
       } else {
-        MergePolicy{}(slot.meta, incoming);
+        out.vmeta.emplace_back();
+      }
+      while (e < halves.size() && halves[e].src == v) {
+        const vertex_id u = halves[e].dst;
+        EdgeMeta merged = meta[halves[e].arrival];
+        for (++e; e < halves.size() && halves[e].src == v && halves[e].dst == u; ++e) {
+          MergePolicy{}(merged, meta[halves[e].arrival]);
+        }
+        out.nbr.push_back(u);
+        out.emeta.push_back(std::move(merged));
+      }
+      out.offset.push_back(out.nbr.size());
+    }
+    half_edges_.release_inbox();
+    vertex_meta_.release_inbox();
+    return out;
+  }
+
+  /// P4: each vertex reports (id, rank, meta) once per rank holding a
+  /// neighbor; the reports fill the table of this rank's neighbors.
+  [[nodiscard]] neighbor_table exchange_neighbors(const undirected& und,
+                                                  const std::vector<std::uint64_t>& rank) {
+    auto& c = *comm_;
+    neighbor_table nt;
+    {
+      std::vector<std::pair<vertex_id, std::size_t>> by_id(und.nbr.size());
+      for (std::size_t e = 0; e < by_id.size(); ++e) by_id[e] = {und.nbr[e], e};
+      std::sort(by_id.begin(), by_id.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      nt.of_nbr.resize(by_id.size());
+      for (const auto& [v, e] : by_id) {
+        if (nt.id.empty() || nt.id.back() != v) nt.id.push_back(v);
+        nt.of_nbr[e] = nt.id.size() - 1;
       }
     }
-  };
+    nt.owner.resize(nt.size());
+    for (std::size_t k = 0; k < nt.size(); ++k) nt.owner[k] = owner(nt.id[k]);
 
-  struct touch_visitor {
-    void operator()(const vertex_id& /*v*/, build_record& /*rec*/) {}
-  };
-
-  struct set_meta_visitor {
-    void operator()(const vertex_id& /*v*/, build_record& rec, const VertexMeta& meta) {
-      rec.meta = meta;
+    comm::column_exchange<vertex_id, std::uint64_t, VertexMeta> reports(c);
+    std::vector<std::size_t> last(static_cast<std::size_t>(c.size()), npos);
+    for (std::size_t i = 0; i < und.size(); ++i) {
+      for (std::uint64_t e = und.offset[i]; e < und.offset[i + 1]; ++e) {
+        const auto dest = static_cast<std::size_t>(nt.owner[nt.of_nbr[e]]);
+        if (last[dest] == i) continue;
+        last[dest] = i;
+        reports.push(static_cast<int>(dest), und.vid[i], rank[i], und.vmeta[i]);
+      }
     }
-  };
+    reports.flush();
+    c.barrier();
 
-  struct append_raw_visitor {
-    void operator()(const vertex_id& /*v*/, build_record& rec, vertex_id neighbor,
-                    const EdgeMeta& meta) {
-      rec.raw_adj.emplace_back(neighbor, meta);
+    nt.key.resize(nt.size());
+    nt.meta.resize(nt.size());
+    std::vector<std::uint8_t> seen(nt.size(), 0);
+    auto& [id, reported_rank, reported_meta] = reports.inbox();
+    for (std::size_t j = 0; j < id.size(); ++j) {
+      const std::size_t k = nt.find(id[j]);
+      if (k == npos) continue;
+      nt.key[k] = make_order_key(id[j], reported_rank[j]);
+      nt.meta[k] = std::move(reported_meta[j]);
+      seen[k] = 1;
     }
-  };
+    // Every neighbor must have reported itself; a miss means a lost or
+    // mis-routed P4 message and is a construction-breaking bug.
+    for (std::size_t k = 0; k < nt.size(); ++k) {
+      if (seen[k] == 0) {
+        throw std::runtime_error("tripoll: graph_builder P4: neighbor " +
+                                 std::to_string(nt.id[k]) +
+                                 " never arrived in the P4 exchange");
+      }
+    }
+    return nt;
+  }
 
-  struct deliver_ninfo_visitor {
-    void operator()(const vertex_id& /*v*/, build_record& rec, vertex_id neighbor,
-                    std::uint64_t neighbor_rank, const VertexMeta& neighbor_meta) {
-      rec.ninfo.push_back(ninfo_entry{neighbor, neighbor_rank, neighbor_meta});
-    }
-  };
+  /// P5 + P6: orient, sort and write the columns, then fill
+  /// target_out_degree from the d+ reports.
+  [[nodiscard]] frozen_arenas<VertexMeta, EdgeMeta> assemble(
+      const undirected& und, const std::vector<std::uint64_t>& rank,
+      const neighbor_table& nt) {
+    auto& c = *comm_;
+    const std::size_t n = und.size();
 
-  struct set_dplus_visitor {
-    // Runs on the owner of `u`: find u's adjacency entry for `v` (search key
-    // is v's <+ order key) and record d+(v).
-    void operator()(const vertex_id& /*u*/, vertex_record<VertexMeta, EdgeMeta>& rec,
-                    vertex_id v, std::uint64_t rank_v, std::uint64_t dplus_v) {
-      const auto key = make_order_key(v, rank_v);
-      auto it = std::lower_bound(rec.adj.begin(), rec.adj.end(), key,
-                                 [](const auto& e, const order_key& k) { return e.key() < k; });
-      if (it != rec.adj.end() && it->target == v) it->target_out_degree = dplus_v;
+    // Orient: Adjm+(v) holds the neighbors above v in <+, sorted by <+.
+    struct out_edge {
+      order_key key;
+      std::uint64_t e;  ///< index into the undirected nbr/emeta columns
+    };
+    std::vector<order_key> own(n);
+    std::vector<std::uint64_t> out_first(n + 1, 0);
+    std::vector<out_edge> oriented;
+    oriented.reserve(und.nbr.size() / 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      own[i] = make_order_key(und.vid[i], rank[i]);
+      out_first[i] = oriented.size();
+      for (std::uint64_t e = und.offset[i]; e < und.offset[i + 1]; ++e) {
+        const order_key& k = nt.key[nt.of_nbr[e]];
+        if (own[i] < k) oriented.push_back({k, e});
+      }
+      std::sort(oriented.begin() + static_cast<std::ptrdiff_t>(out_first[i]), oriented.end(),
+                [](const out_edge& a, const out_edge& b) { return a.key < b.key; });
     }
-  };
+    out_first[n] = oriented.size();
+
+    std::vector<std::size_t> by_key(n);
+    for (std::size_t i = 0; i < n; ++i) by_key[i] = i;
+    std::sort(by_key.begin(), by_key.end(),
+              [&](std::size_t a, std::size_t b) { return own[a] < own[b]; });
+
+    // Columns, vertices in <+ order.
+    const std::size_t m = oriented.size();
+    std::vector<vertex_id> vid(n), target(m);
+    std::vector<std::uint64_t> degree(n), order_rank(n), offset(n + 1), target_rank(m);
+    std::vector<std::size_t> target_slot(m);  ///< neighbor-table index, for P6
+    std::vector<VertexMeta> vmeta, tvmeta;
+    std::vector<EdgeMeta> emeta;
+    if constexpr (!std::is_empty_v<VertexMeta>) {
+      vmeta.resize(n);
+      tvmeta.resize(m);
+    }
+    if constexpr (!std::is_empty_v<EdgeMeta>) emeta.resize(m);
+    std::size_t pos = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t i = by_key[j];
+      vid[j] = und.vid[i];
+      degree[j] = und.degree(i);
+      order_rank[j] = rank[i];
+      if constexpr (!std::is_empty_v<VertexMeta>) vmeta[j] = und.vmeta[i];
+      for (std::uint64_t x = out_first[i]; x < out_first[i + 1]; ++x, ++pos) {
+        const out_edge& oe = oriented[x];
+        target[pos] = oe.key.id;
+        target_rank[pos] = oe.key.rank;
+        target_slot[pos] = nt.of_nbr[oe.e];
+        if constexpr (!std::is_empty_v<EdgeMeta>) emeta[pos] = und.emeta[oe.e];
+        if constexpr (!std::is_empty_v<VertexMeta>) tvmeta[pos] = nt.meta[target_slot[pos]];
+      }
+      offset[j + 1] = pos;
+    }
+
+    // P6: d+(v) to every rank holding a DODGr in-neighbor u (u <+ v).
+    comm::column_exchange<vertex_id, std::uint64_t> reports(c);
+    std::vector<std::size_t> last(static_cast<std::size_t>(c.size()), npos);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t dplus = out_first[i + 1] - out_first[i];
+      for (std::uint64_t e = und.offset[i]; e < und.offset[i + 1]; ++e) {
+        const std::size_t k = nt.of_nbr[e];
+        const auto dest = static_cast<std::size_t>(nt.owner[k]);
+        if (!(nt.key[k] < own[i]) || last[dest] == i) continue;
+        last[dest] = i;
+        reports.push(static_cast<int>(dest), und.vid[i], dplus);
+      }
+    }
+    reports.flush();
+    c.barrier();
+    std::vector<std::uint64_t> dplus_of(nt.size(), 0);
+    auto& [id, dplus] = reports.inbox();
+    for (std::size_t j = 0; j < id.size(); ++j) {
+      const std::size_t k = nt.find(id[j]);
+      if (k != npos) dplus_of[k] = dplus[j];
+    }
+    std::vector<std::uint64_t> target_outdeg(m);
+    for (std::size_t x = 0; x < m; ++x) target_outdeg[x] = dplus_of[target_slot[x]];
+
+    frozen_arenas<VertexMeta, EdgeMeta> ar;
+    ar.vid = arena<vertex_id>(std::move(vid));
+    ar.degree = arena<std::uint64_t>(std::move(degree));
+    ar.order_rank = arena<std::uint64_t>(std::move(order_rank));
+    ar.offset = arena<std::uint64_t>(std::move(offset));
+    ar.vmeta = detail::make_meta_column<meta_column<VertexMeta>>(std::move(vmeta), n);
+    ar.target = arena<vertex_id>(std::move(target));
+    ar.target_rank = arena<std::uint64_t>(std::move(target_rank));
+    ar.target_out_degree = arena<std::uint64_t>(std::move(target_outdeg));
+    ar.emeta = detail::make_meta_column<meta_column<EdgeMeta>>(std::move(emeta), m);
+    ar.target_vmeta = detail::make_meta_column<meta_column<VertexMeta>>(std::move(tvmeta), m);
+    return ar;
+  }
 
   comm::communicator* comm_;
-  comm::distributed_map<pair_key, dedup_slot> edges_;
-  comm::distributed_map<vertex_id, build_record> records_;
+  /// (source, target, edge meta) half-edges, routed to the source's owner.
+  comm::column_exchange<vertex_id, vertex_id, EdgeMeta> half_edges_;
+  /// (vertex, meta) entries, routed to the vertex's owner.
+  comm::column_exchange<vertex_id, VertexMeta> vertex_meta_;
   ordering_policy ordering_ = ordering_policy::degree;
   degeneracy_stats peel_stats_{};
   std::uint64_t dropped_self_loops_ = 0;
+  bool built_ = false;
 };
 
 }  // namespace tripoll::graph

@@ -1,13 +1,6 @@
 // frozen.hpp -- frozen CSR structure-of-arrays storage for the DODGr.
 //
-// The mutable build-time form of the graph is a hash-partitioned
-// `comm::distributed_map<vertex_id, vertex_record>` of per-vertex AoS
-// records (graph/dodgr.hpp): ideal for the shuffle-heavy construction
-// pipeline, poor for the survey hot path (one heap allocation per vertex,
-// pointer-chasing hash iteration, 48-byte AoS adjacency entries of which
-// the intersection kernels read only the 16-byte order key).
-//
-// `freeze()` compacts each rank's records into column arenas:
+// One rank's share of the graph is a bundle of column arenas:
 //
 //   vertex columns (local vertices, sorted by the <+ order key):
 //     vid[], degree[], order_rank[], offset[n+1], vmeta[]
@@ -19,6 +12,10 @@
 // slots resolving to record views with random-access adjacency spans, vertex
 // ids and hub bitmap rows).  Sorting the vertex walk by <+ rank gives the
 // degeneracy-ordered CSR traversal of Pashanasangi & Seshadhri.
+//
+// graph_builder writes these columns directly, with the build-time metadata
+// and no hub bitmap rows, into a `graph::dodgr` (graph/dodgr.hpp); freeze()
+// turns that into the surveyable frozen_dodgr.
 //
 // Projection push-down (the ROADMAP follow-up to PR 4's sender-side wire
 // projections): `freeze(g, vproj, eproj)` -- or `freeze(plan)` for a survey
@@ -52,11 +49,19 @@
 #include "comm/key_hash.hpp"
 #include "core/intersect.hpp"  // core::bitmap_view (dependency-free kernel header)
 #include "core/parallel.hpp"   // chunked fork-join for the parallel freeze fill
-#include "graph/dodgr.hpp"
 #include "graph/ordering.hpp"
 #include "graph/types.hpp"
 
 namespace tripoll::graph {
+
+/// Collective census of a built graph (the Table 1 columns).
+struct graph_census {
+  std::uint64_t num_vertices = 0;
+  std::uint64_t num_directed_edges = 0;  ///< 2x undirected count (paper convention)
+  std::uint64_t max_degree = 0;          ///< d_max
+  std::uint64_t max_out_degree = 0;      ///< d_max^+
+  std::uint64_t wedge_checks = 0;        ///< |W+| = sum_v C(d+(v), 2)
+};
 
 /// Freeze-time knobs for the hub/tail bitmap split (docs/ARCHITECTURE.md,
 /// "Parallel traversal & intersection kernels").  A local vertex whose
@@ -187,10 +192,11 @@ struct fnv1a_accumulator {
 
 }  // namespace detail
 
-/// The raw column bundle of one rank's frozen graph.  freeze() and
-/// overlay::compact() fill it through detail::build_arenas; load_snapshot()
-/// fills it with views into a mapped file.  Public so the snapshot layer and white-box tests can reach the
-/// columns without friending.
+/// The raw column bundle of one rank's graph.  graph_builder fills it
+/// directly, freeze() projects it, overlay::compact() fills it through
+/// detail::build_arenas and load_snapshot() with views into a mapped file.
+/// Public so the snapshot layer and white-box tests can reach the columns
+/// without friending.
 template <typename VMeta, typename EMeta>
 struct frozen_arenas {
   // vertex columns (n entries; offset has n+1)
@@ -243,7 +249,7 @@ class frozen_dodgr {
   using self = frozen_dodgr<VMeta, EMeta>;
 
   /// One Adjm+ entry materialized from the SoA columns.  Mirrors the data
-  /// members of the mutable graph's `adj_entry`; metadata members are
+  /// members of the overlay's mutable `adj_entry`; metadata members are
   /// references into the arenas (or a shared dummy for empty metadata).
   struct entry_view {
     vertex_id target = 0;
@@ -338,7 +344,7 @@ class frozen_dodgr {
   };
 
   /// Read view of one vertex record: the data members the engine reads from
-  /// the mutable `vertex_record`, backed by the columns.
+  /// the overlay's mutable `vertex_record`, backed by the columns.
   struct record_view {
     std::uint64_t degree = 0;
     std::uint64_t order_rank = 0;
@@ -375,8 +381,7 @@ class frozen_dodgr {
     return comm_->owner(comm::key_hash<vertex_id>{}(v));
   }
 
-  /// Nullable record handle (same shape as the mutable graph's pointer
-  /// return: contextually bool, -> and * reach the record).
+  /// Nullable record handle: contextually bool, -> and * reach the record.
   [[nodiscard]] std::optional<record_view> local_find(vertex_id v) const {
     const auto it = index_.find(v);
     if (it == index_.end()) return std::nullopt;
@@ -645,10 +650,10 @@ inline void build_hub_bitmap_columns(std::size_t n, const std::uint64_t* offset,
   });
 }
 
-/// One rank's CSR arenas from its records (shared by freeze() and the
-/// overlay's incremental re-freeze).  `order` pairs each record with its
-/// <+ order key; sorting it fixes the vertex walk order regardless of
-/// hash-map iteration.  The metadata projections are applied once per cell.
+/// One rank's CSR arenas from mutable records (the overlay's incremental
+/// re-freeze).  `order` pairs each record with its <+ order key; sorting it
+/// fixes the vertex walk order regardless of hash-map iteration.  The
+/// metadata projections are applied once per cell.
 template <typename PV, typename PE, typename Record, typename VProj, typename EProj>
 [[nodiscard]] frozen_arenas<PV, PE> build_arenas(
     std::vector<std::pair<order_key, const Record*>> order, const VProj& vproj,
@@ -738,48 +743,5 @@ template <typename PV, typename PE, typename Record, typename VProj, typename EP
 }
 
 }  // namespace detail
-
-/// Freeze the mutable DODGr into CSR arenas with the metadata projections
-/// applied ONCE, storing only the projected columns (projection push-down:
-/// surveys over the frozen graph run with identity projections and read
-/// pre-projected arenas).  Rank-local compaction; the mutable graph is left
-/// untouched and may be discarded afterwards.
-template <typename VMeta, typename EMeta, typename VProj, typename EProj>
-[[nodiscard]] auto freeze(dodgr<VMeta, EMeta>& g, VProj vproj, EProj eproj,
-                          const freeze_options& opts = {}) {
-  using PV = std::remove_cvref_t<std::invoke_result_t<const VProj&, const VMeta&>>;
-  using PE = std::remove_cvref_t<std::invoke_result_t<const EProj&, const EMeta&>>;
-  using source_record = typename dodgr<VMeta, EMeta>::record_type;
-
-  std::vector<std::pair<order_key, const source_record*>> order;
-  order.reserve(g.local_num_vertices());
-  g.for_all_local([&](const vertex_id& v, const source_record& rec) {
-    order.emplace_back(make_order_key(v, rec.order_rank), &rec);
-  });
-  return frozen_dodgr<PV, PE>(
-      g.comm(), detail::build_arenas<PV, PE>(std::move(order), vproj, eproj, opts),
-      g.ordering());
-}
-
-/// Freeze with the metadata stored unchanged (identity projections).
-template <typename VMeta, typename EMeta>
-[[nodiscard]] frozen_dodgr<VMeta, EMeta> freeze(dodgr<VMeta, EMeta>& g,
-                                                const freeze_options& opts = {}) {
-  return freeze(g, detail::copy_meta{}, detail::copy_meta{}, opts);
-}
-
-/// Freeze through a survey plan's declared projections: the frozen graph
-/// stores exactly what that plan (and every plan sharing its projections)
-/// ships -- run the plan over the frozen graph WITHOUT re-declaring the
-/// projections, they are baked into the arenas.
-template <typename Plan>
-  requires requires(const Plan& p) {
-    p.graph();
-    p.vertex_proj();
-    p.edge_proj();
-  }
-[[nodiscard]] auto freeze(const Plan& plan, const freeze_options& opts = {}) {
-  return freeze(plan.graph(), plan.vertex_proj(), plan.edge_proj(), opts);
-}
 
 }  // namespace tripoll::graph

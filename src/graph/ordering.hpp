@@ -14,14 +14,14 @@
 //       - degree:     rank = d(v), the seed behavior.
 //       - degeneracy: rank = the vertex's peel-wave index from a distributed
 //                     k-core peeling pass (below).
-//   * `degeneracy_peel` runs that peeling pass collectively over any staged
-//     adjacency held in a distributed_map whose record embeds a
-//     `peel_state peel;` member.
+//   * `degeneracy_peel` runs that peeling pass collectively over the
+//     builder's rank-local undirected CSR (`local_adjacency`).
 //
 // Peeling proceeds in globally synchronized *waves*.  At level k, every
 // still-alive vertex whose remaining degree is <= k is removed in the current
-// wave and notifies each neighbor once; a barrier lands all notifications
-// before the next wave's scan.
+// wave and notifies each neighbor once; the notifications travel as batched
+// column RPCs (comm/column_exchange.hpp) and a barrier lands them all before
+// the next wave's scan.
 //
 // Determinism guarantee (relied on by frozen snapshots and cross-backend
 // result identity): a vertex's wave index -- and therefore its full order
@@ -30,19 +30,19 @@
 // across rank counts, transport backends and message timing.  Two mechanisms
 // enforce this:
 //
-//   * The scan performs no communication, so no decrement can land mid-scan:
-//     wave membership is decided against a fixed snapshot of `remaining`.
-//   * Decrement notifications NEVER touch `remaining` directly.  They park
-//     in `peel_state::pending` and are folded into `remaining` at exactly
-//     one point per wave, immediately after the wave's barrier.  Without the
-//     fold there is a barrier-exit race: the collectives that follow the
-//     barrier stagger rank exits, so a fast rank's wave-w+1 decrements could
-//     reach a slow rank either before or after its wave-w+1 scan, making
-//     membership timing-dependent.  With it, `remaining` at the wave-w scan
-//     equals (initial degree - all decrements from waves < w) exactly: the
-//     barrier guarantees every wave-(w-1) decrement has arrived by the fold,
-//     and no wave-w decrement can be sent until its sender passes the
-//     collective the folding rank participates in.
+//   * The scan performs no communication, so wave membership is decided
+//     against a fixed snapshot of `remaining`.
+//   * Decrement notifications never touch `remaining` on arrival.  They wait
+//     in the exchange's inbox and are folded into `remaining` at exactly one
+//     point per wave, immediately after the wave's barrier.  Without the fold
+//     there is a barrier-exit race: the collectives that follow the barrier
+//     stagger rank exits, so a fast rank's wave-w+1 decrements could reach a
+//     slow rank either before or after its wave-w+1 scan, making membership
+//     timing-dependent.  With it, `remaining` at the wave-w scan equals
+//     (initial degree - all decrements from waves < w) exactly: the barrier
+//     guarantees every wave-(w-1) decrement has arrived by the fold, and no
+//     wave-w decrement can be sent until its sender passes the collective
+//     the folding rank enters only after emptying its inbox.
 //
 // A vertex removed in wave w has at most k not-yet-removed neighbors, and
 // every neighbor ordered after it (same wave or later) is not-yet-removed,
@@ -54,11 +54,13 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
+#include "comm/column_exchange.hpp"
 #include "comm/communicator.hpp"
-#include "comm/distributed_map.hpp"
+#include "comm/key_hash.hpp"
 #include "graph/types.hpp"
 
 namespace tripoll::graph {
@@ -85,15 +87,6 @@ enum class ordering_policy : std::uint8_t {
   return std::nullopt;
 }
 
-/// Per-vertex peeling scratch; embed as `peel_state peel;` in the record type
-/// handed to `degeneracy_peel`.
-struct peel_state {
-  std::uint64_t remaining = 0;  ///< neighbors not yet removed (fold-updated)
-  std::uint64_t pending = 0;    ///< decrements parked until the per-wave fold
-  std::uint64_t rank = 0;       ///< peel-wave index assigned at removal
-  bool removed = false;
-};
-
 /// Collective summary of one peeling pass (identical on every rank).
 struct degeneracy_stats {
   std::uint64_t degeneracy = 0;  ///< max peel level k that removed a vertex
@@ -101,40 +94,43 @@ struct degeneracy_stats {
   std::uint64_t vertices = 0;    ///< global vertex count peeled
 };
 
-namespace ordering_detail {
+/// One rank's undirected adjacency in CSR form: `vid` ascending, the
+/// (unique) neighbor ids of vid[i] in nbr[offset[i], offset[i+1]).
+struct local_adjacency {
+  std::span<const vertex_id> vid;
+  std::span<const std::uint64_t> offset;
+  std::span<const vertex_id> nbr;
 
-/// Runs on the owner of a neighbor of a just-removed vertex.  Deliberately
-/// touches only `pending`: arrival timing must not influence the `remaining`
-/// value the scans read (see the determinism note at the top of this file).
-struct peel_decrement_visitor {
-  template <typename Record>
-  void operator()(const vertex_id& /*v*/, Record& rec) const {
-    if (!rec.peel.removed) ++rec.peel.pending;
+  [[nodiscard]] std::size_t size() const noexcept { return vid.size(); }
+  [[nodiscard]] std::uint64_t degree(std::size_t i) const noexcept {
+    return offset[i + 1] - offset[i];
+  }
+  /// Index of local vertex `v`, or size() when `v` is not stored here.
+  [[nodiscard]] std::size_t slot_of(vertex_id v) const noexcept {
+    const auto it = std::lower_bound(vid.begin(), vid.end(), v);
+    return it != vid.end() && *it == v ? static_cast<std::size_t>(it - vid.begin())
+                                       : size();
   }
 };
 
-}  // namespace ordering_detail
-
-/// Collective: distributed k-core peeling over `records`.  `for_neighbors`
-/// is invoked as `for_neighbors(record, fn)` and must call `fn(u)` once per
-/// (unique) neighbor id of that record.  On return, every record's
-/// `peel.rank` holds its wave index; ranks are comparable across the whole
-/// graph and deterministic for a given edge set.
-template <typename Record, typename ForNeighbors>
-degeneracy_stats degeneracy_peel(comm::communicator& c,
-                                 comm::distributed_map<vertex_id, Record>& records,
-                                 ForNeighbors&& for_neighbors) {
-  std::vector<vertex_id> alive;
-  alive.reserve(records.local_size());
-  records.for_all_local([&](const vertex_id& v, Record& rec) {
-    std::uint64_t degree = 0;
-    for_neighbors(rec, [&](vertex_id) { ++degree; });
-    rec.peel = peel_state{degree, 0, 0, false};
-    alive.push_back(v);
-  });
+/// Collective: distributed k-core peeling over every rank's `g`.  On return
+/// `wave_of[i]` holds vid[i]'s wave index; waves are comparable across the
+/// whole graph and deterministic for a given edge set.
+inline degeneracy_stats degeneracy_peel(comm::communicator& c, const local_adjacency& g,
+                                        std::vector<std::uint64_t>& wave_of) {
+  const std::size_t n = g.size();
+  std::vector<std::uint64_t> remaining(n);
+  std::vector<std::uint8_t> removed(n, 0);
+  std::vector<std::size_t> alive(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    remaining[i] = g.degree(i);
+    alive[i] = i;
+  }
+  wave_of.assign(n, 0);
+  comm::column_exchange<vertex_id> decrements(c);
 
   degeneracy_stats stats;
-  stats.vertices = c.all_reduce_sum<std::uint64_t>(alive.size());
+  stats.vertices = c.all_reduce_sum<std::uint64_t>(n);
   std::uint64_t global_alive = stats.vertices;
   std::uint64_t wave = 0;
   std::uint64_t level = 0;
@@ -143,47 +139,44 @@ degeneracy_stats degeneracy_peel(comm::communicator& c,
     // Jump the peel level straight to the globally smallest remaining degree
     // (skipping empty levels costs one reduction instead of one per level).
     std::uint64_t local_min = std::numeric_limits<std::uint64_t>::max();
-    for (const vertex_id v : alive) {
-      local_min = std::min(local_min, records.local_find(v)->peel.remaining);
-    }
+    for (const std::size_t i : alive) local_min = std::min(local_min, remaining[i]);
     level = std::max(level, c.all_reduce_min(local_min));
     stats.degeneracy = std::max(stats.degeneracy, level);
 
     // Waves at this level until quiescent.
     while (true) {
-      // Mark: no communication happens in this scan, so nothing can move
-      // `remaining` mid-scan (early decrement arrivals only park in
-      // `pending`) -- a vertex joins this wave iff its remaining degree
-      // after the previous wave's fold is <= level.
-      std::vector<vertex_id> removed_now;
+      // Mark: a vertex joins this wave iff its remaining degree after the
+      // previous wave's fold is <= level.
+      std::vector<std::size_t> removed_now;
       std::size_t kept = 0;
-      for (const vertex_id v : alive) {
-        Record& rec = *records.local_find(v);
-        if (rec.peel.remaining <= level) {
-          rec.peel.removed = true;
-          rec.peel.rank = wave;
-          removed_now.push_back(v);
+      for (const std::size_t i : alive) {
+        if (remaining[i] <= level) {
+          removed[i] = 1;
+          wave_of[i] = wave;
+          removed_now.push_back(i);
         } else {
-          alive[kept++] = v;
+          alive[kept++] = i;
         }
       }
       alive.resize(kept);
       // Notify: each removed vertex decrements every neighbor exactly once.
-      for (const vertex_id v : removed_now) {
-        for_neighbors(*records.local_find(v), [&](vertex_id u) {
-          records.async_visit_if_exists(u, ordering_detail::peel_decrement_visitor{});
-        });
+      for (const std::size_t i : removed_now) {
+        for (std::uint64_t e = g.offset[i]; e < g.offset[i + 1]; ++e) {
+          const vertex_id u = g.nbr[e];
+          decrements.push(c.owner(comm::key_hash<vertex_id>{}(u)), u);
+        }
       }
-      c.barrier();  // all of this wave's decrements have been parked by now
+      decrements.flush();
+      c.barrier();  // all of this wave's decrements are in the inbox by now
       // Fold point: the single place `remaining` moves.  No wave-(w+1)
       // decrement can exist yet (its sender is gated behind the all_reduce
       // below, which this rank has not entered), so the fold captures
       // exactly the decrements of waves <= w -- structurally determined.
-      for (const vertex_id v : alive) {
-        peel_state& st = records.local_find(v)->peel;
-        st.remaining -= std::min(st.remaining, st.pending);
-        st.pending = 0;
+      for (const vertex_id u : std::get<0>(decrements.inbox())) {
+        const std::size_t i = g.slot_of(u);
+        if (i < n && removed[i] == 0 && remaining[i] > 0) --remaining[i];
       }
+      decrements.release_inbox();
       const auto global_removed = c.all_reduce_sum<std::uint64_t>(removed_now.size());
       if (global_removed == 0) break;
       ++wave;

@@ -63,8 +63,8 @@
 // entries locally at BOTH endpoints (the replicated edge metadata makes the
 // cut symmetric without communication) and reuses rounds I3-I5.
 // `compact()` is the incremental re-freeze: per-rank merge of the overlay
-// records into fresh CSR arenas in <+ order through freeze()'s column
-// builder, REUSING the maintained ranks -- no shuffle, no degeneracy peel.
+// records into fresh CSR arenas in <+ order through the frozen column
+// builder (detail::build_arenas), REUSING the maintained ranks -- no shuffle, no degeneracy peel.
 // The result is an ordinary frozen_dodgr: hub bitmaps are rebuilt when
 // eligible and snapshots round-trip.
 //
@@ -90,13 +90,37 @@
 
 #include "comm/communicator.hpp"
 #include "comm/key_hash.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 #include "graph/types.hpp"
 #include "serial/serialize.hpp"
 
 namespace tripoll::graph {
+
+/// One entry of a mutable Adjm+(u) list.
+template <typename VertexMeta, typename EdgeMeta>
+struct adj_entry {
+  vertex_id target = 0;
+  std::uint64_t target_rank = 0;        ///< target's <+ comparison rank
+  std::uint64_t target_out_degree = 0;  ///< d+(target): drives pull decisions
+  EdgeMeta edge_meta{};
+  VertexMeta target_meta{};
+
+  [[nodiscard]] order_key key() const noexcept {
+    return make_order_key(target, target_rank);
+  }
+};
+
+/// Mutable per-vertex record: meta(u) plus Adjm+(u), sorted by <+ of target.
+template <typename VertexMeta, typename EdgeMeta>
+struct vertex_record {
+  std::uint64_t degree = 0;      ///< d(u) in the undirected graph G
+  std::uint64_t order_rank = 0;  ///< u's own <+ comparison rank
+  VertexMeta meta{};
+  std::vector<adj_entry<VertexMeta, EdgeMeta>> adj;
+
+  [[nodiscard]] std::uint64_t out_degree() const noexcept { return adj.size(); }
+};
 
 /// One timestamped edge contributed to an overlay batch (any rank may
 /// contribute any edge; self-loops are dropped, duplicates merge).
@@ -372,8 +396,8 @@ class overlay {
   /// ranks (no shuffle, no degeneracy peel).  Vertices left with no edges
   /// (fully expired) are dropped, so the compacted graph equals a from-
   /// scratch build of the surviving edge set.  The columns come from
-  /// freeze()'s builder (parallel over `opts.threads`, byte-identical at any
-  /// count), hub bitmap rows included; the result is an ordinary
+  /// detail::build_arenas (parallel over `opts.threads`, byte-identical at
+  /// any count), hub bitmap rows included; the result is an ordinary
   /// frozen_dodgr whose snapshots round-trip.
   [[nodiscard]] base_type compact(const freeze_options& opts = {}) {
     std::vector<std::pair<order_key, const record_type*>> order;

@@ -1,5 +1,5 @@
 // Must NOT compile.  The survey engine walks slot-addressed graphs only, so
-// surveying the map-form graph::dodgr is rejected with a message to freeze
+// surveying a built graph::dodgr is rejected with a message to freeze
 // it first.  The survey_map_form_rejected ctest builds this file and passes
 // only when the build fails with that message.
 #include "comm/runtime.hpp"

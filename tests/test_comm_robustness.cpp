@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "comm/counting_set.hpp"
-#include "comm/distributed_map.hpp"
+#include "comm/column_exchange.hpp"
 #include "comm/runtime.hpp"
 
 namespace tc = tripoll::comm;
@@ -121,27 +121,24 @@ TEST(Robustness, CountingSetManyDistinctKeys) {
   });
 }
 
-TEST(Robustness, MapWithStringVectorValues) {
-  struct append_visitor {
-    void operator()(const std::string& /*key*/, std::vector<std::string>& value,
-                    const std::string& item) {
-      value.push_back(item);
-    }
-  };
+TEST(Robustness, ExchangeOfStringColumnsToOneRank) {
   tc::runtime::run(3, [](tc::communicator& c) {
-    tc::distributed_map<std::string, std::vector<std::string>> map(c);
+    tc::column_exchange<std::uint32_t, std::string> ex(c);
     c.barrier();
     for (int i = 0; i < 50; ++i) {
-      map.async_visit("shared-key", append_visitor{},
-                      "rank" + std::to_string(c.rank()) + "-" + std::to_string(i));
+      ex.push(0, static_cast<std::uint32_t>(c.rank()),
+              "rank" + std::to_string(c.rank()) + "-" + std::to_string(i));
     }
+    ex.flush();
     c.barrier();
-    std::uint64_t total = 0;
-    map.for_all_local([&](const std::string&, const std::vector<std::string>& v) {
-      total += v.size();
-    });
-    EXPECT_EQ(c.all_reduce_sum(total), 150u);
-    EXPECT_EQ(map.global_size(), 1u);
+    auto& [from, items] = ex.inbox();
+    std::vector<int> next(3, 0);  // one sender's items arrive in send order
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      EXPECT_EQ(items[i], "rank" + std::to_string(from[i]) + "-" +
+                              std::to_string(next[from[i]]++));
+    }
+    EXPECT_EQ(c.all_reduce_sum(static_cast<std::uint64_t>(items.size())), 150u);
+    EXPECT_EQ(items.size(), c.rank0() ? 150u : 0u);
   });
 }
 
@@ -170,27 +167,23 @@ TEST(Robustness, ManySequentialRuntimes) {
 }
 
 TEST(Robustness, InterleavedHeterogeneousTraffic) {
-  // Counting-set flushes, map visits and plain RPCs interleave in the same
-  // buffers -- the serialization heterogeneity the paper highlights.
-  struct bump_visitor {
-    void operator()(const std::uint64_t&, std::uint64_t& v) { ++v; }
-  };
+  // Counting-set flushes, column batches and plain RPCs interleave in the
+  // same buffers -- the serialization heterogeneity the paper highlights.
   g_total = 0;
   tc::runtime::run(4, [](tc::communicator& c) {
     tc::counting_set<std::string> counts(c, 16);
-    tc::distributed_map<std::uint64_t, std::uint64_t> map(c);
+    tc::column_exchange<std::uint64_t> ex(c);
     c.barrier();
     for (int i = 0; i < 500; ++i) {
       counts.async_increment("key" + std::to_string(i % 37));
-      map.async_visit(static_cast<std::uint64_t>(i % 53), bump_visitor{});
+      ex.push(i % c.size(), static_cast<std::uint64_t>(i % 53));
       c.async((c.rank() + 1) % c.size(), sum_vector_handler{},
               std::vector<std::uint64_t>{2});
     }
+    ex.flush();
     counts.finalize();
     EXPECT_EQ(counts.global_total(), 4u * 500u);
-    std::uint64_t map_total = 0;
-    map.for_all_local([&](const std::uint64_t&, const std::uint64_t& v) { map_total += v; });
-    EXPECT_EQ(c.all_reduce_sum(map_total), 4u * 500u);
+    EXPECT_EQ(c.all_reduce_sum(static_cast<std::uint64_t>(ex.inbox_size())), 4u * 500u);
   });
   EXPECT_EQ(g_total.load(), 4u * 500u * 2u);
 }

@@ -1,4 +1,5 @@
-// Tests for the YGM-style distributed containers.
+// Tests for the distributed containers: the batched column exchange and
+// the YGM-style counting set.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,168 +9,82 @@
 #include <utility>
 #include <vector>
 
+#include "comm/column_exchange.hpp"
 #include "comm/counting_set.hpp"
-#include "comm/distributed_bag.hpp"
-#include "comm/distributed_map.hpp"
 #include "comm/runtime.hpp"
 
 namespace tc = tripoll::comm;
 
-TEST(DistributedMap, InsertAndGlobalSize) {
+TEST(ColumnExchange, EntriesLandOnTheirDestinationInSendOrder) {
   tc::runtime::run(4, [](tc::communicator& c) {
-    tc::distributed_map<std::uint64_t, std::string> map(c);
-    c.barrier();
-    // Every rank inserts a disjoint key range.
-    for (std::uint64_t k = 0; k < 25; ++k) {
-      const auto key = static_cast<std::uint64_t>(c.rank()) * 100 + k;
-      map.async_insert(key, "v" + std::to_string(key));
+    tc::column_exchange<std::uint64_t, std::uint32_t> ex(c);
+    const auto n = static_cast<std::uint64_t>(c.size());
+    for (std::uint64_t k = 0; k < 10000; ++k) {
+      ex.push(static_cast<int>(k % n), k, static_cast<std::uint32_t>(c.rank()));
     }
+    ex.flush();
     c.barrier();
-    EXPECT_EQ(map.global_size(), 100u);
+    auto& [keys, senders] = ex.inbox();
+    ASSERT_EQ(keys.size(), 10000u);  // 2500 from each of 4 ranks
+    std::vector<std::uint64_t> last(n, 0);
+    std::vector<bool> seen(n, false);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(keys[i] % n, static_cast<std::uint64_t>(c.rank()));
+      const std::uint32_t from = senders[i];
+      ASSERT_LT(from, n);
+      if (seen[from]) {
+        EXPECT_GT(keys[i], last[from]);  // one sender's entries keep their order
+      }
+      seen[from] = true;
+      last[from] = keys[i];
+    }
   });
 }
 
-TEST(DistributedMap, KeysLandOnOwner) {
-  tc::runtime::run(4, [](tc::communicator& c) {
-    tc::distributed_map<std::uint64_t, int> map(c);
+TEST(ColumnExchange, ShipsBatchesNotEntries) {
+  tc::runtime::run(2, [](tc::communicator& c) {
+    tc::column_exchange<std::uint64_t, std::uint64_t> ex(c);
     c.barrier();
-    if (c.rank0()) {
-      for (std::uint64_t k = 0; k < 200; ++k) map.async_insert(k, 1);
-    }
+    const auto before = c.local_stats();
+    for (std::uint64_t k = 0; k < 20000; ++k) ex.push(1 - c.rank(), k, k * k);
+    for (std::uint64_t k = 0; k < 5000; ++k) ex.push(c.rank(), k, k * k);  // no transport
+    ex.flush();
     c.barrier();
-    map.for_all_local([&](const std::uint64_t& k, const int&) {
-      EXPECT_EQ(map.owner(k), c.rank());
-    });
-    EXPECT_EQ(map.global_size(), 200u);
-  });
-}
-
-TEST(DistributedMap, InsertOverwrites) {
-  tc::runtime::run(3, [](tc::communicator& c) {
-    tc::distributed_map<std::uint64_t, int> map(c);
-    c.barrier();
-    map.async_insert(7, c.rank());
-    c.barrier();
-    map.async_insert(7, 99);
-    c.barrier();
-    if (const int* v = map.local_find(7)) {
-      EXPECT_EQ(*v, 99);
-    }
-    EXPECT_EQ(map.global_size(), 1u);
+    const auto sent = (c.local_stats() - before).messages_sent;
+    // 16-byte entries, ~buffer_capacity bytes per RPC.
+    const std::uint64_t per_batch = c.cfg().buffer_capacity / 16;
+    EXPECT_EQ(sent, (20000 + per_batch - 1) / per_batch);
+    auto& [keys, squares] = ex.inbox();
+    ASSERT_EQ(keys.size(), 25000u);
+    for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(squares[i], keys[i] * keys[i]);
+    ex.release_inbox();
+    EXPECT_EQ(ex.inbox_size(), 0u);
   });
 }
 
 namespace {
 
-struct add_visitor {
-  void operator()(const std::uint64_t& /*key*/, std::uint64_t& value, std::uint64_t by) {
-    value += by;
-  }
-};
-
-struct chain_visitor {
-  // Visitor that chains a further async from inside the visit: the map value
-  // update triggers a second visit to key+1 until `hops` runs out.
-  void operator()(tc::communicator& c, const std::uint64_t& key, std::uint64_t& value,
-                  tc::dist_handle<tc::distributed_map<std::uint64_t, std::uint64_t>> h,
-                  std::uint32_t hops) {
-    value += 1;
-    if (hops > 0) {
-      c.resolve(h).async_visit(key + 1, chain_visitor{}, h, hops - 1);
-    }
-  }
-};
+struct no_payload {};
 
 }  // namespace
 
-TEST(DistributedMap, VisitAccumulates) {
-  tc::runtime::run(4, [](tc::communicator& c) {
-    tc::distributed_map<std::uint64_t, std::uint64_t> map(c);
-    c.barrier();
-    // All ranks bump the same 10 keys.
-    for (std::uint64_t k = 0; k < 10; ++k) {
-      map.async_visit(k, add_visitor{}, std::uint64_t{2});
-    }
-    c.barrier();
-    std::uint64_t local_total = 0;
-    map.for_all_local([&](const std::uint64_t&, const std::uint64_t& v) { local_total += v; });
-    EXPECT_EQ(c.all_reduce_sum(local_total), 10u * 4u * 2u);
-  });
-}
-
-TEST(DistributedMap, VisitCanChainAsyncs) {
-  tc::runtime::run(4, [](tc::communicator& c) {
-    tc::distributed_map<std::uint64_t, std::uint64_t> map(c);
-    auto handle = c.register_object(map);
-    c.barrier();
-    if (c.rank0()) {
-      map.async_visit(0, chain_visitor{}, handle, std::uint32_t{31});
-    }
-    c.barrier();
-    EXPECT_EQ(map.global_size(), 32u);
-    std::uint64_t local_total = 0;
-    map.for_all_local([&](const std::uint64_t&, const std::uint64_t& v) { local_total += v; });
-    EXPECT_EQ(c.all_reduce_sum(local_total), 32u);
-  });
-}
-
-namespace {
-
-struct exists_probe {
-  void operator()(const std::string& /*key*/, std::uint64_t& value) { value += 1; }
-};
-
-struct bump_string_key {
-  void operator()(const std::string& /*key*/, std::uint64_t& value) { value += 1; }
-};
-
-}  // namespace
-
-TEST(DistributedMap, VisitIfExistsSkipsMissing) {
+TEST(ColumnExchange, StringAndEmptyColumns) {
   tc::runtime::run(3, [](tc::communicator& c) {
-    tc::distributed_map<std::string, std::uint64_t> map(c);
-    c.barrier();
-    if (c.rank0()) map.async_insert("present", 0);
-    c.barrier();
-    map.async_visit_if_exists("present", exists_probe{});
-    map.async_visit_if_exists("absent", exists_probe{});
-    c.barrier();
-    EXPECT_EQ(map.global_size(), 1u);  // "absent" was not created
-  });
-}
-
-TEST(DistributedMap, EraseRemovesGlobally) {
-  tc::runtime::run(3, [](tc::communicator& c) {
-    tc::distributed_map<std::uint64_t, int> map(c);
-    c.barrier();
-    if (c.rank0()) {
-      for (std::uint64_t k = 0; k < 10; ++k) map.async_insert(k, 1);
+    tc::column_exchange<std::uint64_t, std::string, no_payload> ex(c);
+    for (std::uint64_t k = 0; k < 600; ++k) {
+      ex.push(static_cast<int>(k % 3), k, "v" + std::to_string(k), no_payload{});
     }
+    ex.flush();
     c.barrier();
-    if (c.rank() == 1) {
-      for (std::uint64_t k = 0; k < 5; ++k) map.async_erase(k);
+    auto& [keys, names, empties] = ex.inbox();
+    ASSERT_EQ(keys.size(), 3u * 200u);
+    EXPECT_EQ(names.size(), keys.size());
+    EXPECT_EQ(empties.size(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(names[i], "v" + std::to_string(keys[i]));
     }
-    c.barrier();
-    EXPECT_EQ(map.global_size(), 5u);
   });
 }
-
-TEST(DistributedMap, StringKeys) {
-  tc::runtime::run(4, [](tc::communicator& c) {
-    tc::distributed_map<std::string, std::uint64_t> map(c);
-    c.barrier();
-    const std::vector<std::string> domains{"amazon.com", "abebooks.com", "llnl.gov",
-                                           "example.org"};
-    for (const auto& d : domains) map.async_visit(d, bump_string_key{});
-    c.barrier();
-    EXPECT_EQ(map.global_size(), 4u);
-    std::uint64_t local_total = 0;
-    map.for_all_local([&](const std::string&, const std::uint64_t& v) { local_total += v; });
-    EXPECT_EQ(c.all_reduce_sum(local_total), 16u);
-  });
-}
-
-// --- counting set ---------------------------------------------------------------
 
 TEST(CountingSet, CountsAcrossRanks) {
   tc::runtime::run(4, [](tc::communicator& c) {
@@ -226,51 +141,5 @@ TEST(CountingSet, GatherAllIdenticalOnEveryRank) {
     auto all = counts.gather_all();
     EXPECT_EQ(all.size(), 3u);
     for (auto& [k, n] : all) EXPECT_EQ(n, 1u);
-  });
-}
-
-// --- bag -----------------------------------------------------------------------------
-
-TEST(DistributedBag, GlobalSizeAndBalance) {
-  tc::runtime::run(4, [](tc::communicator& c) {
-    tc::distributed_bag<std::uint64_t> bag(c);
-    c.barrier();
-    for (int i = 0; i < 100; ++i) bag.async_insert(static_cast<std::uint64_t>(i));
-    c.barrier();
-    EXPECT_EQ(bag.global_size(), 400u);
-    // Round-robin placement: every rank holds exactly 100.
-    EXPECT_EQ(bag.local_size(), 100u);
-  });
-}
-
-TEST(DistributedBag, LocalInsertSkipsComm) {
-  auto stats = tc::runtime::run(2, [](tc::communicator& c) {
-    tc::distributed_bag<std::uint64_t> bag(c);
-    c.barrier();
-    const auto before = c.stats();
-    for (int i = 0; i < 100; ++i) bag.local_insert(static_cast<std::uint64_t>(i));
-    const auto delta = c.stats() - before;
-    EXPECT_EQ(delta.messages_sent, 0u);  // purely local
-    c.barrier();
-    EXPECT_EQ(bag.global_size(), 200u);
-  });
-  (void)stats;
-}
-
-TEST(DistributedBag, StructPayload) {
-  struct edge {
-    std::uint64_t src;
-    std::uint64_t dst;
-    double weight;
-  };
-  tc::runtime::run(3, [](tc::communicator& c) {
-    tc::distributed_bag<edge> bag(c);
-    c.barrier();
-    if (c.rank0()) {
-      for (std::uint64_t i = 0; i < 30; ++i) bag.async_insert({i, i + 1, 0.5});
-    }
-    c.barrier();
-    EXPECT_EQ(bag.global_size(), 30u);
-    bag.for_all_local([](const edge& e) { EXPECT_EQ(e.dst, e.src + 1); });
   });
 }

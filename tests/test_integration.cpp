@@ -118,45 +118,26 @@ TEST(Integration, WebPipelineFqdnTotalsStableAcrossRankCounts) {
   EXPECT_EQ(tuple_counts[2], tuple_counts[0]);
 }
 
-// --- dodgr visit API ----------------------------------------------------------------
+// --- dodgr record views ------------------------------------------------------------
 
-namespace {
-
-struct mark_visitor {
-  void operator()(const tg::vertex_id& /*v*/,
-                  tg::vertex_record<tg::none, tg::none>& rec) {
-    rec.degree += 1000000;  // visible marker, applied on the owner
-  }
-};
-
-}  // namespace
-
-TEST(Integration, DodgrVisitRunsOnOwner) {
+TEST(Integration, DodgrRecordsLiveOnOwner) {
   tc::runtime::run(3, [](tc::communicator& c) {
     gen::dataset_spec spec = gen::livejournal_like(-8);
     gen::plain_graph g(c);
     gen::build_dataset(c, g, spec);
 
-    // Every rank asks vertex 1 to be marked; it exists in any nontrivial
-    // R-MAT graph slice.  Pick an id that is locally known to exist.
-    tg::vertex_id target = 0;
-    bool have = false;
-    g.for_all_local([&](const tg::vertex_id& v, const auto&) {
-      if (!have) {
-        target = v;
-        have = true;
-      }
+    // Every built record sits on its vertex's owner rank, once.
+    std::uint64_t local = 0;
+    g.for_all_local([&](const tg::vertex_id& v, const auto& rec) {
+      EXPECT_EQ(g.owner(v), c.rank());
+      const auto found = g.local_find(v);
+      ASSERT_TRUE(found);
+      EXPECT_EQ(found->degree, rec.degree);
+      EXPECT_EQ(found->out_degree(), rec.out_degree());
+      ++local;
     });
-    if (have) g.async_visit(target, mark_visitor{});
-    c.barrier();
-
-    std::uint64_t marked = 0;
-    g.for_all_local([&](const tg::vertex_id&, const auto& rec) {
-      if (rec.degree >= 1000000) ++marked;
-    });
-    // Each rank marked exactly one of its own vertices (owner stability).
-    EXPECT_EQ(c.all_reduce_sum(marked), static_cast<std::uint64_t>(
-        c.all_reduce_sum(static_cast<std::uint64_t>(have ? 1 : 0))));
+    EXPECT_EQ(local, g.local_num_vertices());
+    EXPECT_EQ(c.all_reduce_sum(local), g.census().num_vertices);
   });
 }
 
@@ -204,17 +185,12 @@ TEST(Integration, EnumerationToFilesCoversAllTriangles) {
   EXPECT_GT(rows, 0u);
 }
 
-TEST(Integration, VisitToUnknownVertexIsNoop) {
+TEST(Integration, LocalFindOfUnknownVertexIsEmpty) {
   tc::runtime::run(2, [](tc::communicator& c) {
     gen::plain_graph g(c);
     gen::dataset_spec spec = gen::livejournal_like(-9);
     gen::build_dataset(c, g, spec);
-    const auto before = g.census();
-    g.invalidate_census();
-    g.async_visit(0xFFFFFFFFFFFFull, mark_visitor{});  // id outside the graph
-    c.barrier();
-    const auto after = g.census();
-    EXPECT_EQ(before.num_vertices, after.num_vertices);
-    EXPECT_EQ(before.max_degree, after.max_degree);
+    EXPECT_FALSE(g.local_find(0xFFFFFFFFFFFFull));  // id outside the graph
+    EXPECT_GT(g.census().num_vertices, 0u);
   });
 }

@@ -82,6 +82,11 @@ void build_rich(tc::communicator& c, rich_graph& g, tg::ordering_policy ordering
     em.ts = edge_ts(u, v);
     em.weight = u + v;
     builder.add_edge(u, v, em);
+    for (const tg::vertex_id x : {u, v}) {
+      profile_meta vm;
+      vm.label = vertex_label(x);
+      builder.add_vertex_meta(x, vm);
+    }
   };
   if (c.rank0()) {
     for (tg::vertex_id u = 0; u < 8; ++u) {
@@ -97,10 +102,6 @@ void build_rich(tc::communicator& c, rich_graph& g, tg::ordering_policy ordering
     add(e.u + 100, e.v + 100);
   }
   builder.build_into(g);
-  g.for_all_local([](const tg::vertex_id& v, auto& rec) {
-    rec.meta.label = vertex_label(v);
-    for (auto& e : rec.adj) e.target_meta.label = vertex_label(e.target);
-  });
 }
 
 /// Local closure histogram (no RPC traffic from the callback itself).
@@ -448,6 +449,8 @@ void build_scalar(tc::communicator& c, scalar_graph& g) {
                                                           tg::ordering_policy::degree);
   const auto add = [&](tg::vertex_id u, tg::vertex_id v) {
     builder.add_edge(u, v, edge_ts(u, v));
+    builder.add_vertex_meta(u, vertex_label(u));
+    builder.add_vertex_meta(v, vertex_label(v));
   };
   if (c.rank0()) {
     for (tg::vertex_id u = 0; u < 8; ++u) {
@@ -462,10 +465,6 @@ void build_scalar(tc::communicator& c, scalar_graph& g) {
     add(e.u + 100, e.v + 100);
   }
   builder.build_into(g);
-  g.for_all_local([](const tg::vertex_id& v, auto& rec) {
-    rec.meta = vertex_label(v);
-    for (auto& e : rec.adj) e.target_meta = vertex_label(e.target);
-  });
 }
 
 }  // namespace

@@ -51,12 +51,11 @@ tg::frozen_dodgr<std::uint64_t, std::uint64_t> build_frozen(tc::communicator& c)
   tg::graph_builder<std::uint64_t, std::uint64_t> builder(c);
   tripoll::gen::for_preset_edges(c, "rmat", -4, [&](tg::vertex_id u, tg::vertex_id v) {
     builder.add_edge(u, v, edge_ts(u, v));
+    if (u == v) return;  // a dropped self-loop must not create its vertex
+    builder.add_vertex_meta(u, vertex_label(u));
+    builder.add_vertex_meta(v, vertex_label(v));
   });
   builder.build_into(g);
-  g.for_all_local([](const tg::vertex_id& v, auto& rec) {
-    rec.meta = vertex_label(v);
-    for (auto& e : rec.adj) e.target_meta = vertex_label(e.target);
-  });
   return tg::freeze(g);
 }
 

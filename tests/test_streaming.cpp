@@ -72,15 +72,14 @@ tg::frozen_dodgr<std::uint64_t, std::uint64_t> freeze_edges(
   tg::graph_builder<std::uint64_t, std::uint64_t> builder(c, ord);
   for (std::size_t i = 0; i < edges.size(); ++i) {
     if (static_cast<int>(i % static_cast<std::size_t>(c.size())) != c.rank()) continue;
-    builder.add_edge(edges[i].first, edges[i].second,
-                     edge_ts(edges[i].first, edges[i].second));
+    const auto [u, v] = edges[i];
+    builder.add_edge(u, v, edge_ts(u, v));
+    if (u == v) continue;  // a dropped self-loop must not create its vertex
+    builder.add_vertex_meta(u, vertex_label(u));
+    builder.add_vertex_meta(v, vertex_label(v));
   }
   tg::dodgr<std::uint64_t, std::uint64_t> g(c);
   builder.build_into(g);
-  g.for_all_local([](const tg::vertex_id& v, auto& rec) {
-    rec.meta = vertex_label(v);
-    for (auto& e : rec.adj) e.target_meta = vertex_label(e.target);
-  });
   return tg::freeze(g);
 }
 

@@ -14,8 +14,8 @@
 #include <string_view>
 #include <vector>
 
+#include "comm/column_exchange.hpp"
 #include "comm/counting_set.hpp"
-#include "comm/distributed_map.hpp"
 #include "comm/runtime.hpp"
 #include "serial/serialize.hpp"
 
@@ -244,21 +244,22 @@ TEST_P(BackendConformance, PayloadLargerThanBufferCapacity) {
 TEST_P(BackendConformance, DistributedContainersInterleaved) {
   run_ranks(4, [](tc::communicator& c) {
     tc::counting_set<std::string> counts(c, 16);
-    tc::distributed_map<std::uint64_t, std::uint64_t> map(c);
-    struct bump_visitor {
-      void operator()(const std::uint64_t&, std::uint64_t& v) { ++v; }
-    };
+    tc::column_exchange<std::uint64_t, std::string> ex(c);
     c.barrier();
     for (int i = 0; i < 300; ++i) {
       counts.async_increment("key" + std::to_string(i % 37));
-      map.async_visit(static_cast<std::uint64_t>(i % 53), bump_visitor{});
+      ex.push(i % c.size(), static_cast<std::uint64_t>(i), "item" + std::to_string(i));
     }
+    ex.flush();
     counts.finalize();
     require(counts.global_total() == 4 * 300, "counting_set total");
     require(counts.global_size() == 37, "counting_set distinct keys");
-    std::uint64_t map_total = 0;
-    map.for_all_local([&](const std::uint64_t&, const std::uint64_t& v) { map_total += v; });
-    require(c.all_reduce_sum(map_total) == 4 * 300, "distributed_map total");
+    auto& [ids, items] = ex.inbox();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      require(items[i] == "item" + std::to_string(ids[i]), "column_exchange string column");
+    }
+    require(c.all_reduce_sum(static_cast<std::uint64_t>(ids.size())) == 4 * 300,
+            "column_exchange total");
   });
 }
 

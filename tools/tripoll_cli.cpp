@@ -374,6 +374,16 @@ std::uint64_t plan_vertex_label(graph::vertex_id v) {
   return tripoll::serial::splitmix64(v ^ 0x5EED) % 64;
 }
 
+/// Contribute edge (u, v) with the `plan` metadata: its timestamp, and the
+/// label of both endpoints (a dropped self-loop creates no vertex).
+template <typename Builder>
+void add_labeled_edge(Builder& builder, graph::vertex_id u, graph::vertex_id v) {
+  builder.add_edge(u, v, plan_edge_ts(u, v));
+  if (u == v) return;
+  builder.add_vertex_meta(u, plan_vertex_label(u));
+  builder.add_vertex_meta(v, plan_vertex_label(v));
+}
+
 /// Stateful plan callback (carried by value in the plan): counts triangles
 /// whose three projected timestamps all clear the threshold; bool return =
 /// "did I fire", so its result slice reports the filtered count.
@@ -409,15 +419,9 @@ int cmd_plan(int argc, char** argv) {
     graph::dodgr<std::uint64_t, std::uint64_t> g(c);
     graph::graph_builder<std::uint64_t, std::uint64_t> builder(c, g_ordering);
     for_preset_edges(c, which, delta, [&](graph::vertex_id u, graph::vertex_id v) {
-      builder.add_edge(u, v, plan_edge_ts(u, v));
+      add_labeled_edge(builder, u, v);
     });
     builder.build_into(g);
-    // Vertex labels are attached rank-locally after the build (pure
-    // function of the id, so no exchange is needed).
-    g.for_all_local([](const graph::vertex_id& v, auto& rec) {
-      rec.meta = plan_vertex_label(v);
-      for (auto& e : rec.adj) e.target_meta = plan_vertex_label(e.target);
-    });
     auto fz = graph::freeze(g);
 
     // Identity-projection single-callback run: full metadata on the wire.
@@ -506,13 +510,9 @@ int cmd_frozen(int argc, char** argv) {
     graph::dodgr<std::uint64_t, std::uint64_t> g(c);
     graph::graph_builder<std::uint64_t, std::uint64_t> builder(c, g_ordering);
     for_preset_edges(c, which, delta, [&](graph::vertex_id u, graph::vertex_id v) {
-      builder.add_edge(u, v, plan_edge_ts(u, v));
+      add_labeled_edge(builder, u, v);
     });
     builder.build_into(g);
-    g.for_all_local([](const graph::vertex_id& v, auto& rec) {
-      rec.meta = plan_vertex_label(v);
-      for (auto& e : rec.adj) e.target_meta = plan_vertex_label(e.target);
-    });
 
     // Identity freeze: same metadata, CSR arenas, per-message projection of
     // edge meta to its timestamp.
@@ -592,7 +592,7 @@ void snapshot_save_run(const std::string& path, const std::string& prefix, int r
         c, path,
         [&](const graph::parsed_edge& e) {
           if constexpr (WithMeta) {
-            builder.add_edge(e.u, e.v, plan_edge_ts(e.u, e.v));
+            add_labeled_edge(builder, e.u, e.v);
           } else {
             builder.add_edge(e.u, e.v);
           }
@@ -600,12 +600,6 @@ void snapshot_save_run(const std::string& path, const std::string& prefix, int r
         in);
     graph::dodgr<Meta, Meta> g(c);
     builder.build_into(g);
-    if constexpr (WithMeta) {
-      g.for_all_local([](const graph::vertex_id& v, auto& rec) {
-        rec.meta = plan_vertex_label(v);
-        for (auto& e : rec.adj) e.target_meta = plan_vertex_label(e.target);
-      });
-    }
     graph::freeze_options fo;
     fo.threads = g_threads;
     auto fz = graph::freeze(g, fo);
