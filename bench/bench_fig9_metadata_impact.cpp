@@ -155,6 +155,11 @@ std::uint64_t edge_ts(graph::vertex_id u, graph::vertex_id v) {
 /// traversal traffic, not counting-set chatter.
 struct closure_hist_ctx {
   std::map<cb::closure_bin, std::uint64_t> bins;
+
+  closure_hist_ctx fork() const { return {}; }
+  void join(closure_hist_ctx&& slice) {
+    for (const auto& [bin, n] : slice.bins) bins[bin] += n;
+  }
 };
 
 void bin_closure(std::uint64_t a, std::uint64_t b, std::uint64_t c,
@@ -186,13 +191,13 @@ struct hot_filter_cb {
   std::uint64_t threshold = 0;
 
   template <typename View>
-  bool operator()(const View& v, std::uint64_t& hot) const {
+  bool operator()(const View& v, cb::count_context& hot) const {
     if (static_cast<std::uint64_t>(v.meta_pq) < threshold ||
         static_cast<std::uint64_t>(v.meta_pr) < threshold ||
         static_cast<std::uint64_t>(v.meta_qr) < threshold) {
       return false;
     }
-    ++hot;
+    ++hot.triangles;
     return true;
   }
 };
@@ -382,7 +387,7 @@ int main(int argc, char** argv) {
   cases["single_closure"] = cases["projected_closure"];
   cases["single_hot_filter"] =
       run_case(plan_ranks, plan_scale, [&](rich_frozen& g, closure_hist_ctx&) {
-        std::uint64_t hot = 0;
+        cb::count_context hot;
         auto r = tripoll::survey(g)
                      .project_vertex(tripoll::drop_projection{})
                      .project_edge([](const rich_edge_meta& e) { return e.timestamp; })
@@ -393,7 +398,7 @@ int main(int argc, char** argv) {
   cases["fused3"] = run_case(plan_ranks, plan_scale, [&](rich_frozen& g,
                                                          closure_hist_ctx& h) {
     cb::count_context ctx;
-    std::uint64_t hot = 0;
+    cb::count_context hot;
     auto r = tripoll::survey(g)
                  .project_vertex(tripoll::drop_projection{})
                  .project_edge([](const rich_edge_meta& e) { return e.timestamp; })

@@ -7,6 +7,13 @@
 // occasionally."  Algorithms 3 and 4 increment it from inside triangle
 // callbacks; the interleaving of its flush RPCs with the survey's adjacency
 // RPCs is exactly the message heterogeneity YGM's serialization provides.
+//
+// Survey callbacks never touch the set itself: each thread that closes
+// batches counts into a detached `tally` (fork()), and at phase end the
+// owning thread join()s the tallies into the rank cache in worker-index
+// order.  The cache then evicts through the communicator exactly as
+// async_increment() does, so a key travels at most once per tally and
+// phase rather than each time it re-enters a full cache.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +29,23 @@ namespace tripoll::comm {
 
 template <typename Key>
 class counting_set {
+  using map_type = std::unordered_map<Key, std::uint64_t, key_hash<Key>>;
+
  public:
   using key_type = Key;
   using count_type = std::uint64_t;
   using self = counting_set<Key>;
+
+  /// Detached per-worker counts (fork()): no communicator, no handle, never
+  /// sends, so any thread may fill its own.  join() folds it into the set.
+  class tally {
+   public:
+    void increment(Key k, count_type by = 1) { counts_[std::move(k)] += by; }
+
+   private:
+    friend counting_set;
+    map_type counts_;
+  };
 
   /// `cache_capacity` bounds the number of distinct keys cached locally
   /// before a flush sends the aggregated counts to their owners.
@@ -44,6 +64,20 @@ class counting_set {
   void async_increment(const Key& k, count_type by = 1) {
     cache_[k] += by;
     if (cache_.size() >= cache_capacity_) flush_cache();
+  }
+
+  /// An empty tally for one worker's increments.
+  [[nodiscard]] tally fork() const { return {}; }
+
+  /// Owning thread: fold a tally into the rank cache, evicting through the
+  /// communicator whenever the cache fills (as async_increment does).  The
+  /// tally's nodes move into the cache; no key is copied.
+  void join(tally&& t) {
+    while (!t.counts_.empty()) {
+      auto moved = cache_.insert(t.counts_.extract(t.counts_.begin()));
+      if (!moved.inserted) moved.position->second += moved.node.mapped();
+      if (cache_.size() >= cache_capacity_) flush_cache();
+    }
   }
 
   /// Push all cached counts to their owners.  Must be followed by a
@@ -116,8 +150,8 @@ class counting_set {
   communicator* comm_;
   dist_handle<self> handle_;
   std::size_t cache_capacity_;
-  std::unordered_map<Key, count_type, key_hash<Key>> cache_;
-  std::unordered_map<Key, count_type, key_hash<Key>> counts_;
+  map_type cache_;
+  map_type counts_;
 };
 
 }  // namespace tripoll::comm

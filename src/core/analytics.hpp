@@ -18,11 +18,9 @@
 // division by degree is rank-local.
 //
 // Parallel traversal: every entry point forwards `survey_options` (and so
-// `threads` / TRIPOLL_THREADS) to the engine, which parallelizes the send
-// stages of the run.  The callbacks here fire into distributed
-// counting sets (`async_increment` = communicator traffic), so they are
-// registered through plain `.add` and always fire on the owning thread --
-// they must NOT be moved to `add_reduced`; see docs/THREADING.md.
+// `threads` / TRIPOLL_THREADS) to the engine.  The callbacks count into
+// their slices' counting-set tallies (core/callbacks.hpp), so they fire on
+// every worker thread; see docs/THREADING.md.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +28,7 @@
 #include <utility>
 
 #include "comm/counting_set.hpp"
+#include "core/callbacks.hpp"
 #include "core/survey.hpp"
 #include "graph/types.hpp"
 
@@ -55,23 +54,15 @@ using edge_key = std::pair<graph::vertex_id, graph::vertex_id>;
 
 namespace detail {
 
-/// Metadata-free callback crediting all three corner vertices.
-struct vertex_count_cb {
-  template <typename View>
-  void operator()(const View& view, comm::counting_set<graph::vertex_id>& counts) const {
-    counts.async_increment(view.p);
-    counts.async_increment(view.q);
-    counts.async_increment(view.r);
-  }
-};
+using edge_support_context = callbacks::counting_set_context<edge_key>;
 
 /// Metadata-free callback crediting all three edges.
 struct edge_support_cb {
   template <typename View>
-  void operator()(const View& view, comm::counting_set<edge_key>& counts) const {
-    counts.async_increment(make_edge_key(view.p, view.q));
-    counts.async_increment(make_edge_key(view.p, view.r));
-    counts.async_increment(make_edge_key(view.q, view.r));
+  void operator()(const View& view, edge_support_context& ctx) const {
+    ctx.tally.increment(make_edge_key(view.p, view.q));
+    ctx.tally.increment(make_edge_key(view.p, view.r));
+    ctx.tally.increment(make_edge_key(view.q, view.r));
   }
 };
 
@@ -127,10 +118,11 @@ template <typename Graph>
                                                          survey_options opts = {}) {
   auto& c = g.comm();
   comm::counting_set<graph::vertex_id> per_vertex(c);
+  callbacks::local_count_context vertex_ctx{&per_vertex};
   const auto result = survey(g)
                           .project_vertex(drop_projection{})
                           .project_edge(drop_projection{})
-                          .add(detail::vertex_count_cb{}, per_vertex)
+                          .add(callbacks::local_count_callback{}, vertex_ctx)
                           .run(opts);
   per_vertex.finalize();
   return detail::summarize_clustering(g, per_vertex, result.total.triangles_found);
@@ -146,10 +138,11 @@ template <typename Graph>
 template <typename Graph>
 survey_result edge_support(Graph& g, comm::counting_set<edge_key>& support,
                            survey_options opts = {}) {
+  detail::edge_support_context support_ctx{&support};
   const auto result = survey(g)
                           .project_vertex(drop_projection{})
                           .project_edge(drop_projection{})
-                          .add(detail::edge_support_cb{}, support)
+                          .add(detail::edge_support_cb{}, support_ctx)
                           .run(opts);
   support.finalize();
   return result.slice(0);
@@ -170,11 +163,13 @@ template <typename Graph>
     Graph& g, comm::counting_set<edge_key>& support, survey_options opts = {}) {
   auto& c = g.comm();
   comm::counting_set<graph::vertex_id> per_vertex(c);
+  callbacks::local_count_context vertex_ctx{&per_vertex};
+  detail::edge_support_context support_ctx{&support};
   const auto result = survey(g)
                           .project_vertex(drop_projection{})
                           .project_edge(drop_projection{})
-                          .add(detail::vertex_count_cb{}, per_vertex)
-                          .add(detail::edge_support_cb{}, support)
+                          .add(callbacks::local_count_callback{}, vertex_ctx)
+                          .add(detail::edge_support_cb{}, support_ctx)
                           .run(opts);
   per_vertex.finalize();
   support.finalize();

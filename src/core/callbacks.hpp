@@ -11,6 +11,12 @@
 //   * local counting -- per-vertex/per-edge participation counts, the truss /
 //     clustering-coefficient building block the paper cites
 //
+// Every context is sliceable (core/plan.hpp): `fork()` makes the empty slice
+// a closing thread fires into and `join()` folds it back on the owning
+// thread, so every analysis fires on every worker thread.  The counting-set
+// analyses count into a slice's detached tally, which join() hands to the
+// rank's counting set (comm/counting_set.hpp).
+//
 // Every callback additionally DECLARES the minimal sender-side projections
 // it needs (`vertex_projection` / `edge_projection` nested aliases): what
 // must cross the wire for the analysis to run.  `plan_for(g, cb, ctx)`
@@ -71,14 +77,10 @@ template <typename Cb, typename Graph, typename Context>
       .add(std::move(cb), ctx);
 }
 
-/// `plan_for`, but registers the callback through the plan's reduction hook
-/// (`add_reduced`): under a parallel traversal each worker thread fires into
-/// a private default-constructed context slice and `reduce` folds the slices
-/// back into `ctx` at the phase merge point (docs/THREADING.md).  Only
-/// callbacks whose whole state lives in the context qualify -- a callback
-/// that touches the communicator or a distributed container (e.g. the
-/// counting-set analyses calling `async_increment`) must stay on the plain
-/// `plan_for` / `.add` path, which keeps it on the owning thread.
+/// `plan_for`, but registers the callback through `add_reduced`, the
+/// shorthand for value contexts: slices are default-constructed and
+/// `reduce` folds them back into `ctx` at phase end (docs/THREADING.md);
+/// reduce_scope::global also all_reduces `ctx` across ranks.
 template <reduce_scope Scope = reduce_scope::threads, typename Cb, typename Graph,
           typename Context, typename Reduce>
 [[nodiscard]] auto plan_for_reduced(Graph& g, Cb cb, Context& ctx, Reduce reduce) {
@@ -92,6 +94,9 @@ template <reduce_scope Scope = reduce_scope::threads, typename Cb, typename Grap
 
 struct count_context {
   std::uint64_t triangles = 0;
+
+  [[nodiscard]] count_context fork() const { return {}; }
+  void join(count_context&& slice) { triangles += slice.triangles; }
 
   /// Collective: the paper's final All_Reduce over rank-local counts.
   [[nodiscard]] std::uint64_t global_count(comm::communicator& c) const {
@@ -119,14 +124,25 @@ struct count_reduce {
   }
 };
 
+// --- counting-set contexts ---------------------------------------------------------
+
+/// Context of a counting-set analysis: the registered context points at a
+/// collectively-constructed counting set; a slice also carries the tally its
+/// thread counts into, which join() folds into the set.
+template <typename Key>
+struct counting_set_context {
+  comm::counting_set<Key>* counters = nullptr;
+  typename comm::counting_set<Key>::tally tally{};
+
+  [[nodiscard]] counting_set_context fork() const { return {counters, counters->fork()}; }
+  void join(counting_set_context&& slice) { counters->join(std::move(slice.tally)); }
+};
+
 // --- Alg. 3: max edge label distribution ------------------------------------------
 
-/// Context holds a pointer to a collectively-constructed counting set keyed
-/// by edge label.  Requires label-like (ordered, hashable) metadata.
+/// Keyed by edge label.  Requires label-like (ordered, hashable) metadata.
 template <typename EdgeLabel>
-struct max_edge_label_context {
-  comm::counting_set<EdgeLabel>* counters = nullptr;
-};
+using max_edge_label_context = counting_set_context<EdgeLabel>;
 
 struct max_edge_label_callback {
   using vertex_projection = identity_projection;  ///< label distinctness test
@@ -141,7 +157,7 @@ struct max_edge_label_callback {
     }
     const EdgeLabel max_edge =
         std::max({view.meta_pq, view.meta_pr, view.meta_qr});
-    ctx.counters->async_increment(max_edge);
+    ctx.tally.increment(max_edge);
   }
 };
 
@@ -171,9 +187,7 @@ using closure_bin = std::pair<std::uint32_t, std::uint32_t>;
   return closure_bin{log2_bin(open_dt), log2_bin(close_dt)};
 }
 
-struct closure_time_context {
-  comm::counting_set<closure_bin>* counters = nullptr;
-};
+using closure_time_context = counting_set_context<closure_bin>;
 
 /// Edge metadata must be (convertible to) a uint64 timestamp; pair with the
 /// declared `timestamp_projection` (plan_for) so rich edge structs ship 8
@@ -185,7 +199,7 @@ struct closure_time_callback {
 
   template <typename View>
   void operator()(const View& view, closure_time_context& ctx) const {
-    ctx.counters->async_increment(
+    ctx.tally.increment(
         closure_bin_of(static_cast<std::uint64_t>(view.meta_pq),
                        static_cast<std::uint64_t>(view.meta_pr),
                        static_cast<std::uint64_t>(view.meta_qr)));
@@ -196,9 +210,7 @@ struct closure_time_callback {
 
 using degree_triple = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
 
-struct degree_triple_context {
-  comm::counting_set<degree_triple>* counters = nullptr;
-};
+using degree_triple_context = counting_set_context<degree_triple>;
 
 /// Vertex metadata must be (convertible to) the vertex degree.
 struct degree_triple_callback {
@@ -207,7 +219,7 @@ struct degree_triple_callback {
 
   template <typename View>
   void operator()(const View& view, degree_triple_context& ctx) const {
-    ctx.counters->async_increment(
+    ctx.tally.increment(
         degree_triple{log2_bin(static_cast<std::uint64_t>(view.meta_p)),
                       log2_bin(static_cast<std::uint64_t>(view.meta_q)),
                       log2_bin(static_cast<std::uint64_t>(view.meta_r))});
@@ -222,6 +234,13 @@ using fqdn_tuple = std::tuple<std::string, std::string, std::string>;
 struct fqdn_tuple_context {
   comm::counting_set<fqdn_tuple>* counters = nullptr;
   std::uint64_t distinct_fqdn_triangles = 0;  ///< rank-local tally
+  comm::counting_set<fqdn_tuple>::tally tally{};
+
+  [[nodiscard]] fqdn_tuple_context fork() const { return {counters, 0, counters->fork()}; }
+  void join(fqdn_tuple_context&& slice) {
+    distinct_fqdn_triangles += slice.distinct_fqdn_triangles;
+    counters->join(std::move(slice.tally));
+  }
 };
 
 /// Vertex metadata must be a string (the FQDN).  Counts only triangles whose
@@ -242,7 +261,7 @@ struct fqdn_tuple_callback {
     ++ctx.distinct_fqdn_triangles;
     std::array<std::string_view, 3> sorted{a, b, c};
     std::sort(sorted.begin(), sorted.end());
-    ctx.counters->async_increment(
+    ctx.tally.increment(
         fqdn_tuple{std::string(sorted[0]), std::string(sorted[1]), std::string(sorted[2])});
   }
 };
@@ -252,10 +271,18 @@ struct fqdn_tuple_callback {
 /// "Writing information on individual triangles out to file": each rank
 /// owns a private sink, so enumeration needs no cross-rank coordination.
 /// The caller opens/closes the stream (one file per rank is the usual
-/// pattern).
+/// pattern).  Slices buffer their rows; join() writes them on the owning
+/// thread, so no worker does file I/O.
 struct enumerate_context {
   std::FILE* out = nullptr;
   std::uint64_t rows = 0;
+  std::string pending{};  ///< a slice's buffered rows
+
+  [[nodiscard]] enumerate_context fork() const { return {out}; }
+  void join(enumerate_context&& slice) {
+    std::fwrite(slice.pending.data(), 1, slice.pending.size(), out);
+    rows += slice.rows;
+  }
 };
 
 struct enumerate_callback {
@@ -264,10 +291,12 @@ struct enumerate_callback {
 
   template <typename View>
   void operator()(const View& view, enumerate_context& ctx) const {
-    std::fprintf(ctx.out, "%llu %llu %llu\n",
-                 static_cast<unsigned long long>(view.p),
-                 static_cast<unsigned long long>(view.q),
-                 static_cast<unsigned long long>(view.r));
+    char row[72];
+    const int n = std::snprintf(row, sizeof row, "%llu %llu %llu\n",
+                                static_cast<unsigned long long>(view.p),
+                                static_cast<unsigned long long>(view.q),
+                                static_cast<unsigned long long>(view.r));
+    ctx.pending.append(row, static_cast<std::size_t>(n));
     ++ctx.rows;
   }
 };
@@ -276,9 +305,7 @@ struct enumerate_callback {
 
 /// Per-vertex triangle participation: the callback credits all three corner
 /// vertices through a distributed counting set keyed by vertex id.
-struct local_count_context {
-  comm::counting_set<graph::vertex_id>* per_vertex = nullptr;
-};
+using local_count_context = counting_set_context<graph::vertex_id>;
 
 struct local_count_callback {
   using vertex_projection = drop_projection;  ///< ids only
@@ -286,9 +313,9 @@ struct local_count_callback {
 
   template <typename View>
   void operator()(const View& view, local_count_context& ctx) const {
-    ctx.per_vertex->async_increment(view.p);
-    ctx.per_vertex->async_increment(view.q);
-    ctx.per_vertex->async_increment(view.r);
+    ctx.tally.increment(view.p);
+    ctx.tally.increment(view.q);
+    ctx.tally.increment(view.r);
   }
 };
 

@@ -30,13 +30,14 @@
 // `triangles_found` reflects.
 //
 // Thread-safety contract (full statement: docs/THREADING.md): a plan, its
-// callbacks and its contexts are rank-local.  With survey_options::threads
-// == 1 the engine invokes callbacks only from the owning rank's thread.
-// With threads > 1, `.add()` entries still fire only on the owning thread;
-// `.add_reduced()` entries may fire on worker threads, each into its own
-// default-constructed per-thread context slice, merged into the registered
-// context by the declared reduction at the end of the run (and, for
-// reduce_scope::global, all_reduced across ranks).  Contexts are held by
+// callbacks and its contexts are rank-local.  Every entry fires into a
+// SLICE of its context owned by whichever thread closes the batch -- worker
+// tasks at threads > 1, the owning thread at threads == 1 -- and at each
+// phase end the slices join into the registered context in worker-index
+// order, on the owning thread.  `.add()` takes the slicing from the context
+// itself (`fork()` / `join()`); `.add_reduced()` slices a value context by
+// default construction and joins through the declared reduction (and, for
+// reduce_scope::global, all_reduces across ranks).  Contexts are held by
 // pointer and must outlive `run()`.
 //
 // This header defines the plan, result and view types; the engine that
@@ -44,13 +45,13 @@
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "comm/communicator.hpp"
 #include "graph/types.hpp"
@@ -200,81 +201,66 @@ struct wire_type<std::string> {
 template <typename P>
 using wire_type_t = typename wire_type<P>::type;
 
-/// Shared callback dispatch: cb(comm, view, ctx) or cb(view, ctx), each
-/// either bool-returning ("did it fire?") or void (always fires).
+/// Shared callback dispatch: cb(view, ctx), either bool-returning ("did it
+/// fire?") or void (always fires).
 template <typename Callback, typename View, typename Context>
-bool dispatch_callback(Callback& callback, comm::communicator& c, const View& view,
-                       Context& context) {
-  if constexpr (std::is_invocable_v<Callback&, comm::communicator&, const View&,
-                                    Context&>) {
-    if constexpr (std::is_same_v<std::invoke_result_t<Callback&, comm::communicator&,
-                                                      const View&, Context&>,
-                                 bool>) {
-      return callback(c, view, context);
-    } else {
-      callback(c, view, context);
-      return true;
-    }
+bool dispatch_callback(Callback& callback, const View& view, Context& context) {
+  static_assert(std::is_invocable_v<Callback&, const View&, Context&>,
+                "survey callback must be callable as cb(view, ctx)");
+  if constexpr (std::is_same_v<std::invoke_result_t<Callback&, const View&, Context&>,
+                               bool>) {
+    return callback(view, context);
   } else {
-    static_assert(std::is_invocable_v<Callback&, const View&, Context&>,
-                  "survey callback must be callable as cb(view, ctx) or "
-                  "cb(comm, view, ctx)");
-    if constexpr (std::is_same_v<std::invoke_result_t<Callback&, const View&, Context&>,
-                                 bool>) {
-      return callback(view, context);
-    } else {
-      callback(view, context);
-      return true;
-    }
+    callback(view, context);
+    return true;
   }
 }
 
-/// One (callback, context) registration of a plan.
-template <typename Callback, typename Context>
-struct callback_entry {
-  static constexpr bool reduced = false;
-  using callback_type = Callback;
-  using context_type = Context;
-  Callback callback;
-  Context* context;
-
-  /// Invoke on one triangle; returns whether the callback "fired" (a
-  /// bool-returning callback can decline, e.g. a threshold filter).
-  template <typename View>
-  bool invoke(comm::communicator& c, const View& view) {
-    return dispatch_callback(callback, c, view, *context);
-  }
+/// A context `.add()` can slice: `fork()` makes an empty slice on the owning
+/// thread (another thread fills it, so it must not write through state it
+/// shares with the context) and `join(slice&&)` folds one back.
+template <typename C>
+concept sliceable_context = requires(C& ctx, const C& cctx, C&& slice) {
+  { cctx.fork() } -> std::same_as<C>;
+  ctx.join(std::move(slice));
 };
 
-/// One `.add_reduced()` registration: a callback plus the reduction that
-/// folds per-thread context slices (and, for reduce_scope::global, the
-/// per-rank contexts) back into the registered context.
+/// Reduce marker of a `.add()` entry: the context slices itself.
+struct member_join {};
+
+/// One (callback, context) registration of a plan.  `Reduce` is member_join
+/// for `.add()` and the declared reduction for `.add_reduced()`.
 template <typename Callback, typename Context, typename Reduce, reduce_scope Scope>
-struct reduced_callback_entry {
-  static constexpr bool reduced = true;
-  static constexpr reduce_scope scope = Scope;
+struct callback_entry {
   using callback_type = Callback;
   using context_type = Context;
 
   Callback callback;
   Context* context;
-  Reduce reduce;
+  [[no_unique_address]] Reduce reduce;
 
-  template <typename View>
-  bool invoke(comm::communicator& c, const View& view) {
-    return dispatch_callback(callback, c, view, *context);
+  /// An empty slice of the registered context.
+  [[nodiscard]] Context fork() const {
+    if constexpr (std::is_same_v<Reduce, member_join>) {
+      return context->fork();
+    } else {
+      return Context{};
+    }
   }
 
-  /// Worker-thread fire into a per-thread slice: no communicator (workers
-  /// must never touch comm state; see docs/THREADING.md).
-  template <typename View>
-  bool invoke_on(const View& view, Context& slice) {
-    if constexpr (std::is_same_v<std::invoke_result_t<Callback&, const View&, Context&>,
-                                 bool>) {
-      return callback(view, slice);
+  /// Fold one slice back into the registered context (owning thread).
+  void join(Context&& slice) {
+    if constexpr (std::is_same_v<Reduce, member_join>) {
+      context->join(std::move(slice));
     } else {
-      callback(view, slice);
-      return true;
+      *context = reduce(std::as_const(*context), std::as_const(slice));
+    }
+  }
+
+  /// End of run: reduce_scope::global all_reduces the joined context.
+  void finish([[maybe_unused]] comm::communicator& c) {
+    if constexpr (Scope == reduce_scope::global) {
+      *context = c.all_reduce(*context, reduce);
     }
   }
 };
@@ -336,32 +322,6 @@ struct proj_fold<P> {
 };
 template <typename A, typename B, typename... Rest>
 struct proj_fold<A, B, Rest...> : proj_fold<typename proj_union<A, B>::type, Rest...> {};
-
-/// Is this entry eligible to fire on worker threads for triangle views of
-/// type View?  Plain `.add()` entries never are (no declared reduction);
-/// reduced entries are when their context can be default-constructed as a
-/// per-thread slice and the callback runs without a communicator.
-template <typename Entry, typename View>
-inline constexpr bool entry_parallel_ready = false;
-
-template <typename Callback, typename Context, typename Reduce, reduce_scope Scope,
-          typename View>
-inline constexpr bool
-    entry_parallel_ready<reduced_callback_entry<Callback, Context, Reduce, Scope>, View> =
-        std::is_default_constructible_v<Context> &&
-        std::is_invocable_v<Callback&, const View&, Context&>;
-
-/// Per-thread slice storage for one entry: the context type for reduced
-/// entries, an empty placeholder for plain ones (never touched -- a plan
-/// with any plain entry is not parallel-fire capable).
-template <typename Entry>
-struct slice_of {
-  struct type {};
-};
-template <typename Callback, typename Context, typename Reduce, reduce_scope Scope>
-struct slice_of<reduced_callback_entry<Callback, Context, Reduce, Scope>> {
-  using type = Context;
-};
 
 // Defined in core/survey.hpp (constructs the engine and runs it); declared
 // here so survey_plan::run() can be written against it.
@@ -468,29 +428,29 @@ class survey_plan {
 
   /// Register one (callback, context) pair.  The callback is stored by
   /// value (small stateful functors welcome); `context` is held by pointer
-  /// and must outlive run().
+  /// and must outlive run().  Each closing thread fires into its own
+  /// `context.fork()`, joined back with `context.join(slice)` at phase end.
   template <typename Callback, typename Context>
   [[nodiscard]] auto add(Callback callback, Context& context) const {
-    using entry = core::detail::callback_entry<Callback, Context>;
-    return survey_plan<Graph, VProj, EProj, Entries..., entry>(
-        *graph_, vproj_, eproj_,
-        std::tuple_cat(entries_,
-                       std::make_tuple(entry{std::move(callback), &context})),
-        window_);
+    static_assert(core::detail::sliceable_context<Context>,
+                  ".add(cb, ctx) needs a sliceable context: every thread that closes "
+                  "batches fires into its own slice, so Context must provide "
+                  "`Context fork() const` (an empty slice) and `void join(Context&&)` "
+                  "(fold a slice back); register a plain value context with "
+                  ".add_reduced(cb, ctx, reduce) instead");
+    return append(core::detail::callback_entry<Callback, Context, core::detail::member_join,
+                                               reduce_scope::threads>{std::move(callback),
+                                                                      &context, {}});
   }
 
   /// Register a (callback, context) pair WITH a declared reduction over
-  /// context state.  `reduce` must be a stateless binary op
-  /// `Context(const Context&, const Context&)`.  Two things follow:
-  ///
-  ///   * parallel traversal: if Context is default-constructible and the
-  ///     callback runs as cb(view, ctx) (no communicator), worker threads
-  ///     fire into per-thread slices that `reduce` folds into `context` by
-  ///     the end of run() (docs/THREADING.md);
-  ///   * Scope == reduce_scope::global additionally all_reduces the folded
-  ///     context across ranks (even in single-threaded runs), so run()
-  ///     returns with `context` already holding the global result -- the
-  ///     plan-level twin of count_context::global_count().
+  /// context state: the shorthand for value contexts.  `reduce` must be a
+  /// stateless binary op `Context(const Context&, const Context&)`.  Slices
+  /// are default-constructed and fold back as `ctx = reduce(ctx, slice)`;
+  /// Scope == reduce_scope::global additionally all_reduces the folded
+  /// context across ranks, so run() returns with `context` already holding
+  /// the global result -- the plan-level twin of
+  /// count_context::global_count().
   template <reduce_scope Scope = reduce_scope::threads, typename Callback,
             typename Context, typename Reduce>
   [[nodiscard]] auto add_reduced(Callback callback, Context& context,
@@ -498,12 +458,12 @@ class survey_plan {
     static_assert(std::is_empty_v<Reduce>,
                   "plan reductions must be stateless (captureless lambda or "
                   "empty functor); global scope runs them through all_reduce");
-    using entry = core::detail::reduced_callback_entry<Callback, Context, Reduce, Scope>;
-    return survey_plan<Graph, VProj, EProj, Entries..., entry>(
-        *graph_, vproj_, eproj_,
-        std::tuple_cat(entries_, std::make_tuple(entry{std::move(callback), &context,
-                                                       std::move(reduce)})),
-        window_);
+    static_assert(std::is_default_constructible_v<Context>,
+                  ".add_reduced(cb, ctx, reduce) slices by default construction; "
+                  "give Context a default constructor or register it with .add() "
+                  "and fork()/join() members");
+    return append(core::detail::callback_entry<Callback, Context, Reduce, Scope>{
+        std::move(callback), &context, std::move(reduce)});
   }
 
   /// Collective: execute the plan as one fused traversal.  Requires
@@ -523,84 +483,54 @@ class survey_plan {
     return window_;
   }
 
-  /// Fan one discovered triangle out to every registered callback;
-  /// `fired[i]` accumulates the callbacks that actually ran.
-  template <typename View>
-  void fire(comm::communicator& c, const View& view,
-            std::array<std::uint64_t, num_callbacks>& fired) {
-    std::apply(
-        [&](auto&... entry) {
-          std::size_t i = 0;
-          ((fired[i] += entry.invoke(c, view) ? 1u : 0u, ++i), ...);
-        },
-        entries_);
+  /// One thread's context slices, one element per entry.
+  using slice_tuple = std::tuple<typename Entries::context_type...>;
+
+  /// Fresh slices of every registered context (owning thread).
+  [[nodiscard]] slice_tuple make_slices() const {
+    return std::apply([](const auto&... entry) { return slice_tuple{entry.fork()...}; },
+                      entries_);
   }
 
-  /// May every entry of this plan fire on a worker thread for views of type
-  /// View?  If not, a parallel run still parallelizes the send stages but
-  /// funnels every fire through the owning thread.
+  /// Fan one discovered triangle out to every callback, each firing into
+  /// its slice; `fired[i]` accumulates the callbacks that actually ran.
+  /// Runs on whichever thread closed the batch, and never sees the
+  /// communicator.
   template <typename View>
-  static constexpr bool parallel_fire_capable =
-      (core::detail::entry_parallel_ready<Entries, View> && ...);
-
-  /// One worker thread's context slices, one element per entry (empty
-  /// placeholders for plain entries).
-  using slice_tuple = std::tuple<typename core::detail::slice_of<Entries>::type...>;
-
-  [[nodiscard]] slice_tuple make_slices() const { return slice_tuple{}; }
-
-  /// Worker-thread fire: every entry fires into its slice, never into the
-  /// registered context, and never sees the communicator.  Only
-  /// instantiated when parallel_fire_capable<View>.
-  template <typename View>
-  void fire_slices(const View& view, slice_tuple& slices,
-                   std::array<std::uint64_t, num_callbacks>& fired) {
+  void fire(const View& view, slice_tuple& slices,
+            std::array<std::uint64_t, num_callbacks>& fired) {
     [&]<std::size_t... I>(std::index_sequence<I...>) {
-      ((fired[I] +=
-        std::get<I>(entries_).invoke_on(view, std::get<I>(slices)) ? 1u : 0u),
+      ((fired[I] += core::detail::dispatch_callback(std::get<I>(entries_).callback, view,
+                                                    std::get<I>(slices))
+                        ? 1u
+                        : 0u),
        ...);
     }(std::make_index_sequence<num_callbacks>{});
   }
 
-  /// Owning-thread merge point: fold every worker's slices into the
-  /// registered contexts, in worker-index order (deterministic for any
-  /// reduction; bit-identical across runs for associative+commutative ones).
-  void merge_slices(std::vector<slice_tuple>& all_slices) {
-    for (auto& slices : all_slices) {
-      [&]<std::size_t... I>(std::index_sequence<I...>) {
-        (merge_one(std::get<I>(entries_), std::get<I>(slices)), ...);
-      }(std::make_index_sequence<num_callbacks>{});
-    }
+  /// Owning-thread merge point: fold one thread's slices into the
+  /// registered contexts.  The engine calls it per thread in worker-index
+  /// order (deterministic for any join; bit-identical across runs for
+  /// associative+commutative ones).
+  void join_slices(slice_tuple& slices) {
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      (std::get<I>(entries_).join(std::move(std::get<I>(slices))), ...);
+    }(std::make_index_sequence<num_callbacks>{});
   }
 
   /// End-of-run hook, called by the engine on EVERY run (any thread count,
   /// any graph): all_reduce the contexts of reduce_scope::global
   /// entries so they return holding globally-reduced state.
   void finish_reductions(comm::communicator& c) {
-    std::apply([&](auto&... entry) { (finish_one(c, entry), ...); }, entries_);
+    std::apply([&](auto&... entry) { (entry.finish(c), ...); }, entries_);
   }
 
  private:
-  template <typename Entry, typename Slice>
-  static void merge_one(Entry& entry, Slice& slice) {
-    if constexpr (Entry::reduced) {
-      *entry.context = entry.reduce(std::as_const(*entry.context), std::as_const(slice));
-    } else {
-      (void)entry;
-      (void)slice;
-    }
-  }
-
   template <typename Entry>
-  static void finish_one(comm::communicator& c, Entry& entry) {
-    if constexpr (Entry::reduced) {
-      if constexpr (Entry::scope == reduce_scope::global) {
-        *entry.context = c.all_reduce(*entry.context, entry.reduce);
-      }
-    } else {
-      (void)c;
-      (void)entry;
-    }
+  [[nodiscard]] auto append(Entry entry) const {
+    return survey_plan<Graph, VProj, EProj, Entries..., Entry>(
+        *graph_, vproj_, eproj_, std::tuple_cat(entries_, std::make_tuple(std::move(entry))),
+        window_);
   }
 
   graph_type* graph_;

@@ -25,13 +25,14 @@
 // > 1, each phase's slot walk is partitioned into work-stealing chunks
 // consumed by a small std::thread pool.  Workers stage
 // sends into per-thread buffers delivered straight to the thread-safe
-// transport (never through the communicator), and -- when every plan entry
-// was registered with .add_reduced() -- intersect incoming batches as tasks
-// firing into per-thread context slices, merged by the declared reductions
-// at phase end.  Counts, volume_bytes and messages are bit-identical across
-// thread counts: per-RPC serialization is unchanged and every reported
-// metric is a sum of per-batch/per-source contributions independent of the
-// partition.
+// transport (never through the communicator), and intersect incoming
+// batches as tasks.  There is one fire path: whichever thread closes a
+// batch fires into its own context slices (plan.hpp), and at phase end the
+// owning thread joins the slices into the registered contexts in
+// worker-index order.  Counts, volume_bytes and messages of count plans are
+// bit-identical across thread counts: per-RPC serialization is unchanged
+// and every reported metric is a sum of per-batch/per-source contributions
+// independent of the partition.
 //
 // Hub/tail intersection dispatch (core/intersect.hpp): when the graph
 // carries hub bitmap rows and the plan ships no metadata, a wedge
@@ -49,8 +50,8 @@
 // The candidate list of a wedge batch and the entry list of a pulled
 // adjacency travel packed (core/packed_batch.hpp): varint rank deltas and
 // varint ids, encoded straight into the send buffer, decoded into reusable
-// scratch by whichever thread intersects the batch -- a worker task for
-// add_reduced plans, otherwise the owning thread.
+// scratch by whichever thread intersects the batch -- a worker task at
+// threads > 1, otherwise the owning thread.
 //
 // The legacy single-callback entry point `triangle_survey(graph, callback,
 // context)` is a thin identity-projection wrapper over a one-callback plan.
@@ -63,6 +64,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -145,11 +147,9 @@ class survey_engine {
   static constexpr bool bitmap_eligible =
       std::is_empty_v<wire_vm> && std::is_empty_v<wire_em>;
 
-  /// May incoming batches be intersected on worker threads?  Requires every
-  /// plan entry to carry a declared reduction (plan.hpp: add_reduced) so
-  /// fires land in per-thread context slices.  Otherwise a parallel run
-  /// still parallelizes the send stages but intersects on the owning thread.
-  static constexpr bool task_capable = Plan::template parallel_fire_capable<view_type>;
+  /// Smaller wedge batches close on the owning thread as they drain: a task
+  /// (heap closure, queue lock, worker wake-up) costs more than intersecting.
+  static constexpr std::size_t kInlineBatch = 8;
 
   /// Time-windowed surveys (plan.window(t0, t1)) filter on the graph's
   /// STORED edge metadata -- before projection -- so the predicate is
@@ -226,7 +226,6 @@ class survey_engine {
     targets_ = {};
     pull_grants_.clear();
     pull_grants_ = {};
-    scratch_ = {};
     return out;
   }
 
@@ -259,13 +258,17 @@ class survey_engine {
     // reductions' own traffic).  `finish` runs after the closing barrier --
     // when every batch has been handled, hence every intersect task enqueued
     // -- and before the elapsed time is read, so task-queue drain, worker
-    // join and slice merging are charged to the phase that produced them.
+    // join and slice joins are charged to the phase that produced them.  A
+    // join may send (a counting set's cache evicting); flush_all() hands
+    // those sends to the transport before the closing snapshot, so the phase
+    // counts them, and the reductions' barriers below deliver them.
     const auto before = comm_->local_stats();
     comm_->barrier();
     const auto start = core::detail::clock::now();
     body();
     comm_->barrier();
     finish();
+    comm_->flush_all();
     const double elapsed = core::detail::seconds_since(start);
     const auto delta = comm_->local_stats() - before;  // excludes the reductions below
     phase_metrics m;
@@ -468,11 +471,6 @@ class survey_engine {
               batch_type::encode(fill));
   }
 
-  void fire_callback(const view_type& view) {
-    ++local_triangles_;
-    plan_->fire(*comm_, view, local_invocations_);
-  }
-
   // --- dry-run bookkeeping types (declared early: they appear in member
   // --- function signatures below) --------------------------------------------
 
@@ -501,34 +499,56 @@ class survey_engine {
 
   // --- intra-rank worker pool -------------------------------------------------
 
-  struct no_slices {};
-  using slices_type =
-      std::conditional_t<task_capable, typename Plan::slice_tuple, no_slices>;
-
-  /// One worker thread's whole world: its staged sender, its context slices
-  /// (task_capable plans only) and its counter deltas, merged into the
-  /// engine in worker-index order at phase end.
-  struct worker_ctx {
-    worker_ctx(comm::transport& t, int rank, int nranks) : sender(t, rank, nranks) {}
-    staged_sender sender;
-    slices_type slices{};
+  /// What one closing thread gathers in a phase: its context slices, fire
+  /// counts, kernel counters and decode scratch.  Joined into the engine and
+  /// the registered contexts at phase end (absorb()).
+  struct fire_state {
+    explicit fire_state(Plan& plan) : slices(plan.make_slices()) {}
+    typename Plan::slice_tuple slices;
     std::array<std::uint64_t, num_callbacks> fired{};
     std::uint64_t candidates = 0;
-    std::uint64_t push_batches = 0;
     std::uint64_t triangles = 0;
     std::uint64_t bitmap_batches = 0;
     std::uint64_t list_batches = 0;
-    std::vector<batch_entry> scratch;  ///< decoded batches this worker intersects
+    std::vector<batch_entry> scratch;  ///< decoded batches this thread intersects
   };
 
-  using task_fn = std::function<void(worker_ctx&)>;
+  /// One worker thread's whole world: its fire state plus its staged sender
+  /// and send counter.
+  struct worker_ctx : fire_state {
+    worker_ctx(Plan& plan, comm::transport& t, int rank, int nranks)
+        : fire_state(plan), sender(t, rank, nranks) {}
+    staged_sender sender;
+    std::uint64_t push_batches = 0;
+  };
+
+  /// Owning thread, phase end: fold one thread's counters into the engine
+  /// and its slices into the registered contexts.
+  void absorb(fire_state& fs) {
+    local_candidates_ += fs.candidates;
+    local_triangles_ += fs.triangles;
+    local_bitmap_batches_ += fs.bitmap_batches;
+    local_list_batches_ += fs.list_batches;
+    for (std::size_t i = 0; i < num_callbacks; ++i) local_invocations_[i] += fs.fired[i];
+    plan_->join_slices(fs.slices);
+  }
+
+  void fire(fire_state& fs, const view_type& view) const {
+    ++fs.triangles;
+    plan_->fire(view, fs.slices, fs.fired);
+  }
+
+  /// An intersect task: closes one batch into the fire state of whichever
+  /// thread pops it (a worker, or the owning thread's own_).
+  using task_fn = std::function<void(fire_state&)>;
 
   /// Per-phase worker pool: run_stage() spawns the workers on a send stage
   /// and drains the inbox until they finish sending (so this rank only
   /// enters the phase's closing barrier once its traffic is fully delivered
   /// -- the quiescence handshake counts delivered buffers).  Workers then
   /// consume intersect tasks until finish() closes the queue after the
-  /// barrier, joins them, and merges counters and slices deterministically.
+  /// barrier, joins them, and absorbs their states in worker-index order.
+  /// The owning thread pops tasks too whenever it would otherwise wait.
   /// The destructor makes barrier exceptions safe (close + join, no merge).
   class parallel_pool {
    public:
@@ -551,11 +571,11 @@ class survey_engine {
       const int rank = eng_.comm_->rank();
       const int nranks = eng_.comm_->size();
       eng_.tasks_.reopen();
-      eng_.tasks_enabled_ = task_capable;
+      eng_.tasks_enabled_ = true;
       eng_.senders_active_.store(eng_.threads_, std::memory_order_relaxed);
       ctxs_.reserve(static_cast<std::size_t>(eng_.threads_));
       for (int w = 0; w < eng_.threads_; ++w) {
-        ctxs_.push_back(std::make_unique<worker_ctx>(transport, rank, nranks));
+        ctxs_.push_back(std::make_unique<worker_ctx>(*eng_.plan_, transport, rank, nranks));
       }
       for (int w = 0; w < eng_.threads_; ++w) {
         threads_.emplace_back([this, w, rank, &transport, stage]() mutable {
@@ -581,46 +601,40 @@ class survey_engine {
           }
         });
       }
-      // The owning thread drains (and enqueues tasks) while workers send;
-      // leaving only once senders_active_ hits zero guarantees every staged
-      // buffer has been delivered before this rank can announce idle.
+      // The owning thread drains (and enqueues tasks) while workers send,
+      // closing queued batches itself between polls; leaving only once
+      // senders_active_ hits zero guarantees every staged buffer has been
+      // delivered before this rank can announce idle.
       while (eng_.senders_active_.load(std::memory_order_acquire) > 0) {
         eng_.comm_->process_incoming();
-        std::this_thread::yield();
+        if (!run_one_task()) std::this_thread::yield();
       }
     }
 
     void finish() {
       if (finished_) return;
       finished_ = true;
-      const bool had_tasks = eng_.tasks_enabled_;
+      while (run_one_task()) {
+      }
       eng_.tasks_.close();
       eng_.tasks_enabled_ = false;
       for (auto& t : threads_) t.join();
       threads_.clear();
       for (auto& up : ctxs_) {
-        worker_ctx& wc = *up;
-        eng_.local_candidates_ += wc.candidates;
-        eng_.local_push_batches_ += wc.push_batches;
-        eng_.local_triangles_ += wc.triangles;
-        eng_.local_bitmap_batches_ += wc.bitmap_batches;
-        eng_.local_list_batches_ += wc.list_batches;
-        for (std::size_t i = 0; i < num_callbacks; ++i) {
-          eng_.local_invocations_[i] += wc.fired[i];
-        }
-      }
-      if constexpr (task_capable) {
-        if (had_tasks) {
-          std::vector<typename Plan::slice_tuple> slices;
-          slices.reserve(ctxs_.size());
-          for (auto& up : ctxs_) slices.push_back(std::move(up->slices));
-          eng_.plan_->merge_slices(slices);  // worker-index order
-        }
+        eng_.local_push_batches_ += up->push_batches;
+        eng_.absorb(*up);  // worker-index order
       }
       ctxs_.clear();
     }
 
    private:
+    bool run_one_task() {
+      task_fn task;
+      if (!eng_.tasks_.try_pop(task)) return false;
+      task(*eng_.own_);
+      return true;
+    }
+
     self& eng_;
     std::vector<std::unique_ptr<worker_ctx>> ctxs_;
     std::vector<std::thread> threads_;
@@ -635,34 +649,32 @@ class survey_engine {
     return v.empty() ? nullptr : reinterpret_cast<const std::byte*>(&v.front().r);
   }
 
-  /// Close one wedge batch against Adjm+(q), decoding it into `candidates`
-  /// (the intersecting thread's scratch).  Hub targets with a bitmap row
-  /// take the sparse-vs-dense probe (only when the wire carries no metadata,
-  /// so the dummies below are exactly what the projections produce);
-  /// everything else takes the adaptive merge/gallop.  The kernel counters
-  /// are per-batch and partition-independent.
-  template <typename Sink>
+  /// Close one wedge batch against Adjm+(q), decoding it into the closing
+  /// thread's scratch and firing into its slices.  Hub targets with a bitmap
+  /// row take the sparse-vs-dense probe (only when the wire carries no
+  /// metadata, so the dummies below are exactly what the projections
+  /// produce); everything else takes the adaptive merge/gallop.  The kernel
+  /// counters are per-batch and partition-independent.
   void process_wedge_batch(graph::vertex_id q, graph::vertex_id p,
                            const wire_vm& meta_p, const wire_em& meta_pq,
-                           const batch_type& batch, std::vector<batch_entry>& candidates,
-                           Sink&& sink, std::uint64_t& bitmap_ctr,
-                           std::uint64_t& list_ctr) const {
+                           const batch_type& batch, fire_state& fs) const {
     const std::uint32_t slot = graph_->locate(q);
+    std::vector<batch_entry>& candidates = fs.scratch;
     batch.decode(candidates);
     if constexpr (bitmap_eligible) {
       const core::bitmap_view bm = graph_->hub_bitmap(slot);
       if (!bm.empty()) {
-        ++bitmap_ctr;
+        ++fs.bitmap_batches;
         core::bitmap_probe(bm, ids_of(candidates), sizeof(batch_entry), candidates.size(),
                            [&](std::size_t k) {
-                             sink(view_type{p, q, candidates[k].r, meta_p, dummy_vm(),
-                                            dummy_vm(), meta_pq, dummy_em(),
-                                            dummy_em()});
+                             fire(fs, view_type{p, q, candidates[k].r, meta_p, dummy_vm(),
+                                                dummy_vm(), meta_pq, dummy_em(),
+                                                dummy_em()});
                            });
         return;
       }
     }
-    ++list_ctr;
+    ++fs.list_batches;
     decltype(auto) rec_q = graph_->resolve_record(slot);
     decltype(auto) meta_q = pv(rec_q.meta);  // projected once per batch
     // Adaptive kernel: a short pushed suffix meeting a hub's long list
@@ -676,43 +688,41 @@ class survey_engine {
           if (!admits(e.edge_meta)) return;  // closing edge outside the window
           decltype(auto) meta_r = pv(e.target_meta);
           decltype(auto) meta_qr = pe(e.edge_meta);
-          sink(view_type{p, q, e.target, meta_p, vm_view(meta_q), vm_view(meta_r),
-                         meta_pq, cand.meta, em_view(meta_qr)});
+          fire(fs, view_type{p, q, e.target, meta_p, vm_view(meta_q), vm_view(meta_r),
+                             meta_pq, cand.meta, em_view(meta_qr)});
         });
   }
 
-  /// Close one pulled adjacency Adjm+(q), decoded once into `entries` (the
-  /// intersecting thread's scratch), against every local source (p, i).
+  /// Close one pulled adjacency Adjm+(q), decoded once into the closing
+  /// thread's scratch, against every local source (p, i).
   /// A source p owning a hub bitmap probes the pulled entries against its
   /// FULL adjacency row: a hit r satisfies q <+ r (r ∈ Adjm+(q)), and any
   /// entry of Adjm+(p) at a position <= i satisfies <=+ q, so every hit
   /// necessarily lies past the split -- the probe equals the suffix
   /// intersection.  Tail sources keep the gallop over the suffix.
-  template <typename Sink>
   void process_pulled(graph::vertex_id q, const wire_vm& meta_q, const batch_type& batch,
-                      std::vector<batch_entry>& entries, const per_target& t,
-                      Sink&& sink, std::uint64_t& cand_ctr, std::uint64_t& bitmap_ctr,
-                      std::uint64_t& list_ctr) const {
+                      const per_target& t, fire_state& fs) const {
+    std::vector<batch_entry>& entries = fs.scratch;
     batch.decode(entries);
     for (const source_ref& s : t.sources) {
       decltype(auto) rec_p = graph_->resolve_record(s.slot);
       const graph::vertex_id p = s.p;
       const std::uint32_t i = s.split;
-      cand_ctr += admitted_from(rec_p, i + 1);
+      fs.candidates += admitted_from(rec_p, i + 1);
       if constexpr (bitmap_eligible) {
         const core::bitmap_view bm = graph_->hub_bitmap(s.slot);
         if (!bm.empty()) {
-          ++bitmap_ctr;
+          ++fs.bitmap_batches;
           core::bitmap_probe(bm, ids_of(entries), sizeof(batch_entry), entries.size(),
                              [&](std::size_t k) {
-                               sink(view_type{p, q, entries[k].r, dummy_vm(), meta_q,
-                                              dummy_vm(), dummy_em(), dummy_em(),
-                                              dummy_em()});
+                               fire(fs, view_type{p, q, entries[k].r, dummy_vm(), meta_q,
+                                                  dummy_vm(), dummy_em(), dummy_em(),
+                                                  dummy_em()});
                              });
           continue;
         }
       }
-      ++list_ctr;
+      ++fs.list_batches;
       const entry_type& q_entry = rec_p.adj[i];
       decltype(auto) meta_p = pv(rec_p.meta);
       decltype(auto) meta_pq = pe(q_entry.edge_meta);
@@ -726,9 +736,9 @@ class survey_engine {
             // Callback on Rank(p): meta(r) comes from p's own Adjm+ entry.
             decltype(auto) meta_r = pv(e_pr.target_meta);
             decltype(auto) meta_pr = pe(e_pr.edge_meta);
-            sink(view_type{p, q, e_pr.target, vm_view(meta_p), meta_q,
-                           vm_view(meta_r), em_view(meta_pq), em_view(meta_pr),
-                           e_qr.meta});
+            fire(fs, view_type{p, q, e_pr.target, vm_view(meta_p), meta_q,
+                               vm_view(meta_r), em_view(meta_pq), em_view(meta_pr),
+                               e_qr.meta});
           });
     }
   }
@@ -748,8 +758,15 @@ class survey_engine {
   /// ctx.candidates / ctx.push_batches.  With threads > 1 the worker pool
   /// consumes self-scheduled chunks; otherwise the owning thread walks the
   /// whole range through the communicator (adaptive flushing, polling).
+  /// `own_` holds the slices of the batches the owning thread closes itself
+  /// (all of them at threads == 1); it joins after the workers.
   template <typename Range>
   phase_metrics send_phase(std::size_t n, Range&& range) {
+    own_.emplace(*plan_);
+    const auto join_own = [&] {
+      absorb(*own_);
+      own_.reset();
+    };
     if (threads_ > 1) {
       core::chunk_queue chunks(n, core::chunk_size_for(n, threads_));
       parallel_pool pool(*this);
@@ -763,14 +780,19 @@ class survey_engine {
               }
             });
           },
-          [&] { pool.finish(); });
+          [&] {
+            pool.finish();
+            join_own();
+          });
     }
-    return timed_phase([&] {
-      serial_ctx sc{comm_sender{comm_}};
-      range(sc, 0, n);
-      local_candidates_ += sc.candidates;
-      local_push_batches_ += sc.push_batches;
-    });
+    return timed_phase(
+        [&] {
+          serial_ctx sc{comm_sender{comm_}};
+          range(sc, 0, n);
+          local_candidates_ += sc.candidates;
+          local_push_batches_ += sc.push_batches;
+        },
+        join_own);
   }
 
   // --- push-only (Alg. 1) ------------------------------------------------------
@@ -795,30 +817,18 @@ class survey_engine {
                     graph::vertex_id p, const wire_vm& meta_p, const wire_em& meta_pq,
                     const batch_type& candidates) {
       self& eng = c.resolve(h);
-      if constexpr (self::task_capable) {
-        if (eng.tasks_enabled_) {
-          // Steal the drained payload (the candidates/meta views point into
-          // it) and hand decoding and intersection to a worker, which fires
-          // into its own context slices -- the owning-thread-only contract
-          // holds for the registered contexts (docs/THREADING.md).
-          auto payload = c.share_current_payload();
-          eng.tasks_.push([&eng, payload = std::move(payload), q, p, meta_p, meta_pq,
-                           candidates](worker_ctx& wc) {
-            eng.process_wedge_batch(
-                q, p, meta_p, meta_pq, candidates, wc.scratch,
-                [&](const view_type& view) {
-                  ++wc.triangles;
-                  eng.plan_->fire_slices(view, wc.slices, wc.fired);
-                },
-                wc.bitmap_batches, wc.list_batches);
-          });
-          return;
-        }
+      if (!eng.tasks_enabled_ || candidates.size() < kInlineBatch) {
+        eng.process_wedge_batch(q, p, meta_p, meta_pq, candidates, *eng.own_);
+        return;
       }
-      eng.process_wedge_batch(
-          q, p, meta_p, meta_pq, candidates, eng.scratch_,
-          [&eng](const view_type& view) { eng.fire_callback(view); },
-          eng.local_bitmap_batches_, eng.local_list_batches_);
+      // Steal the drained payload (the candidates/meta views point into it)
+      // and queue decoding and intersection as a task; whichever thread pops
+      // it fires into its own context slices (docs/THREADING.md).
+      auto payload = c.share_current_payload();
+      eng.tasks_.push([&eng, payload = std::move(payload), q, p, meta_p, meta_pq,
+                       candidates](fire_state& fs) {
+        eng.process_wedge_batch(q, p, meta_p, meta_pq, candidates, fs);
+      });
     }
   };
 
@@ -983,26 +993,15 @@ class survey_engine {
       self& eng = c.resolve(h);
       // Stable reference: targets_ sees no inserts after the dry run.
       const per_target& t = eng.target_of("pulled_adj_handler", q);
-      if constexpr (self::task_capable) {
-        if (eng.tasks_enabled_) {
-          auto payload = c.share_current_payload();
-          eng.tasks_.push(
-              [&eng, payload = std::move(payload), q, meta_q, entries, &t](worker_ctx& wc) {
-                eng.process_pulled(
-                    q, meta_q, entries, wc.scratch, t,
-                    [&](const view_type& view) {
-                      ++wc.triangles;
-                      eng.plan_->fire_slices(view, wc.slices, wc.fired);
-                    },
-                    wc.candidates, wc.bitmap_batches, wc.list_batches);
-              });
-          return;
-        }
+      if (!eng.tasks_enabled_) {
+        eng.process_pulled(q, meta_q, entries, t, *eng.own_);
+        return;
       }
-      eng.process_pulled(
-          q, meta_q, entries, eng.scratch_, t,
-          [&eng](const view_type& view) { eng.fire_callback(view); },
-          eng.local_candidates_, eng.local_bitmap_batches_, eng.local_list_batches_);
+      auto payload = c.share_current_payload();
+      eng.tasks_.push(
+          [&eng, payload = std::move(payload), q, meta_q, entries, &t](fire_state& fs) {
+            eng.process_pulled(q, meta_q, entries, t, fs);
+          });
     }
   };
 
@@ -1013,9 +1012,8 @@ class survey_engine {
 
   targets_map targets_;
   std::unordered_map<graph::vertex_id, std::vector<int>> pull_grants_;
-  /// Owning-thread decode scratch: batches intersected inline (no worker
-  /// task) decode here.  Handlers never nest, so one vector suffices.
-  std::vector<batch_entry> scratch_;
+  /// The owning thread's fire state during a send phase (send_phase()).
+  std::optional<fire_state> own_;
 
   int threads_ = 1;
   bool pin_ = false;  ///< resolved survey_options::pin_threads / TRIPOLL_PIN
@@ -1050,8 +1048,8 @@ plan_result<Plan::num_callbacks> run_plan(Graph& g, Plan& plan, survey_options o
 
 /// Collective convenience wrapper (the original TriPoll entry point): an
 /// identity-projection, single-callback plan.  `callback` is invoked as
-/// `cb(view, ctx)` or `cb(comm, view, ctx)` for every triangle; `context`
-/// is this rank's local survey state (counters, counting sets, sinks).
+/// `cb(view, slice)` for every triangle; `context` is this rank's sliceable
+/// survey state (plan.hpp: `.add()`).
 /// `g` is any slot-addressed graph (frozen CSR or overlay).
 template <typename Graph, typename Callback, typename Context>
 survey_result triangle_survey(Graph& g, Callback callback, Context& context,

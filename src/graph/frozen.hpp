@@ -463,7 +463,8 @@ class frozen_dodgr {
 
   /// Rank-local content id: FNV-1a over the graph's identity fields
   /// (nranks, rank, ordering, n, m, metadata element sizes) followed by the
-  /// logical bytes of every stored column in file order.  Codec- and
+  /// logical bytes of every stored column in file order (for metadata that
+  /// is not bitwise, e.g. strings, each element's serialized bytes).  Codec- and
   /// storage-independent: a freeze(), a raw reload and a compressed reload
   /// of the same graph all report the same id, because compressed sections
   /// decode back to the exact arena bytes.  Never 0 (0 is the
@@ -483,7 +484,20 @@ class frozen_dodgr {
     acc.mix_u64(meta_column<VMeta>::element_size);
     acc.mix_u64(meta_column<EMeta>::element_size);
     const auto mix_column = [&acc](const auto& col) {
-      if (col.bytes() > 0) acc.mix_bytes(col.data(), col.bytes());
+      using T = std::remove_cvref_t<decltype(*col.data())>;
+      if constexpr (serial::detail::bitwise<T>) {
+        if (col.bytes() > 0) acc.mix_bytes(col.data(), col.bytes());
+      } else {
+        // The object bytes of e.g. a std::string are heap pointers: hash
+        // each element's serialized form (length and bytes) instead.
+        serial::byte_buffer buf;
+        serial::writer w(buf);
+        for (std::size_t i = 0; i < col.size(); ++i) {
+          buf.clear();
+          w(col[i]);
+          acc.mix_bytes(buf.data(), buf.size());
+        }
+      }
     };
     mix_column(ar_.vid);
     mix_column(ar_.degree);

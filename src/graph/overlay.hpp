@@ -17,7 +17,7 @@
 // appears and never reused, that resolves to its record (<+-sorted Adjm+)
 // and vertex id.  It keeps no hub bitmap rows.  The survey engine therefore
 // runs over it on the same path as over a frozen graph -- threads,
-// add_reduced tasks and all -- and its reported metrics, sums of per-batch
+// worker-side fires and all -- and its reported metrics, sums of per-batch
 // contributions, are bit-identical to surveying a full rebuild of the same
 // logical graph.
 //

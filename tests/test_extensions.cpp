@@ -50,6 +50,11 @@ using directed_row =
 
 struct directed_collect_context {
   std::vector<directed_row> rows;
+
+  directed_collect_context fork() const { return {}; }
+  void join(directed_collect_context&& slice) {
+    rows.insert(rows.end(), slice.rows.begin(), slice.rows.end());
+  }
 };
 
 struct directed_collect_callback {

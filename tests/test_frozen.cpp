@@ -86,7 +86,12 @@ void build_meta_graph(tc::communicator& c, meta_graph& g,
 }
 
 /// Local closure histogram + digest comparable across runs via reduce.
-using hist = std::map<cb::closure_bin, std::uint64_t>;
+struct hist : std::map<cb::closure_bin, std::uint64_t> {
+  hist fork() const { return {}; }
+  void join(hist&& slice) {
+    for (const auto& [bin, n] : slice) (*this)[bin] += n;
+  }
+};
 
 struct closure_cb {
   template <typename View>

@@ -106,6 +106,7 @@ INSTANTIATE_TEST_SUITE_P(AllFixtures, FixtureExact,
                                            "static_init_bad.cpp", "static_init_good.cpp",
                                            "view_escape_bad.cpp", "view_escape_good.cpp",
                                            "blocking_bad.cpp", "blocking_good.cpp",
+                                           "blocking_add_bad.cpp", "blocking_add_good.cpp",
                                            "nolint.cpp"),
                          [](const auto& info) {
                            std::string n = info.param;

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "core/intersect.hpp"
 #include "core/survey.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/presets.hpp"
 #include "graph/builder.hpp"
 #include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
@@ -466,14 +468,40 @@ TEST(ParallelSurvey, OverlayWindowedAndReducedPlansAreBitIdentical) {
   });
 }
 
-// --- fused plans mixing reduced and owning-thread callbacks ---------------------------
+// --- counting-set plans across threads ------------------------------------------------
 
-TEST(ParallelSurvey, FusedPlanWithCountingSetStaysOnOwningThread) {
-  // A plan with any plain .add entry is not parallel-fire capable: the send
-  // stages still parallelize but every fire funnels through the main
-  // thread, so counting-set callbacks (comm traffic) remain safe.  Run it
-  // across thread counts and demand identical histograms.  (This is also
-  // the TSan workload: stateful reduced slices + counting set + threads.)
+namespace {
+
+/// The quick web preset with its FQDN string labels.
+tg::frozen_dodgr<std::string, tg::none> quick_web(tc::communicator& c) {
+  tripoll::gen::web_graph g(c);
+  tripoll::gen::build_web_graph(c, g, tripoll::gen::standard_suite(-4)[3].web);
+  return tg::freeze(g);
+}
+
+/// Ships the FQDN survey's projection but only tallies: a survey with the
+/// same wire traffic and no counting set.
+struct fqdn_tally_callback {
+  using vertex_projection = tripoll::identity_projection;
+  using edge_projection = tripoll::drop_projection;
+
+  template <typename View>
+  void operator()(const View& /*view*/, cb::count_context& ctx) const {
+    ++ctx.triangles;
+  }
+};
+
+/// Rank cache small enough that every phase-end join evicts.
+constexpr std::size_t kTinyCache = 8;
+
+}  // namespace
+
+TEST(ParallelSurvey, CountingSetPlansMatchAcrossThreads) {
+  // Counting-set callbacks fire on every worker thread into detached
+  // tallies that the owning thread joins into the set at phase end.  Run
+  // them across thread counts and demand identical histograms, tallies and
+  // fire counts.  (This is also the TSan workload: reduced slices +
+  // counting-set tallies + cache evictions + threads.)
   tc::runtime::run(2, [](tc::communicator& c) {
     tg::dodgr<tg::none, tg::none> g(c);
     build_graph(c, g, tg::ordering_policy::degeneracy);
@@ -481,7 +509,7 @@ TEST(ParallelSurvey, FusedPlanWithCountingSetStaysOnOwningThread) {
 
     std::uint64_t base_digest = 0;
     std::uint64_t base_fires = 0;
-    for (const int threads : {1, 4}) {
+    for (const int threads : {1, 2, 4}) {
       tc::counting_set<tg::vertex_id> per_vertex(c);
       cb::local_count_context lc{&per_vertex};
       digest_context dg;
@@ -505,6 +533,66 @@ TEST(ParallelSurvey, FusedPlanWithCountingSetStaysOnOwningThread) {
         require(digest == base_digest, "counting-set histogram moved with threads");
         require(fires == base_fires, "reduced fires moved with threads");
       }
+    }
+
+    // The paper's FQDN 3-tuple survey on string labels, evicting throughout.
+    auto web = quick_web(c);
+    std::map<cb::fqdn_tuple, std::uint64_t> base_hist;
+    std::uint64_t base_distinct = 0;
+    std::uint64_t base_invocations = 0;
+    for (const int threads : {1, 2, 4}) {
+      tc::counting_set<cb::fqdn_tuple> counters(c, kTinyCache);
+      cb::fqdn_tuple_context ctx{&counters};
+      const auto r = cb::plan_for(web, cb::fqdn_tuple_callback{}, ctx)
+                         .run({survey_mode::push_pull, threads});
+      counters.finalize();
+      const auto hist = counters.gather_all();
+      const auto distinct = c.all_reduce_sum(ctx.distinct_fqdn_triangles);
+      require(r.invocations[0] == r.total.triangles_found, "FQDN callback skipped a fire");
+      if (threads == 1) {
+        base_hist = hist;
+        base_distinct = distinct;
+        base_invocations = r.invocations[0];
+        require(hist.size() > kTinyCache, "FQDN survey never filled the cache");
+        std::uint64_t total = 0;
+        for (const auto& [tuple, n] : hist) total += n;
+        require(total == distinct, "FQDN histogram total != distinct tally");
+      } else {
+        const std::string at = " at threads=" + std::to_string(threads);
+        require(hist == base_hist, "FQDN histogram moved" + at);
+        require(distinct == base_distinct, "distinct FQDN tally moved" + at);
+        require(r.invocations[0] == base_invocations, "FQDN fire count moved" + at);
+      }
+    }
+  });
+}
+
+TEST(ParallelSurvey, CountingSetTrafficIsCountedInsideRun) {
+  // The phase-end joins evict through the communicator inside run(), so
+  // the survey's volume carries the set's traffic and finalize() ships at
+  // most the keys left in the rank cache.
+  tc::runtime::run(2, [](tc::communicator& c) {
+    auto web = quick_web(c);
+    for (const int threads : {1, 2}) {
+      const survey_options opts{survey_mode::push_pull, threads};
+      tc::counting_set<cb::fqdn_tuple> counters(c, kTinyCache);
+      cb::fqdn_tuple_context ctx{&counters};
+      const auto with_set = cb::plan_for(web, cb::fqdn_tuple_callback{}, ctx).run(opts);
+      const auto before = c.local_stats();
+      counters.finalize();
+      const auto finalize_messages = (c.local_stats() - before).messages_sent;
+      require(finalize_messages <= kTinyCache,
+              "finalize() sent " + std::to_string(finalize_messages) +
+                  " messages; the joins left their evictions behind");
+
+      cb::count_context tally;
+      const auto tally_only =
+          cb::plan_for_reduced(web, fqdn_tally_callback{}, tally, cb::count_reduce{})
+              .run(opts);
+      require(with_set.total.triangles_found == tally_only.total.triangles_found,
+              "both surveys close the same triangles");
+      require(with_set.total.total.volume_bytes > tally_only.total.total.volume_bytes,
+              "the counting set's traffic is missing from the survey volume");
     }
   });
 }

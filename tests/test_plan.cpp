@@ -105,7 +105,12 @@ void build_rich(tc::communicator& c, rich_graph& g, tg::ordering_policy ordering
 }
 
 /// Local closure histogram (no RPC traffic from the callback itself).
-using hist = std::map<cb::closure_bin, std::uint64_t>;
+struct hist : std::map<cb::closure_bin, std::uint64_t> {
+  hist fork() const { return {}; }
+  void join(hist&& slice) {
+    for (const auto& [bin, n] : slice) (*this)[bin] += n;
+  }
+};
 
 void bin_closure(std::uint64_t a, std::uint64_t b, std::uint64_t c, hist& h) {
   ++h[cb::closure_bin_of(a, b, c)];
@@ -134,13 +139,13 @@ struct hot_filter_cb {
   std::uint64_t threshold = 0;
 
   template <typename View>
-  bool operator()(const View& v, std::uint64_t& hot) const {
+  bool operator()(const View& v, cb::count_context& hot) const {
     if (static_cast<std::uint64_t>(v.meta_pq) < threshold ||
         static_cast<std::uint64_t>(v.meta_pr) < threshold ||
         static_cast<std::uint64_t>(v.meta_qr) < threshold) {
       return false;
     }
-    ++hot;
+    ++hot.triangles;
     return true;
   }
 };
@@ -198,7 +203,7 @@ TEST_P(PlanMatrix, ProjectedFusedAndSequentialAgree) {
 
     // 3. Sequential single-callback projected runs...
     hist seq_hist;
-    std::uint64_t seq_hot = 0;
+    cb::count_context seq_hot;
     cb::count_context seq_count;
     auto s1 = tripoll::survey(fz)
                   .project_vertex(tripoll::drop_projection{})
@@ -218,7 +223,7 @@ TEST_P(PlanMatrix, ProjectedFusedAndSequentialAgree) {
 
     // 4. ...and the same three fused into ONE traversal.
     hist fused_hist;
-    std::uint64_t fused_hot = 0;
+    cb::count_context fused_hot;
     cb::count_context fused_count;
     auto fused = tripoll::survey(fz)
                      .project_vertex(tripoll::drop_projection{})
@@ -249,7 +254,7 @@ TEST_P(PlanMatrix, ProjectedFusedAndSequentialAgree) {
     const auto seq_count_global = c.all_reduce_sum(seq_count.triangles);
     const auto fused_count_global = c.all_reduce_sum(fused_count.triangles);
     require(seq_count_global == fused_count_global, "fused count != sequential count");
-    require(c.all_reduce_sum(seq_hot) == c.all_reduce_sum(fused_hot),
+    require(seq_hot.global_count(c) == fused_hot.global_count(c),
             "fused hot filter != sequential hot filter");
 
     // Per-callback slices: count/closure fire on every triangle, the bool
@@ -257,7 +262,7 @@ TEST_P(PlanMatrix, ProjectedFusedAndSequentialAgree) {
     // non-empty).
     require(fused.invocations[0] == t && fused.invocations[1] == t,
             "unconditional callbacks must fire per triangle");
-    const auto hot_global = c.all_reduce_sum(fused_hot);
+    const auto hot_global = fused_hot.global_count(c);
     require(fused.invocations[2] == hot_global, "filter slice == filtered count");
     require(hot_global > 0 && hot_global < t, "filter should split the triangles");
 
@@ -291,6 +296,11 @@ std::string fqdn_of(tg::vertex_id v) { return "host" + std::to_string(v) + ".exa
 
 struct view_collect_ctx {
   std::vector<std::tuple<tg::vertex_id, std::string>> rows;  // (vertex, observed meta)
+
+  view_collect_ctx fork() const { return {}; }
+  void join(view_collect_ctx&& slice) {
+    rows.insert(rows.end(), slice.rows.begin(), slice.rows.end());
+  }
 };
 
 struct view_collect_cb {

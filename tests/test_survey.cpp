@@ -182,6 +182,11 @@ using meta_row = std::array<std::uint64_t, 9>;
 
 struct collect_context {
   std::vector<meta_row> rows;
+
+  collect_context fork() const { return {}; }
+  void join(collect_context&& slice) {
+    rows.insert(rows.end(), slice.rows.begin(), slice.rows.end());
+  }
 };
 
 struct collect_callback {

@@ -9,8 +9,9 @@
 // and a literal-`true` tripoll_force_member_serialize flag opt a struct
 // out.  Checks 3-5 are scoped by the repo's structural conventions:
 // register_thunk call sites, `*_handler` functor operator() bodies, and
-// add_reduced lambda callbacks.  docs/STATIC_ANALYSIS.md documents each
-// check; fixtures/ pins the exact diagnostics.
+// lambda callbacks passed to `.add` / `add_reduced`.
+// docs/STATIC_ANALYSIS.md documents each check; fixtures/ pins the exact
+// diagnostics.
 
 #include <algorithm>
 #include <optional>
@@ -531,7 +532,7 @@ void scan_blocking(const file_model& f, std::size_t begin, std::size_t end,
     if (!hit) continue;
     std::ostringstream msg;
     msg << "blocking construct '" << s << "' inside " << ctx
-        << "; receiver-side handlers and add_reduced callbacks run on the "
+        << "; receiver-side handlers and plan callbacks run on the "
         << "progress/worker thread and must never block -- enqueue follow-up "
         << "work with communicator::async instead (docs/THREADING.md)";
     out.push_back({f.path, t[i].line, t[i].col, kCallbackBlocking, msg.str()});
@@ -552,9 +553,9 @@ void check_callback_blocking(const std::vector<file_model>& files,
         }
       }
     }
-    // add_reduced(..., [](...) { ... }) worker-side callbacks.
+    // .add(...) / add_reduced(..., [](...) { ... }) worker-side callbacks.
     const auto& t = f.toks;
-    for (const std::size_t call : f.add_reduced_calls) {
+    for (const std::size_t call : f.plan_add_calls) {
       if (call + 1 >= t.size() || t[call + 1].text != "(") continue;
       // Find the matching close paren, then any lambda bodies inside.
       std::size_t close = call + 1;
@@ -598,7 +599,7 @@ void check_callback_blocking(const std::vector<file_model>& files,
           if (t[bend].text == "}" && --cd == 0) break;
           ++bend;
         }
-        scan_blocking(f, j + 1, bend, "an add_reduced callback", out);
+        scan_blocking(f, j + 1, bend, "a plan callback ('" + t[call].text + "')", out);
         i = bend;
       }
     }

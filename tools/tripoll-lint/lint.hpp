@@ -13,8 +13,8 @@
 //   * wire_span/packed_batch/string_view handler arguments die with the
 //     drained payload
 //     and must not escape the handler scope;
-//   * receiver-side handlers and `add_reduced` worker callbacks must never
-//     block (docs/THREADING.md).
+//   * receiver-side handlers and plan callbacks (`.add` / `add_reduced`),
+//     which fire on worker threads, must never block (docs/THREADING.md).
 //
 // tripoll-lint enforces five checks over the source tree.  It is a
 // standalone binary driven by `compile_commands.json` (or explicit paths),
@@ -139,7 +139,7 @@ struct file_model {
   std::vector<struct_decl> structs;           ///< includes nested structs
   std::vector<function_decl> free_functions;  ///< namespace-scope bodies
   std::vector<call_site> register_calls;      ///< register_thunk call sites
-  std::vector<std::size_t> add_reduced_calls; ///< token index of `add_reduced`
+  std::vector<std::size_t> plan_add_calls;    ///< token index of `.add` / `add_reduced`
   /// X in wire_span<...X> or packed_batch<...X>: element types a batch
   /// puts on the wire (packed_batch serializes its metadata X through the
   /// archive, which memcpys a bitwise X).

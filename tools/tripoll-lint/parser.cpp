@@ -730,8 +730,12 @@ class scanner {
           m_.register_calls.push_back(
               {s, i, tok(i).line, tok(i).col, in_any_body(i)});
         }
-      } else if (s == "add_reduced" && is(i + 1, "(")) {
-        m_.add_reduced_calls.push_back(i);
+      } else if (is(i + 1, "(") &&
+                 (s == "add_reduced" ||
+                  (s == "add" && i > 0 && (is(i - 1, ".") || is(i - 1, "->"))))) {
+        // Plan registrations; calls without a lambda argument (a container's
+        // .add(x)) carry no callback body and stay out of the check.
+        m_.plan_add_calls.push_back(i);
       } else if ((s == "wire_span" || s == "packed_batch") && is(i + 1, "<")) {
         const std::size_t close = skip_angles(i + 1);
         std::string last_ident;

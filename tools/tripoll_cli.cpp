@@ -391,12 +391,12 @@ struct hot_triangle_filter {
   std::uint64_t threshold = 0;
 
   template <typename View>
-  bool operator()(const View& v, std::uint64_t& hot) const {
+  bool operator()(const View& v, cb::count_context& hot) const {
     const auto a = static_cast<std::uint64_t>(v.meta_pq);
     const auto b = static_cast<std::uint64_t>(v.meta_pr);
     const auto t = static_cast<std::uint64_t>(v.meta_qr);
     if (a < threshold || b < threshold || t < threshold) return false;
-    ++hot;
+    ++hot.triangles;
     return true;
   }
 };
@@ -435,7 +435,7 @@ int cmd_plan(int argc, char** argv) {
     comm::counting_set<cb::closure_bin> bins(c);
     cb::count_context count_ctx;
     cb::closure_time_context closure_ctx{&bins};
-    std::uint64_t hot_local = 0;
+    cb::count_context hot_local;
     auto fused = tripoll::survey(fz)
                      .project_vertex(cb::degree_projection{})
                      .project_edge(cb::timestamp_projection{})
@@ -457,7 +457,7 @@ int cmd_plan(int argc, char** argv) {
     };
     const auto id_hist = id_bins.gather_all();
     const auto fused_hist = bins.gather_all();
-    const auto hot_global = c.all_reduce_sum(hot_local);
+    const auto hot_global = hot_local.global_count(c);
 
     if (c.rank0()) {
       std::printf("plan %s ranks %d delta %d ordering %s mode push_pull\n",
