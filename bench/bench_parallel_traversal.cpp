@@ -1,22 +1,18 @@
-// bench_parallel_traversal -- intra-rank parallel survey scaling and the
-// hub/tail bitmap kernel ablation (PR 6 acceptance numbers).
+// bench_parallel_traversal -- intra-rank parallel survey scaling.
 //
 // For each preset (rmat / web) this bench builds the graph once, freezes
 // it, then measures the counting survey (registered through the plan
 // reduction hook, so intersection fires run on worker threads) at
 // TRIPOLL_THREADS in {1, 2, 4, 8}:
 //   * median wall time per thread count -> speedup-per-core,
-//   * triangles / volume_bytes / messages per thread count (must be
-//     bit-identical; the binary exits 1 if they move),
-//   * the bitmap/list kernel mix, plus a 4-thread run on a bitmap-free
-//     freeze of the same graph -> the hub-kernel gain on skewed graphs.
+//   * triangles / volume_bytes / messages / closed batches per thread
+//     count (must be bit-identical; the binary exits 1 if they move).
 //
 // `--json <path>` writes a `pr6_parallel_cases` object consumed by
 // tools/check_bench_regression.py --parallel-gates, which asserts
 //   * identical counts/volume/messages across every thread count,
 //   * speedup at 4 threads >= --parallel-speedup-min (1.6) on the rmat
-//     case (skipped when the machine has fewer than 4 hardware threads),
-//   * a positive hub bitmap-kernel share on the skewed (web) case.
+//     case (skipped when the machine has fewer than 4 hardware threads).
 // `--quick` shrinks the graphs and repetitions for CI.
 #include <algorithm>
 #include <chrono>
@@ -50,15 +46,12 @@ struct thread_sample {
   std::uint64_t triangles = 0;
   std::uint64_t volume_bytes = 0;
   std::uint64_t messages = 0;
-  std::uint64_t bitmap_batches = 0;
   std::uint64_t list_batches = 0;
 };
 
 struct parallel_case {
   std::uint64_t edges = 0;
   std::vector<thread_sample> samples;
-  double nobitmap_seconds = 0.0;   ///< 4-thread run, bitmap rows disabled
-  std::uint64_t nobitmap_triangles = 0;
 
   [[nodiscard]] const thread_sample* at(int threads) const {
     for (const auto& s : samples) {
@@ -92,7 +85,6 @@ thread_sample measure(comm::communicator& c, Graph& fz, int threads, int reps) {
     s.triangles = ctx.global_count(c);
     s.volume_bytes = res.total.total.volume_bytes;
     s.messages = res.total.total.messages;
-    s.bitmap_batches = res.total.bitmap_batches;
     s.list_batches = res.total.list_batches;
   }
   s.seconds = median(times);
@@ -105,40 +97,24 @@ parallel_case run_case(const std::string& which, int ranks, int delta, int reps,
   comm::runtime::run(ranks, [&](comm::communicator& c) {
     gen::plain_graph g(c);
     // Degree ordering keeps hub out-degrees high, so the skewed presets
-    // actually exercise the bitmap rows (degeneracy ordering bounds
-    // out-degrees by the core number, starving the hub path).
+    // load the gallop side of the intersection kernel.
     graph::graph_builder<graph::none, graph::none> builder(
         c, graph::ordering_policy::degree);
     gen::for_preset_edges(c, which, delta, [&](graph::vertex_id u, graph::vertex_id v) {
       builder.add_edge(u, v);
     });
     builder.build_into(g);
-    // The default bitmap budget (2 B/edge) is a production memory guard
-    // that rejects most hub rows when neighbour ids are spread across the
-    // whole id space, as they are on these presets.  This bench ablates the
-    // kernel itself, so admit wider rows and a lower hub threshold.
-    graph::freeze_options on;
-    on.hub_degree_threshold = 32;
-    on.hub_bitmap_max_bytes_per_edge = 256;
-    auto fz = graph::freeze(g, on);
+    auto fz = graph::freeze(g);
 
     std::vector<thread_sample> samples;
     for (const int t : thread_counts) {
       samples.push_back(measure(c, fz, t, reps));
     }
 
-    // Kernel ablation: same graph and budget, bitmap rows disabled, 4 threads.
-    graph::freeze_options off = on;
-    off.build_hub_bitmaps = false;
-    auto fz_off = graph::freeze(g, off);
-    const auto off_sample = measure(c, fz_off, 4, reps);
-
     const auto stats = fz.global_storage_stats();  // collective: every rank
     if (c.rank0()) {
       out.edges = stats.edges;
       out.samples = samples;
-      out.nobitmap_seconds = off_sample.seconds;
-      out.nobitmap_triangles = off_sample.triangles;
     }
   });
   return out;
@@ -147,16 +123,9 @@ parallel_case run_case(const std::string& which, int ranks, int delta, int reps,
 void print_case(const std::string& name, const parallel_case& pc) {
   std::printf("%-8s edges %9llu\n", name.c_str(), (unsigned long long)pc.edges);
   for (const auto& s : pc.samples) {
-    std::printf("  threads %d  %8.4fs  speedup %5.2fx  tri %llu  "
-                "bitmap/list batches %llu/%llu\n",
+    std::printf("  threads %d  %8.4fs  speedup %5.2fx  tri %llu  batches %llu\n",
                 s.threads, s.seconds, pc.speedup(s.threads),
-                (unsigned long long)s.triangles, (unsigned long long)s.bitmap_batches,
-                (unsigned long long)s.list_batches);
-  }
-  const auto* s4 = pc.at(4);
-  if (s4 != nullptr && s4->seconds > 0) {
-    std::printf("  bitmaps off (4t) %8.4fs  hub-kernel gain %5.2fx\n",
-                pc.nobitmap_seconds, pc.nobitmap_seconds / s4->seconds);
+                (unsigned long long)s.triangles, (unsigned long long)s.list_batches);
   }
 }
 
@@ -177,18 +146,13 @@ void write_json(const char* path, const std::map<std::string, parallel_case>& ca
       std::fprintf(f,
                    "      {\"threads\": %d, \"seconds\": %.6f, \"triangles\": %llu, "
                    "\"volume_bytes\": %llu, \"messages\": %llu, "
-                   "\"bitmap_batches\": %llu, \"list_batches\": %llu}%s\n",
+                   "\"list_batches\": %llu}%s\n",
                    s.threads, s.seconds, (unsigned long long)s.triangles,
                    (unsigned long long)s.volume_bytes, (unsigned long long)s.messages,
-                   (unsigned long long)s.bitmap_batches,
                    (unsigned long long)s.list_batches,
                    k + 1 == pc.samples.size() ? "" : ",");
     }
-    std::fprintf(f,
-                 "    ], \"speedup_4t\": %.3f, \"nobitmap_seconds\": %.6f, "
-                 "\"nobitmap_triangles\": %llu}%s\n",
-                 pc.speedup(4), pc.nobitmap_seconds,
-                 (unsigned long long)pc.nobitmap_triangles,
+    std::fprintf(f, "    ], \"speedup_4t\": %.3f}%s\n", pc.speedup(4),
                  ++i == cases.size() ? "" : ",");
   }
   std::fprintf(f,
@@ -221,7 +185,7 @@ int main(int argc, char** argv) {
   const std::vector<int> thread_counts{1, 2, 4, 8};
 
   tripoll::bench::print_header(
-      "Intra-rank parallel traversal (speedup per core, hub/tail kernel mix)",
+      "Intra-rank parallel traversal (speedup per core)",
       "PR 6");
   std::printf("hardware threads: %u, ranks: %d\n\n", hw_threads, ranks);
 
@@ -235,8 +199,7 @@ int main(int argc, char** argv) {
     for (const auto& s : pc.samples) {
       const auto& base = pc.samples.front();
       if (s.triangles != base.triangles || s.volume_bytes != base.volume_bytes ||
-          s.messages != base.messages || s.bitmap_batches != base.bitmap_batches ||
-          s.list_batches != base.list_batches) {
+          s.messages != base.messages || s.list_batches != base.list_batches) {
         std::fprintf(stderr,
                      "FATAL: %s diverged at %d threads (tri %llu vs %llu, vol %llu "
                      "vs %llu, msg %llu vs %llu)\n",
@@ -247,13 +210,7 @@ int main(int argc, char** argv) {
                      (unsigned long long)s.messages, (unsigned long long)base.messages);
         return 1;
       }
-    }
-    if (pc.nobitmap_triangles != pc.samples.front().triangles) {
-      std::fprintf(stderr, "FATAL: %s bitmap on/off changed the triangle count\n",
-                   which.c_str());
-      return 1;
-    }
-  }
+    }  }
   if (json_path != nullptr) write_json(json_path, cases, ranks, delta, hw_threads);
   return 0;
 }

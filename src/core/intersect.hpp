@@ -5,32 +5,15 @@
 // degree-sorted lists (Sec. 4.3); binary-search and hashing variants are the
 // two other canonical strategies in the distributed triangle-counting
 // literature (Sec. 2) and are implemented for the baselines and for the
-// `bench_micro_intersection` comparison.
+// `bench_micro_intersection` comparison.  Every wedge batch and pulled
+// adjacency of a survey closes through `adaptive_intersect`.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <iterator>
 #include <unordered_map>
 #include <utility>
-
-// Hub/tail SIMD-bitmap kernels (see docs/ARCHITECTURE.md, "Parallel
-// traversal & intersection kernels").  AVX2 paths are compiled only on
-// x86-64 and can be disabled with -DTRIPOLL_NO_AVX2 to force the portable
-// fallback; dispatch is a cached cpuid check at runtime either way.
-#if defined(__x86_64__) && !defined(TRIPOLL_NO_AVX2)
-#include <immintrin.h>
-#define TRIPOLL_HAVE_AVX2_KERNELS 1
-// The AVX2 kernels carry an explicit function-level target so this header
-// works in translation units compiled without -mavx2; the runtime cpuid
-// dispatch below guards every call site.
-#define TRIPOLL_TARGET_AVX2 __attribute__((target("avx2")))
-#else
-#define TRIPOLL_HAVE_AVX2_KERNELS 0
-#define TRIPOLL_TARGET_AVX2
-#endif
 
 namespace tripoll::core {
 
@@ -156,172 +139,6 @@ void adaptive_intersect(ItA a, ItA a_end, ItB b, ItB b_end, KeyA key_a, KeyB key
     merge_path_intersect(a, a_end, b, b_end, key_a, key_b,
                          std::forward<OnMatch>(on_match));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Hub/tail bitmap kernels.
-//
-// Freeze-time construction (graph/frozen.hpp) gives every local vertex whose
-// out-degree crosses `freeze_options::hub_degree_threshold` a dense bitmap
-// row over raw neighbour ids.  The survey's wedge-closing step then probes a
-// *sparse* list of shipped candidate ids against the *dense* hub row --
-// O(1) per candidate instead of a gallop -- while tail vertices keep the
-// merge/gallop kernels above.  The kernel chosen for a batch depends only on
-// whether the target vertex owns a bitmap row, so the bitmap/list mix is
-// deterministic and independent of thread count.
-
-/// Non-owning view of one dense bitmap row: bit (id - base) is set iff `id`
-/// is a member.  Rows are stored little-endian in 64-bit words.
-struct bitmap_view {
-  const std::uint64_t* words = nullptr;
-  std::size_t nwords = 0;
-  std::uint64_t base = 0;
-
-  [[nodiscard]] bool empty() const { return nwords == 0; }
-
-  [[nodiscard]] bool test(std::uint64_t id) const {
-    const std::uint64_t off = id - base;  // wraps huge when id < base
-    const std::uint64_t w = off >> 6;
-    if (w >= nwords) return false;
-    return (words[w] >> (off & 63U)) & 1U;
-  }
-};
-
-/// Portable sparse-vs-dense probe: elements live at `data + i*stride`
-/// with a little-endian uint64 id at offset 0; `on_hit(i)` fires for every
-/// member, in ascending i (required for deterministic fire order).
-template <typename OnHit>
-void bitmap_probe_scalar(const bitmap_view& bm, const std::byte* data, std::size_t stride,
-                         std::size_t count, OnHit&& on_hit) {
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t id;
-    std::memcpy(&id, data + i * stride, sizeof(id));
-    if (bm.test(id)) on_hit(i);
-  }
-}
-
-#if TRIPOLL_HAVE_AVX2_KERNELS
-
-/// AVX2 sparse-vs-dense probe: gathers four ids per iteration, computes the
-/// word/bit split with vector shifts, and gathers the bitmap words with a
-/// mask that doubles as the bounds check (lanes whose word index falls
-/// outside the row -- including id < base, which wraps to a huge offset --
-/// load zero and test as misses).  Hit order matches the scalar kernel.
-template <typename OnHit>
-TRIPOLL_TARGET_AVX2 void bitmap_probe_avx2(const bitmap_view& bm, const std::byte* data,
-                                           std::size_t stride, std::size_t count,
-                                           OnHit&& on_hit) {
-  const auto* row = reinterpret_cast<const long long*>(bm.words);
-  const __m256i vbase = _mm256_set1_epi64x(static_cast<long long>(bm.base));
-  const __m256i vnwords = _mm256_set1_epi64x(static_cast<long long>(bm.nwords));
-  const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-  const __m256i vstride =
-      _mm256_setr_epi64x(0, static_cast<long long>(stride), static_cast<long long>(2 * stride),
-                         static_cast<long long>(3 * stride));
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const auto* p = reinterpret_cast<const long long*>(data + i * stride);
-    const __m256i ids = _mm256_i64gather_epi64(p, vstride, 1);
-    const __m256i off = _mm256_sub_epi64(ids, vbase);
-    const __m256i word = _mm256_srli_epi64(off, 6);
-    // Unsigned word < nwords via sign-bias + signed compare; this mask also
-    // guards the gather so out-of-range lanes never touch memory.
-    const __m256i in_range = _mm256_cmpgt_epi64(_mm256_xor_si256(vnwords, sign),
-                                                _mm256_xor_si256(word, sign));
-    const __m256i bits = _mm256_mask_i64gather_epi64(_mm256_setzero_si256(), row, word,
-                                                     in_range, 8);
-    const __m256i hit = _mm256_and_si256(
-        _mm256_srlv_epi64(bits, _mm256_and_si256(off, _mm256_set1_epi64x(63))),
-        _mm256_set1_epi64x(1));
-    alignas(32) std::uint64_t lane[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane), hit);
-    if (lane[0]) on_hit(i + 0);
-    if (lane[1]) on_hit(i + 1);
-    if (lane[2]) on_hit(i + 2);
-    if (lane[3]) on_hit(i + 3);
-  }
-  for (; i < count; ++i) {
-    std::uint64_t id;
-    std::memcpy(&id, data + i * stride, sizeof(id));
-    if (bm.test(id)) on_hit(i);
-  }
-}
-
-#endif  // TRIPOLL_HAVE_AVX2_KERNELS
-
-namespace detail {
-
-/// Cached runtime AVX2 check; always false when compiled portable.
-inline bool cpu_has_avx2() {
-#if TRIPOLL_HAVE_AVX2_KERNELS
-  static const bool ok = __builtin_cpu_supports("avx2");
-  return ok;
-#else
-  return false;
-#endif
-}
-
-#if TRIPOLL_HAVE_AVX2_KERNELS
-TRIPOLL_TARGET_AVX2 inline std::uint64_t bitmap_and_popcount_avx2(const std::uint64_t* a,
-                                                                  const std::uint64_t* b,
-                                                                  std::size_t nwords) {
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= nwords; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    alignas(32) std::uint64_t lane[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane), _mm256_and_si256(va, vb));
-    total += static_cast<std::uint64_t>(__builtin_popcountll(lane[0])) +
-             static_cast<std::uint64_t>(__builtin_popcountll(lane[1])) +
-             static_cast<std::uint64_t>(__builtin_popcountll(lane[2])) +
-             static_cast<std::uint64_t>(__builtin_popcountll(lane[3]));
-  }
-  for (; i < nwords; ++i) {
-    total += static_cast<std::uint64_t>(__builtin_popcountll(a[i] & b[i]));
-  }
-  return total;
-}
-#endif  // TRIPOLL_HAVE_AVX2_KERNELS
-
-}  // namespace detail
-
-/// Dispatching sparse-vs-dense probe; both paths report hits in ascending
-/// element order so the choice never changes observable results.
-template <typename OnHit>
-void bitmap_probe(const bitmap_view& bm, const std::byte* data, std::size_t stride,
-                  std::size_t count, OnHit&& on_hit) {
-#if TRIPOLL_HAVE_AVX2_KERNELS
-  if (detail::cpu_has_avx2()) {
-    bitmap_probe_avx2(bm, data, stride, count, std::forward<OnHit>(on_hit));
-    return;
-  }
-#endif
-  bitmap_probe_scalar(bm, data, stride, count, std::forward<OnHit>(on_hit));
-}
-
-/// Dense-vs-dense population count of `a AND b` over `nwords` words
-/// (both rows must share a base).  Used by the micro benchmarks and the
-/// kernel-identity tests; the survey itself only ships sparse candidate
-/// lists, so its dense side is always probed via bitmap_probe.
-inline std::uint64_t bitmap_and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                                         std::size_t nwords) {
-#if TRIPOLL_HAVE_AVX2_KERNELS
-  if (detail::cpu_has_avx2()) return detail::bitmap_and_popcount_avx2(a, b, nwords);
-#endif
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nwords; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-    total += static_cast<std::uint64_t>(__builtin_popcountll(a[i] & b[i]));
-#else
-    std::uint64_t w = a[i] & b[i];
-    while (w) {
-      w &= w - 1;
-      ++total;
-    }
-#endif
-  }
-  return total;
 }
 
 /// Hash intersection: builds a hash set over the keys of [b, b_end) and

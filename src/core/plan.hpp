@@ -105,8 +105,12 @@ struct survey_result {
   std::uint64_t wedge_candidates = 0;   ///< candidate r vertices examined
   std::uint64_t triangles_found = 0;    ///< engine-side cross-check counter
   std::uint64_t proposals_filtered = 0; ///< hopeless pull proposals never sent
-  std::uint64_t bitmap_batches = 0;     ///< batches closed via hub bitmap probe
   std::uint64_t list_batches = 0;       ///< batches closed via merge/gallop
+  /// Always 0: no kernel besides merge/gallop exists.  Kept only for
+  /// bench/pipeline's report schema (`intersect.bitmap_*`); a later
+  /// benchmark-only change drops it with `intersect.bitmap_*` and
+  /// `freeze.hub_vertices` (ROADMAP item 6).
+  std::uint64_t bitmap_batches = 0;
 
   [[nodiscard]] double pulls_per_rank(int nranks) const noexcept {
     return nranks > 0 ? static_cast<double>(pulls_granted) / nranks : 0.0;

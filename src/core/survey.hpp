@@ -34,13 +34,9 @@
 // and every reported metric is a sum of per-batch/per-source contributions
 // independent of the partition.
 //
-// Hub/tail intersection dispatch (core/intersect.hpp): when the graph
-// carries hub bitmap rows and the plan ships no metadata, a wedge
-// batch arriving at a hub is closed by an O(1)-per-candidate sparse-vs-dense
-// bitmap probe (AVX2 or portable) instead of a gallop; tails keep the
-// merge/gallop kernels.  The kernel picked for a batch depends only on
-// whether the target owns a bitmap row, so the reported bitmap/list mix is
-// deterministic too.
+// Every wedge batch and pulled adjacency closes through one kernel,
+// core::adaptive_intersect (merge-path, or a gallop when the sizes are
+// skewed; core/intersect.hpp).
 //
 // What travels is governed by the plan's projections: every metadata field
 // of a wedge batch or pulled adjacency is projected sender-side, so the
@@ -95,15 +91,13 @@ using clock = std::chrono::steady_clock;
 namespace core {
 
 /// What the engine needs from a graph: dense 32-bit local slots
-/// [0, local_num_vertices()) that resolve to records, vertex ids and hub
-/// bitmap rows (an empty view where a vertex has none), plus an id -> slot
-/// lookup for the vertices a message names.
+/// [0, local_num_vertices()) that resolve to records and vertex ids, plus
+/// an id -> slot lookup for the vertices a message names.
 template <typename G>
 concept slot_addressed_graph = requires(const G& g, graph::vertex_id v, std::uint32_t slot) {
   { g.locate(v) } -> std::convertible_to<std::uint32_t>;
   g.resolve_record(slot);
   { g.vid_at(slot) } -> std::convertible_to<graph::vertex_id>;
-  { g.hub_bitmap(slot) } -> std::convertible_to<bitmap_view>;
   { g.local_num_vertices() } -> std::convertible_to<std::size_t>;
 };
 
@@ -142,11 +136,6 @@ class survey_engine {
                 "graph::overlay); a built graph::dodgr is not surveyable -- "
                 "call graph::freeze(g) first and survey the frozen graph");
 
-  /// A bitmap answers membership, not which adjacency entry matched, so the
-  /// probe path exists only for metadata-free wire shapes.
-  static constexpr bool bitmap_eligible =
-      std::is_empty_v<wire_vm> && std::is_empty_v<wire_em>;
-
   /// Smaller wedge batches close on the owning thread as they drain: a task
   /// (heap closure, queue lock, worker wake-up) costs more than intersecting.
   static constexpr std::size_t kInlineBatch = 8;
@@ -156,10 +145,7 @@ class survey_engine {
   /// push-down: inadmissible wedge edges and candidates never serialize
   /// (volume drops sender-side).  Only meaningful when the stored type is a
   /// timestamp; plan.window() static_asserts the same condition, so a plan
-  /// with an active window always reaches a capable engine.  Note this is
-  /// mutually exclusive with the hub-bitmap probe by construction: bitmap
-  /// rows exist only when the graph stores EMPTY metadata (graph/frozen.hpp),
-  /// and empty metadata is not a timestamp.
+  /// with an active window always reaches a capable engine.
   static constexpr bool window_capable =
       std::is_convertible_v<edge_meta_type, std::uint64_t>;
 
@@ -211,7 +197,6 @@ class survey_engine {
     result.wedge_candidates = comm_->all_reduce_sum(local_candidates_);
     result.triangles_found = comm_->all_reduce_sum(local_triangles_);
     result.proposals_filtered = comm_->all_reduce_sum(local_proposals_filtered_);
-    result.bitmap_batches = comm_->all_reduce_sum(local_bitmap_batches_);
     result.list_batches = comm_->all_reduce_sum(local_list_batches_);
     for (std::size_t i = 0; i < num_callbacks; ++i) {
       out.invocations[i] = comm_->all_reduce_sum(local_invocations_[i]);
@@ -234,8 +219,7 @@ class survey_engine {
 
   void reset_counters() {
     local_pulls_granted_ = local_push_batches_ = local_candidates_ = local_triangles_ = 0;
-    local_proposals_filtered_ = 0;
-    local_bitmap_batches_ = local_list_batches_ = 0;
+    local_proposals_filtered_ = local_list_batches_ = 0;
     local_invocations_.fill(0);
     targets_.clear();
     pull_grants_.clear();
@@ -302,17 +286,6 @@ class survey_engine {
     } else {
       return wire_em(v);
     }
-  }
-
-  /// Shared empty-metadata instances for the bitmap fire path (only
-  /// instantiated when bitmap_eligible, i.e. both wire types are empty).
-  [[nodiscard]] static const wire_vm& dummy_vm() noexcept {
-    static const wire_vm v{};
-    return v;
-  }
-  [[nodiscard]] static const wire_em& dummy_em() noexcept {
-    static const wire_em v{};
-    return v;
   }
 
   // --- plan-window predicate ---------------------------------------------------
@@ -508,7 +481,6 @@ class survey_engine {
     std::array<std::uint64_t, num_callbacks> fired{};
     std::uint64_t candidates = 0;
     std::uint64_t triangles = 0;
-    std::uint64_t bitmap_batches = 0;
     std::uint64_t list_batches = 0;
     std::vector<batch_entry> scratch;  ///< decoded batches this thread intersects
   };
@@ -527,7 +499,6 @@ class survey_engine {
   void absorb(fire_state& fs) {
     local_candidates_ += fs.candidates;
     local_triangles_ += fs.triangles;
-    local_bitmap_batches_ += fs.bitmap_batches;
     local_list_batches_ += fs.list_batches;
     for (std::size_t i = 0; i < num_callbacks; ++i) local_invocations_[i] += fs.fired[i];
     plan_->join_slices(fs.slices);
@@ -643,37 +614,15 @@ class survey_engine {
 
   // --- intersection (shared by the inline and worker-task receive paths) ------
 
-  /// The decoded ids for core::bitmap_probe: entry k's r at byte offset
-  /// k * sizeof(batch_entry).
-  [[nodiscard]] static const std::byte* ids_of(const std::vector<batch_entry>& v) noexcept {
-    return v.empty() ? nullptr : reinterpret_cast<const std::byte*>(&v.front().r);
-  }
-
   /// Close one wedge batch against Adjm+(q), decoding it into the closing
-  /// thread's scratch and firing into its slices.  Hub targets with a bitmap
-  /// row take the sparse-vs-dense probe (only when the wire carries no
-  /// metadata, so the dummies below are exactly what the projections
-  /// produce); everything else takes the adaptive merge/gallop.  The kernel
-  /// counters are per-batch and partition-independent.
+  /// thread's scratch and firing into its slices.  The kernel counter is
+  /// per-batch and partition-independent.
   void process_wedge_batch(graph::vertex_id q, graph::vertex_id p,
                            const wire_vm& meta_p, const wire_em& meta_pq,
                            const batch_type& batch, fire_state& fs) const {
     const std::uint32_t slot = graph_->locate(q);
     std::vector<batch_entry>& candidates = fs.scratch;
     batch.decode(candidates);
-    if constexpr (bitmap_eligible) {
-      const core::bitmap_view bm = graph_->hub_bitmap(slot);
-      if (!bm.empty()) {
-        ++fs.bitmap_batches;
-        core::bitmap_probe(bm, ids_of(candidates), sizeof(batch_entry), candidates.size(),
-                           [&](std::size_t k) {
-                             fire(fs, view_type{p, q, candidates[k].r, meta_p, dummy_vm(),
-                                                dummy_vm(), meta_pq, dummy_em(),
-                                                dummy_em()});
-                           });
-        return;
-      }
-    }
     ++fs.list_batches;
     decltype(auto) rec_q = graph_->resolve_record(slot);
     decltype(auto) meta_q = pv(rec_q.meta);  // projected once per batch
@@ -694,12 +643,8 @@ class survey_engine {
   }
 
   /// Close one pulled adjacency Adjm+(q), decoded once into the closing
-  /// thread's scratch, against every local source (p, i).
-  /// A source p owning a hub bitmap probes the pulled entries against its
-  /// FULL adjacency row: a hit r satisfies q <+ r (r ∈ Adjm+(q)), and any
-  /// entry of Adjm+(p) at a position <= i satisfies <=+ q, so every hit
-  /// necessarily lies past the split -- the probe equals the suffix
-  /// intersection.  Tail sources keep the gallop over the suffix.
+  /// thread's scratch, against every local source (p, i): the pulled entries
+  /// meet the suffix of Adjm+(p) past the split.
   void process_pulled(graph::vertex_id q, const wire_vm& meta_q, const batch_type& batch,
                       const per_target& t, fire_state& fs) const {
     std::vector<batch_entry>& entries = fs.scratch;
@@ -709,19 +654,6 @@ class survey_engine {
       const graph::vertex_id p = s.p;
       const std::uint32_t i = s.split;
       fs.candidates += admitted_from(rec_p, i + 1);
-      if constexpr (bitmap_eligible) {
-        const core::bitmap_view bm = graph_->hub_bitmap(s.slot);
-        if (!bm.empty()) {
-          ++fs.bitmap_batches;
-          core::bitmap_probe(bm, ids_of(entries), sizeof(batch_entry), entries.size(),
-                             [&](std::size_t k) {
-                               fire(fs, view_type{p, q, entries[k].r, dummy_vm(), meta_q,
-                                                  dummy_vm(), dummy_em(), dummy_em(),
-                                                  dummy_em()});
-                             });
-          continue;
-        }
-      }
       ++fs.list_batches;
       const entry_type& q_entry = rec_p.adj[i];
       decltype(auto) meta_p = pv(rec_p.meta);
@@ -1029,7 +961,6 @@ class survey_engine {
   std::uint64_t local_candidates_ = 0;
   std::uint64_t local_triangles_ = 0;
   std::uint64_t local_proposals_filtered_ = 0;
-  std::uint64_t local_bitmap_batches_ = 0;
   std::uint64_t local_list_batches_ = 0;
   std::array<std::uint64_t, num_callbacks> local_invocations_{};
 };

@@ -13,11 +13,10 @@
 //
 // `dodgr` is what graph_builder::build_into fills: each rank's vertices in
 // <+ order as CSR columns (graph/frozen.hpp's frozen_arenas) holding the
-// build-time metadata and no hub bitmap rows.  It offers the record views
-// frozen_dodgr has (for_all_local / local_find / census) but no
-// slot-addressed API, so surveying it directly fails to compile:
-// graph::freeze() projects the columns, adds hub bitmap rows and returns
-// the frozen_dodgr the survey engine walks.
+// build-time metadata.  It offers the record views frozen_dodgr has
+// (for_all_local / local_find / census) but no slot-addressed API, so
+// surveying it directly fails to compile: graph::freeze() projects the
+// columns and returns the frozen_dodgr the survey engine walks.
 #pragma once
 
 #include <cstdint>
@@ -142,8 +141,7 @@ template <typename T>
 /// frozen graph run with identity projections and read pre-projected
 /// arenas).  The id, degree, rank, offset and target columns -- and metadata
 /// columns the projection leaves unchanged -- are shared with `g`, not
-/// copied; `g` may be discarded afterwards.  Counting-shape results (both
-/// stored metadata types empty) gain hub bitmap rows per `opts`.
+/// copied; `g` may be discarded afterwards.
 template <typename VMeta, typename EMeta, typename VProj, typename EProj>
 [[nodiscard]] auto freeze(const dodgr<VMeta, EMeta>& g, VProj vproj, EProj eproj,
                           const freeze_options& opts = {}) {
@@ -164,16 +162,6 @@ template <typename VMeta, typename EMeta, typename VProj, typename EProj>
   ar.target_out_degree = detail::share_arena(in.target_out_degree, keep);
   ar.emeta = detail::project_column<PE>(in.emeta, eproj, threads, keep);
   ar.target_vmeta = detail::project_column<PV>(in.target_vmeta, vproj, threads, keep);
-  if constexpr (std::is_empty_v<PV> && std::is_empty_v<PE>) {
-    if (opts.build_hub_bitmaps) {
-      std::vector<std::uint64_t> bm_offset, bm_base, bm_words;
-      detail::build_hub_bitmap_columns(in.vid.size(), in.offset.data(), in.target.data(),
-                                       opts, threads, bm_offset, bm_base, bm_words);
-      ar.bm_offset = arena<std::uint64_t>(std::move(bm_offset));
-      ar.bm_base = arena<std::uint64_t>(std::move(bm_base));
-      ar.bm_words = arena<std::uint64_t>(std::move(bm_words));
-    }
-  }
   return frozen_dodgr<PV, PE>(g.comm(), std::move(ar), g.ordering());
 }
 

@@ -9,13 +9,13 @@
 //
 // behind `frozen_dodgr<VMeta, EMeta>`, which exposes the slot-addressed read
 // API the survey engine traverses (core::slot_addressed_graph: dense CSR
-// slots resolving to record views with random-access adjacency spans, vertex
-// ids and hub bitmap rows).  Sorting the vertex walk by <+ rank gives the
+// slots resolving to record views with random-access adjacency spans and
+// vertex ids).  Sorting the vertex walk by <+ rank gives the
 // degeneracy-ordered CSR traversal of Pashanasangi & Seshadhri.
 //
-// graph_builder writes these columns directly, with the build-time metadata
-// and no hub bitmap rows, into a `graph::dodgr` (graph/dodgr.hpp); freeze()
-// turns that into the surveyable frozen_dodgr.
+// graph_builder writes these columns directly, with the build-time metadata,
+// into a `graph::dodgr` (graph/dodgr.hpp); freeze() turns that into the
+// surveyable frozen_dodgr.
 //
 // Projection push-down (the ROADMAP follow-up to PR 4's sender-side wire
 // projections): `freeze(g, vproj, eproj)` -- or `freeze(plan)` for a survey
@@ -47,8 +47,7 @@
 
 #include "comm/communicator.hpp"
 #include "comm/key_hash.hpp"
-#include "core/intersect.hpp"  // core::bitmap_view (dependency-free kernel header)
-#include "core/parallel.hpp"   // chunked fork-join for the parallel freeze fill
+#include "core/parallel.hpp"  // chunked fork-join for the parallel freeze fill
 #include "graph/ordering.hpp"
 #include "graph/types.hpp"
 
@@ -63,20 +62,8 @@ struct graph_census {
   std::uint64_t wedge_checks = 0;        ///< |W+| = sum_v C(d+(v), 2)
 };
 
-/// Freeze-time knobs for the hub/tail bitmap split (docs/ARCHITECTURE.md,
-/// "Parallel traversal & intersection kernels").  A local vertex whose
-/// Adjm+ out-degree reaches `hub_degree_threshold` gets a dense bitmap row
-/// over its raw neighbour ids, provided the row stays within
-/// `hub_bitmap_max_bytes_per_edge` bytes per out-edge (a density guard: the
-/// default of 2 B/edge admits rows at >= 1/16 id-span density, so sparse
-/// ultra-wide spans keep the gallop path instead of bloating the arenas).
-/// Rows are only built when BOTH projected metadata types are empty --
-/// a bitmap answers membership, not which entry matched, so any survey that
-/// must read matched-entry metadata uses the list kernels regardless.
+/// Freeze-time knobs.
 struct freeze_options {
-  std::uint64_t hub_degree_threshold = 64;
-  std::uint64_t hub_bitmap_max_bytes_per_edge = 2;
-  bool build_hub_bitmaps = true;
   /// Worker threads for the rank-local column fill (0 = TRIPOLL_THREADS
   /// from the environment, defaulting to 1).  The arenas are SoA and every
   /// cell is written exactly once from its vertex's chunk, so the frozen
@@ -211,11 +198,6 @@ struct frozen_arenas {
   arena<std::uint64_t> target_out_degree;
   meta_column<EMeta> emeta;
   meta_column<VMeta> target_vmeta;
-  // hub bitmap columns (present iff any row was built: bm_offset has n+1
-  // word offsets into bm_words, bm_base has n base ids; all empty otherwise)
-  arena<std::uint64_t> bm_offset;
-  arena<std::uint64_t> bm_base;
-  arena<std::uint64_t> bm_words;
 };
 
 /// Rank-local storage footprint of a frozen graph (bitwise-reducible).
@@ -225,11 +207,14 @@ struct frozen_storage_stats {
   std::uint64_t vertex_bytes = 0;      ///< vid+degree+rank+offset+vmeta arenas
   std::uint64_t edge_bytes = 0;        ///< target+rank+outdeg+emeta+tvmeta arenas
   std::uint64_t index_bytes = 0;       ///< id -> slot hash index (estimate)
-  std::uint64_t bitmap_bytes = 0;      ///< hub bitmap rows + offset/base columns
-  std::uint64_t hub_vertices = 0;      ///< local vertices owning a bitmap row
+  /// Always 0: frozen graphs carry no hub bitmap rows.  Kept only for
+  /// bench/pipeline's report schema (`freeze.hub_vertices`); a later
+  /// benchmark-only change drops it with `freeze.hub_vertices` and
+  /// `intersect.bitmap_*` (ROADMAP item 6).
+  std::uint64_t hub_vertices = 0;
 
   [[nodiscard]] std::uint64_t total_bytes() const noexcept {
-    return vertex_bytes + edge_bytes + index_bytes + bitmap_bytes;
+    return vertex_bytes + edge_bytes + index_bytes;
   }
   [[nodiscard]] double bytes_per_edge() const noexcept {
     return edges > 0 ? static_cast<double>(total_bytes()) / static_cast<double>(edges)
@@ -401,24 +386,6 @@ class frozen_dodgr {
     return ar_.vid[slot];
   }
 
-  /// Dense hub bitmap row for a CSR slot, or an empty view when the vertex
-  /// has no row (tail vertex, budget-rejected span, bitmaps disabled at
-  /// freeze time).  Row semantics: bit
-  /// (id - base) set iff `id` is in the vertex's Adjm+ target set.
-  [[nodiscard]] core::bitmap_view hub_bitmap(std::uint32_t slot) const noexcept {
-    if (ar_.bm_offset.size() != ar_.vid.size() + 1) return {};
-    const std::uint64_t first = ar_.bm_offset[slot];
-    const std::uint64_t last = ar_.bm_offset[slot + 1];
-    if (first == last) return {};
-    return core::bitmap_view{ar_.bm_words.data() + first,
-                             static_cast<std::size_t>(last - first), ar_.bm_base[slot]};
-  }
-
-  /// True when at least one local vertex owns a bitmap row.
-  [[nodiscard]] bool has_hub_bitmaps() const noexcept {
-    return ar_.bm_words.size() > 0;
-  }
-
   /// Apply `fn(vertex_id, const record_view&)` to every local vertex, in
   /// ascending <+ order (the degeneracy-ordered CSR walk).
   template <typename Fn>
@@ -509,9 +476,6 @@ class frozen_dodgr {
     mix_column(ar_.target_out_degree);
     mix_column(ar_.emeta);
     mix_column(ar_.target_vmeta);
-    mix_column(ar_.bm_offset);
-    mix_column(ar_.bm_base);
-    mix_column(ar_.bm_words);
     snapshot_id_ = acc.h != 0 ? acc.h : 1;
     return snapshot_id_;
   }
@@ -536,12 +500,6 @@ class frozen_dodgr {
     s.index_bytes =
         index_.bucket_count() * sizeof(void*) +
         index_.size() * (sizeof(std::pair<vertex_id, std::uint32_t>) + sizeof(void*));
-    s.bitmap_bytes = ar_.bm_offset.bytes() + ar_.bm_base.bytes() + ar_.bm_words.bytes();
-    if (ar_.bm_offset.size() == ar_.vid.size() + 1) {
-      for (std::size_t i = 0; i < ar_.vid.size(); ++i) {
-        if (ar_.bm_offset[i + 1] > ar_.bm_offset[i]) ++s.hub_vertices;
-      }
-    }
     return s;
   }
 
@@ -554,8 +512,6 @@ class frozen_dodgr {
     g.vertex_bytes = comm_->all_reduce_sum(local.vertex_bytes);
     g.edge_bytes = comm_->all_reduce_sum(local.edge_bytes);
     g.index_bytes = comm_->all_reduce_sum(local.index_bytes);
-    g.bitmap_bytes = comm_->all_reduce_sum(local.bitmap_bytes);
-    g.hub_vertices = comm_->all_reduce_sum(local.hub_vertices);
     return g;
   }
 
@@ -593,75 +549,6 @@ template <typename Col, typename T>
   } else {
     return Col(std::move(values));
   }
-}
-
-/// Hub bitmap rows over a finished CSR.  Built over raw target ids -- the
-/// adjacency is sorted by <+ order key, not id, so each row's base/span
-/// comes from a min/max scan of the slice.  Two passes around a serial prefix sum: a
-/// parallel admission pass decides each vertex's row size, the prefix sum
-/// lays the rows out in vertex order (exactly where the serial appender put
-/// them), and a parallel fill pass sets the bits of disjoint rows.  Leaves
-/// all three outputs empty when no row survives admission.
-inline void build_hub_bitmap_columns(std::size_t n, const std::uint64_t* offset,
-                                     const vertex_id* target, const freeze_options& opts,
-                                     int threads, std::vector<std::uint64_t>& bm_offset,
-                                     std::vector<std::uint64_t>& bm_base,
-                                     std::vector<std::uint64_t>& bm_words) {
-  bm_offset.assign(n + 1, 0);
-  bm_base.assign(n, 0);
-  bm_words.clear();
-  std::vector<std::uint64_t> row_words(n, 0), row_lo(n, 0);
-  core::chunk_queue admit(n, core::chunk_size_for(n, threads));
-  core::fork_join(threads, [&](int) {
-    std::size_t first = 0, last = 0;
-    while (admit.next(first, last)) {
-      for (std::size_t i = first; i < last; ++i) {
-        const std::uint64_t off = offset[i];
-        const std::uint64_t d = offset[i + 1] - off;
-        if (d == 0 || d < opts.hub_degree_threshold) continue;
-        std::uint64_t lo = target[off];
-        std::uint64_t hi = target[off];
-        for (std::uint64_t k = 1; k < d; ++k) {
-          lo = std::min(lo, target[off + k]);
-          hi = std::max(hi, target[off + k]);
-        }
-        const std::uint64_t words = ((hi - lo) >> 6) + 1;
-        if (words * 8 > opts.hub_bitmap_max_bytes_per_edge * d) continue;  // too sparse
-        row_words[i] = words;
-        row_lo[i] = lo;
-      }
-    }
-  });
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    bm_offset[i] = total;
-    if (row_words[i] > 0) bm_base[i] = row_lo[i];
-    total += row_words[i];
-  }
-  bm_offset[n] = total;
-  if (total == 0) {  // no row survived: store nothing at all
-    bm_offset.clear();
-    bm_base.clear();
-    return;
-  }
-  bm_words.assign(total, 0);
-  core::chunk_queue fill(n, core::chunk_size_for(n, threads));
-  core::fork_join(threads, [&](int) {
-    std::size_t first = 0, last = 0;
-    while (fill.next(first, last)) {
-      for (std::size_t i = first; i < last; ++i) {
-        if (row_words[i] == 0) continue;
-        const std::uint64_t off = offset[i];
-        const std::uint64_t d = offset[i + 1] - off;
-        const std::uint64_t lo = row_lo[i];
-        const std::uint64_t row = bm_offset[i];
-        for (std::uint64_t k = 0; k < d; ++k) {
-          const std::uint64_t bit = target[off + k] - lo;
-          bm_words[row + (bit >> 6)] |= std::uint64_t{1} << (bit & 63U);
-        }
-      }
-    }
-  });
 }
 
 /// One rank's CSR arenas from mutable records (the overlay's incremental
@@ -729,16 +616,6 @@ template <typename PV, typename PE, typename Record, typename VProj, typename EP
     });
   }
 
-  // Hub bitmap rows (counting-shape arenas only: both stored metadata types
-  // empty, see freeze_options).
-  std::vector<std::uint64_t> bm_offset, bm_base, bm_words;
-  if constexpr (std::is_empty_v<PV> && std::is_empty_v<PE>) {
-    if (opts.build_hub_bitmaps) {
-      build_hub_bitmap_columns(n, offset.data(), target.data(), opts, threads, bm_offset,
-                               bm_base, bm_words);
-    }
-  }
-
   frozen_arenas<PV, PE> ar;
   ar.vid = arena<vertex_id>(std::move(vid));
   ar.degree = arena<std::uint64_t>(std::move(degree));
@@ -750,9 +627,6 @@ template <typename PV, typename PE, typename Record, typename VProj, typename EP
   ar.target_out_degree = arena<std::uint64_t>(std::move(target_outdeg));
   ar.emeta = make_meta_column<meta_column<PE>>(std::move(emeta), m);
   ar.target_vmeta = make_meta_column<meta_column<PV>>(std::move(tvmeta), m);
-  ar.bm_offset = arena<std::uint64_t>(std::move(bm_offset));
-  ar.bm_base = arena<std::uint64_t>(std::move(bm_base));
-  ar.bm_words = arena<std::uint64_t>(std::move(bm_words));
   return ar;
 }
 

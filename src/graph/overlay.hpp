@@ -15,11 +15,10 @@
 // Like the frozen CSR, the overlay is a core::slot_addressed_graph: every
 // local vertex owns a dense 32-bit slot, appended when the vertex first
 // appears and never reused, that resolves to its record (<+-sorted Adjm+)
-// and vertex id.  It keeps no hub bitmap rows.  The survey engine therefore
-// runs over it on the same path as over a frozen graph -- threads,
-// worker-side fires and all -- and its reported metrics, sums of per-batch
-// contributions, are bit-identical to surveying a full rebuild of the same
-// logical graph.
+// and vertex id.  The survey engine therefore runs over it on the same path
+// as over a frozen graph -- threads, worker-side fires and all -- and its
+// reported metrics, sums of per-batch contributions, are bit-identical to
+// surveying a full rebuild of the same logical graph.
 //
 // Incremental maintenance model.  Each local vertex keeps, alongside its
 // oriented Adjm+ record, its full UNDIRECTED metadata-augmented neighbor
@@ -65,8 +64,7 @@
 // `compact()` is the incremental re-freeze: per-rank merge of the overlay
 // records into fresh CSR arenas in <+ order through the frozen column
 // builder (detail::build_arenas), REUSING the maintained ranks -- no shuffle, no degeneracy peel.
-// The result is an ordinary frozen_dodgr: hub bitmaps are rebuilt when
-// eligible and snapshots round-trip.
+// The result is an ordinary frozen_dodgr whose snapshots round-trip.
 //
 // Thread-safety: the overlay is rank-local mutable state; mutating
 // collectives (ingest/expire_before/compact) must be called from the
@@ -223,10 +221,6 @@ class overlay {
   }
   [[nodiscard]] vertex_id vid_at(std::uint32_t slot) const noexcept {
     return slots_[slot]->first;
-  }
-  /// No bitmap rows: overlay batches always take the merge/gallop kernels.
-  [[nodiscard]] core::bitmap_view hub_bitmap(std::uint32_t /*slot*/) const noexcept {
-    return {};
   }
 
   /// Apply `fn(vertex_id, const record&)` to every local vertex, in slot order.
@@ -397,8 +391,8 @@ class overlay {
   /// (fully expired) are dropped, so the compacted graph equals a from-
   /// scratch build of the surviving edge set.  The columns come from
   /// detail::build_arenas (parallel over `opts.threads`, byte-identical at
-  /// any count), hub bitmap rows included; the result is an ordinary
-  /// frozen_dodgr whose snapshots round-trip.
+  /// any count); the result is an ordinary frozen_dodgr whose snapshots
+  /// round-trip.
   [[nodiscard]] base_type compact(const freeze_options& opts = {}) {
     std::vector<std::pair<order_key, const record_type*>> order;
     order.reserve(nodes_.size());

@@ -8,32 +8,30 @@
 // real-dataset workloads (Reddit, common-crawl) amortize one build across
 // arbitrarily many survey sessions this way.
 //
-// File layout (version 3; little-endian, 64-byte-aligned sections):
+// File layout (version 4; little-endian, 64-byte-aligned sections):
 //
 //   [128-byte header]  magic, version, nranks, rank, ordering, n, m,
-//                      vmeta/emeta element sizes, file size, bitmap words W,
+//                      vmeta/emeta element sizes, file size,
 //                      FNV-1a of the section table, content id
-//   [section table]    13 x { codec, stored_bytes, checksum } u64 triples
+//   [section table]    10 x { codec, stored_bytes, checksum } u64 triples
 //   [aligned sections] each section's STORED bytes, in this order:
 //     vertex columns   vid[n] degree[n] order_rank[n] offset[n+1] vmeta[n]
 //     edge columns     target[m] target_rank[m] target_out_degree[m]
 //                      emeta[m] target_vmeta[m]
-//     bitmap columns   bm_offset[n+1] bm_base[n] bm_words[W]   (iff W > 0)
 //
-// The bitmap sections carry the optional hub-bitmap rows (graph/frozen.hpp's
-// freeze_options) so reloads keep the bitmap intersection kernels without
-// rebuilding rows; with W == 0 they are zero-sized.
+// Only version 4 is readable: files of any other version are refused by
+// name ("unsupported snapshot version").
 //
 // `snapshot_codec` picks the column codecs.  `raw` (the default) stores
 // every section verbatim.  `compressed` delta-encodes the u64 columns
 // (ZigZag, the adjacency is sorted by the <+ order key so deltas take
-// either sign) then varint-packs them; the monotonic offset columns store
+// either sign) then varint-packs them; the monotonic offset column stores
 // first-value-plus-gaps; the target column restarts its delta chain at
 // every CSR vertex slice (short in-slice deltas, no cross-vertex noise);
-// metadata arenas and bitmap words stay raw.  Raw-tagged sections are
-// served zero-copy from the mapping.  Whatever the codec, every section
-// carries an FNV-1a checksum verified on load, and both offset columns are
-// range-checked before anything indexes through them.
+// metadata arenas stay raw.  Raw-tagged sections are served zero-copy from
+// the mapping.  Whatever the codec, every section carries an FNV-1a
+// checksum verified on load, and the offset column is range-checked before
+// anything indexes through it.
 //
 // Empty metadata (graph::none, dropped projections) occupies zero bytes on
 // disk, mirroring its zero-byte arena.  Only bitwise-serializable metadata
@@ -79,10 +77,10 @@ enum class snapshot_codec {
 namespace snapshot_detail {
 
 inline constexpr std::uint64_t kMagic = 0x54504C4C534E4150ull;  // "TPLLSNAP"
-inline constexpr std::uint64_t kVersion = 3;
+inline constexpr std::uint64_t kVersion = 4;
 inline constexpr std::size_t kAlign = 64;
 inline constexpr std::size_t kHeaderBytes = 128;  // 16 u64 words
-inline constexpr std::size_t kNumSections = 13;
+inline constexpr std::size_t kNumSections = 10;
 inline constexpr std::size_t kTableBytes = kNumSections * 3 * 8;  // section table
 
 /// Per-section column codec tag (the wire values of the section table).
@@ -127,17 +125,15 @@ struct header {
   std::uint64_t vmeta_size = 0;
   std::uint64_t emeta_size = 0;
   std::uint64_t file_size = 0;
-  std::uint64_t bm_words = 0;  ///< total hub-bitmap words W (0: no bitmap sections)
   std::uint64_t table_checksum = 0;  ///< FNV-1a of the section table
   std::uint64_t content_id = 0;  ///< frozen_dodgr::snapshot_id() (0: absent)
 
   void encode(std::byte out[kHeaderBytes]) const noexcept {
     std::memset(out, 0, kHeaderBytes);
-    const std::uint64_t words[13] = {kMagic,     kVersion,  nranks,    rank,
-                                     ordering,   n,         m,         vmeta_size,
-                                     emeta_size, file_size, bm_words,  table_checksum,
-                                     content_id};
-    for (std::size_t i = 0; i < 13; ++i) serial::store_u64_le(out + 8 * i, words[i]);
+    const std::uint64_t words[12] = {kMagic,     kVersion,  nranks,         rank,
+                                     ordering,   n,         m,              vmeta_size,
+                                     emeta_size, file_size, table_checksum, content_id};
+    for (std::size_t i = 0; i < 12; ++i) serial::store_u64_le(out + 8 * i, words[i]);
   }
 
   [[nodiscard]] static header decode(const std::byte in[kHeaderBytes],
@@ -160,22 +156,17 @@ struct header {
     h.vmeta_size = serial::load_u64_le(in + 56);
     h.emeta_size = serial::load_u64_le(in + 64);
     h.file_size = serial::load_u64_le(in + 72);
-    h.bm_words = serial::load_u64_le(in + 80);
-    h.table_checksum = serial::load_u64_le(in + 88);
-    h.content_id = serial::load_u64_le(in + 96);
+    h.table_checksum = serial::load_u64_le(in + 80);
+    h.content_id = serial::load_u64_le(in + 88);
     return h;
   }
 };
 
-/// Logical (decoded) section sizes, in file order; the three bitmap
-/// sections are zero-sized when W == 0.
+/// Logical (decoded) section sizes, in file order.
 [[nodiscard]] inline std::array<std::uint64_t, kNumSections> section_bytes(
     const header& h) {
-  const std::uint64_t bm_off = h.bm_words > 0 ? (h.n + 1) * 8 : 0;
-  const std::uint64_t bm_base = h.bm_words > 0 ? h.n * 8 : 0;
-  return {h.n * 8,          h.n * 8, h.n * 8, (h.n + 1) * 8, h.n * h.vmeta_size,
-          h.m * 8,          h.m * 8, h.m * 8, h.m * h.emeta_size,
-          h.m * h.vmeta_size, bm_off, bm_base, h.bm_words * 8};
+  return {h.n * 8, h.n * 8, h.n * 8, (h.n + 1) * 8,      h.n * h.vmeta_size,
+          h.m * 8, h.m * 8, h.m * 8, h.m * h.emeta_size, h.m * h.vmeta_size};
 }
 
 // --- column codecs ----------------------------------------------------------
@@ -237,8 +228,8 @@ inline void append_varint(std::vector<std::byte>& out, std::uint64_t v) {
 /// non-decreasing throughout (which, with back == total, bounds every
 /// interior value by total).  The decoded values are untrusted input that
 /// downstream code uses as slice bounds -- for writes during the
-/// vertex-delta decode and for reads in the survey bitmap kernels -- so a
-/// front/back spot check is not enough: a crafted file can tag the section
+/// vertex-delta decode and for reads in the survey -- so a front/back spot
+/// check is not enough: a crafted file can tag the section
 /// raw (arbitrary interior values) or wrap the gap sum past 2^64.
 [[nodiscard]] inline bool valid_offsets(const std::uint64_t* v, std::size_t n,
                                         std::uint64_t total) noexcept {
@@ -403,8 +394,7 @@ std::uint64_t save_snapshot(frozen_dodgr<VMeta, EMeta>& g, const std::string& pr
   h.m = ar.target.size();
   h.vmeta_size = sd::element_size<VMeta>();
   h.emeta_size = sd::element_size<EMeta>();
-  h.bm_words = ar.bm_words.size();
-  // The content id rides in header word 12 so reloads (and operators
+  // The content id rides in header word 11 so reloads (and operators
   // inspecting files) get it without re-hashing the arenas.
   h.content_id = g.snapshot_id();
 
@@ -419,8 +409,7 @@ std::uint64_t save_snapshot(frozen_dodgr<VMeta, EMeta>& g, const std::string& pr
       raw_of(ar.vid),          raw_of(ar.degree),      raw_of(ar.order_rank),
       raw_of(ar.offset),       raw_of(ar.vmeta),       raw_of(ar.target),
       raw_of(ar.target_rank),  raw_of(ar.target_out_degree),
-      raw_of(ar.emeta),        raw_of(ar.target_vmeta),
-      raw_of(ar.bm_offset),    raw_of(ar.bm_base),     raw_of(ar.bm_words)};
+      raw_of(ar.emeta),        raw_of(ar.target_vmeta)};
 
   // Compressed saves re-encode the structural columns independently; fan
   // the encoders out over the freeze thread pool sizing (the encode wall is
@@ -445,10 +434,6 @@ std::uint64_t save_snapshot(frozen_dodgr<VMeta, EMeta>& g, const std::string& pr
         {1, cc::varint_delta, [&] { return sd::encode_delta(ar.degree.data(), h.n); }},
         {2, cc::varint_delta, [&] { return sd::encode_delta(ar.order_rank.data(), h.n); }},
         {3, cc::varint_gap, [&] { return sd::encode_gap(off64, h.n + 1); }},
-        {10, cc::varint_gap,
-         [&] { return sd::encode_gap(ar.bm_offset.data(), ar.bm_offset.size()); }},
-        {11, cc::varint_delta,
-         [&] { return sd::encode_delta(ar.bm_base.data(), ar.bm_base.size()); }},
     };
   }
   std::atomic<std::size_t> enc_cursor{0};
@@ -499,7 +484,7 @@ std::uint64_t save_snapshot(frozen_dodgr<VMeta, EMeta>& g, const std::string& pr
 /// TRIPOLL_THREADS) into owned arenas.  Every section's checksum verifies
 /// first, whatever its codec.  The rank count must match the saving run's.
 /// Throws std::runtime_error on any mismatch, on sections that overrun the
-/// file, on checksum failures and on out-of-range offset columns.
+/// file, on checksum failures and on an out-of-range offset column.
 template <typename VMeta, typename EMeta>
 [[nodiscard]] frozen_dodgr<VMeta, EMeta> load_snapshot(comm::communicator& c,
                                                        const std::string& prefix) {
@@ -536,7 +521,7 @@ template <typename VMeta, typename EMeta>
   // counts beyond the file size mean a corrupt or hostile header -- and,
   // unchecked, they would overflow the size arithmetic below into section
   // views pointing past the mapping.
-  if (h.n > file->size() || h.m > file->size() || h.bm_words > file->size()) {
+  if (h.n > file->size() || h.m > file->size()) {
     sd::throw_corrupt(path);
   }
   if (h.file_size != file->size()) sd::throw_corrupt(path);
@@ -574,15 +559,13 @@ template <typename VMeta, typename EMeta>
   if (running != h.file_size) sd::throw_corrupt(path);
 
   const auto logical = sd::section_bytes(h);
-  const std::array<std::uint64_t, sd::kNumSections> counts = {
-      h.n, h.n, h.n, h.n + 1, h.n,
-      h.m, h.m, h.m, h.m,     h.m,
-      h.bm_words > 0 ? h.n + 1 : 0, h.bm_words > 0 ? h.n : 0, h.bm_words};
+  const std::array<std::uint64_t, sd::kNumSections> counts = {h.n, h.n, h.n, h.n + 1, h.n,
+                                                              h.m, h.m, h.m, h.m,     h.m};
   for (std::size_t i = 0; i < sd::kNumSections; ++i) {
-    // Sections consumed as zero-copy views (metadata arenas and bitmap
-    // words) are only ever written raw; any other tag would make the view
-    // below cover logical[i] bytes of a shorter stored region.
-    const bool view_only = i == 4 || i == 8 || i == 9 || i == 12;
+    // Sections consumed as zero-copy views (the metadata arenas) are only
+    // ever written raw; any other tag would make the view below cover
+    // logical[i] bytes of a shorter stored region.
+    const bool view_only = i == 4 || i == 8 || i == 9;
     if (view_only && secs[i].codec != sd::column_codec::raw) sd::throw_corrupt(path);
     if (secs[i].codec == sd::column_codec::raw) {
       // Raw sections are served straight from the mapping; their stored
@@ -619,18 +602,14 @@ template <typename VMeta, typename EMeta>
     }
   };
 
-  // A u64 column as the loader reads it: the mapping for raw sections, the
+  // The offset column as the loader reads it: the mapping when raw, the
   // decoded vector otherwise.
-  const auto u64_data = [&](std::size_t sec, const std::vector<std::uint64_t>& col) {
-    return secs[sec].codec == sd::column_codec::raw
-               ? reinterpret_cast<const std::uint64_t*>(secs[sec].data)
-               : col.data();
-  };
-
   verify(3);
   std::vector<std::uint64_t> offset_col;
   if (secs[3].codec != sd::column_codec::raw) decode_u64(3, offset_col);
-  const std::uint64_t* offsets = u64_data(3, offset_col);
+  const std::uint64_t* offsets = secs[3].codec == sd::column_codec::raw
+                                     ? reinterpret_cast<const std::uint64_t*>(secs[3].data)
+                                     : offset_col.data();
   // The CSR invariants double as decode bounds for the vertex-delta codec:
   // offset[i]..offset[i+1] become write indices into an h.m-sized buffer,
   // so every value -- not just front/back -- must be proven in range.
@@ -639,7 +618,7 @@ template <typename VMeta, typename EMeta>
   }
 
   std::vector<std::uint64_t> vid_col, degree_col, rank_col, target_col, trank_col,
-      toutdeg_col, bmoff_col, bmbase_col;
+      toutdeg_col;
   struct decode_task {
     std::size_t sec;
     std::vector<std::uint64_t>* out;  ///< nullptr: verify checksum only
@@ -654,12 +633,9 @@ template <typename VMeta, typename EMeta>
   plan(5, &target_col);
   plan(6, &trank_col);
   plan(7, &toutdeg_col);
-  plan(10, &bmoff_col);
-  plan(11, &bmbase_col);
   tasks.push_back({4, nullptr});
   tasks.push_back({8, nullptr});
   tasks.push_back({9, nullptr});
-  tasks.push_back({12, nullptr});
 
   const int threads = core::resolve_threads(0);
   std::atomic<std::size_t> cursor{0};
@@ -681,14 +657,6 @@ template <typename VMeta, typename EMeta>
       }
     }
   });
-  // bm_offset feeds the survey bitmap kernels as indices into bm_words, so
-  // it gets the same full monotonicity check as the CSR offsets -- whether
-  // it was gap-decoded or is served raw from the mapping.
-  if (h.bm_words > 0 &&
-      !sd::valid_offsets(u64_data(10, bmoff_col), static_cast<std::size_t>(h.n) + 1,
-                         h.bm_words)) {
-    sd::throw_corrupt(path);
-  }
 
   const std::shared_ptr<const void> keep = file;
   frozen_arenas<VMeta, EMeta> ar;
@@ -720,12 +688,6 @@ template <typename VMeta, typename EMeta>
   } else {
     ar.emeta =
         meta_column<EMeta>(reinterpret_cast<const EMeta*>(secs[8].data), h.m, keep);
-  }
-  if (h.bm_words > 0) {
-    ar.bm_offset = u64_arena(10, std::move(bmoff_col));
-    ar.bm_base = u64_arena(11, std::move(bmbase_col));
-    ar.bm_words = arena<std::uint64_t>(
-        reinterpret_cast<const std::uint64_t*>(secs[12].data), h.bm_words, keep);
   }
   frozen_dodgr<VMeta, EMeta> out(c, std::move(ar),
                                  static_cast<ordering_policy>(h.ordering));

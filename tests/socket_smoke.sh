@@ -110,32 +110,32 @@ if [ -z "$snap_count" ] || [ "$snap_count" != "$ordering_inproc" ]; then
   fail=1
 fi
 
-echo "== compressed (v3) snapshot: save --compress --threads 4, load on both backends =="
+echo "== compressed snapshot: save --compress --threads 4, load on both backends =="
 # Parallel ingest+freeze feeding the delta/varint codec must reproduce the
 # raw snapshot's survey output byte-for-byte once loaded, on both backends.
-"$CLI" snapshot save "$work/g.txt" "$work/snap_v3" "$RANKS" --ordering degeneracy \
-  --compress --threads 4 >"$work/snap_v3.save" || fail=1
-"$CLI" snapshot load "$work/snap_v3" "$RANKS" >"$work/inproc.snapload.v3" || fail=1
-run_socket_external snapshot load "$work/snap_v3" "$RANKS" >"$work/socket.snapload.v3" || fail=1
+"$CLI" snapshot save "$work/g.txt" "$work/snap_cmp" "$RANKS" --ordering degeneracy \
+  --compress --threads 4 >"$work/snap_cmp.save" || fail=1
+"$CLI" snapshot load "$work/snap_cmp" "$RANKS" >"$work/inproc.snapload.cmp" || fail=1
+run_socket_external snapshot load "$work/snap_cmp" "$RANKS" >"$work/socket.snapload.cmp" || fail=1
 # The first line echoes the prefix, which legitimately differs; every
 # metric line below it must match the raw snapshot's output exactly.
-if diff -u <(tail -n +2 "$work/inproc.snapload") <(tail -n +2 "$work/inproc.snapload.v3"); then
+if diff -u <(tail -n +2 "$work/inproc.snapload") <(tail -n +2 "$work/inproc.snapload.cmp"); then
   echo "compressed snapshot load (inproc): IDENTICAL to raw"
 else
   echo "compressed snapshot load (inproc): MISMATCH vs raw snapshot" >&2
   fail=1
 fi
-if diff -u "$work/inproc.snapload.v3" "$work/socket.snapload.v3"; then
+if diff -u "$work/inproc.snapload.cmp" "$work/socket.snapload.cmp"; then
   echo "compressed snapshot load (socket): IDENTICAL"
 else
   echo "compressed snapshot load: MISMATCH between inproc and socket backends" >&2
   fail=1
 fi
-# The v3 files must actually be smaller than the raw ones.
+# The compressed files must actually be smaller than the raw ones.
 raw_bytes="$(cat "$work"/snap.r*.tpsnap 2>/dev/null | wc -c)"
-v3_bytes="$(cat "$work"/snap_v3.r*.tpsnap 2>/dev/null | wc -c)"
-echo "snapshot bytes: raw $raw_bytes   v3 $v3_bytes"
-if [ -z "$v3_bytes" ] || [ "$v3_bytes" -eq 0 ] || [ "$v3_bytes" -ge "$raw_bytes" ]; then
+cmp_bytes="$(cat "$work"/snap_cmp.r*.tpsnap 2>/dev/null | wc -c)"
+echo "snapshot bytes: raw $raw_bytes   compressed $cmp_bytes"
+if [ -z "$cmp_bytes" ] || [ "$cmp_bytes" -eq 0 ] || [ "$cmp_bytes" -ge "$raw_bytes" ]; then
   echo "socket_smoke: compressed snapshot is not smaller than raw" >&2
   fail=1
 fi

@@ -519,9 +519,6 @@ void expect_arenas_identical(const Arenas& a, const Arenas& b, const char* tag) 
   col(a.target_out_degree, b.target_out_degree, "target_out_degree");
   col(a.emeta, b.emeta, "emeta");
   col(a.target_vmeta, b.target_vmeta, "target_vmeta");
-  col(a.bm_offset, b.bm_offset, "bm_offset");
-  col(a.bm_base, b.bm_base, "bm_base");
-  col(a.bm_words, b.bm_words, "bm_words");
 }
 
 }  // namespace
@@ -568,35 +565,6 @@ TEST(ParallelFreeze, CompactArenasIdenticalAcrossThreadCounts) {
   });
 }
 
-TEST(ParallelFreeze, HubBitmapRowsIdenticalAcrossThreadCounts) {
-  // Counting-shape freeze (empty metadata) with a low hub threshold so the
-  // bitmap sections are non-empty; the two-pass parallel builder must place
-  // every row exactly where the serial appender did.
-  tc::runtime::run(2, [](tc::communicator& c) {
-    tg::dodgr<tg::none, tg::none> g(c);
-    tg::graph_builder<tg::none, tg::none> builder(c, tg::ordering_policy::degree);
-    tripoll::gen::erdos_renyi_generator er(120, 1500, 77);
-    for (std::uint64_t k = static_cast<std::uint64_t>(c.rank()); k < er.num_edges();
-         k += static_cast<std::uint64_t>(c.size())) {
-      const auto e = er.edge_at(k);
-      if (e.u != e.v) builder.add_edge(e.u, e.v);
-    }
-    builder.build_into(g);
-    tg::freeze_options serial_opts;
-    serial_opts.hub_degree_threshold = 4;
-    serial_opts.threads = 1;
-    auto base = tg::freeze(g, serial_opts);
-    ASSERT_GT(base.arenas().bm_words.size(), 0u) << "test graph grew no bitmap rows";
-    for (const int threads : {2, 4, 8}) {
-      tg::freeze_options o = serial_opts;
-      o.threads = threads;
-      auto fz = tg::freeze(g, o);
-      expect_arenas_identical(base.arenas(), fz.arenas(),
-                              ("bm threads=" + std::to_string(threads)).c_str());
-    }
-  });
-}
-
 // --- compressed snapshots ---------------------------------------------------
 
 TEST(Snapshot, CompressedRoundTripMatchesRawAndShrinks) {
@@ -627,32 +595,6 @@ TEST(Snapshot, CompressedRoundTripMatchesRawAndShrinks) {
   remove_snapshot(pcmp, 2);
 }
 
-TEST(Snapshot, CompressedBitmapSectionsRoundTrip) {
-  const std::string praw = fresh_prefix("rt_bm_raw");
-  const std::string pcmp = fresh_prefix("rt_bm_cmp");
-  tc::runtime::run(1, [&](tc::communicator& c) {
-    tg::dodgr<tg::none, tg::none> g(c);
-    tg::graph_builder<tg::none, tg::none> builder(c, tg::ordering_policy::degree);
-    tripoll::gen::erdos_renyi_generator er(120, 1500, 78);
-    for (std::uint64_t k = 0; k < er.num_edges(); ++k) {
-      const auto e = er.edge_at(k);
-      if (e.u != e.v) builder.add_edge(e.u, e.v);
-    }
-    builder.build_into(g);
-    tg::freeze_options o;
-    o.hub_degree_threshold = 4;
-    auto fz = tg::freeze(g, o);
-    ASSERT_GT(fz.arenas().bm_words.size(), 0u);
-    (void)tg::save_snapshot(fz, praw);
-    (void)tg::save_snapshot(fz, pcmp, tg::snapshot_codec::compressed);
-    auto from_raw = tg::load_snapshot<tg::none, tg::none>(c, praw);
-    auto from_cmp = tg::load_snapshot<tg::none, tg::none>(c, pcmp);
-    expect_arenas_identical(from_raw.arenas(), from_cmp.arenas(), "bm raw-vs-compressed");
-  });
-  remove_snapshot(praw, 1);
-  remove_snapshot(pcmp, 1);
-}
-
 TEST(Snapshot, SectionTableReportsCodecs) {
   const std::string praw = fresh_prefix("sect_raw");
   const std::string pcmp = fresh_prefix("sect_cmp");
@@ -664,13 +606,13 @@ TEST(Snapshot, SectionTableReportsCodecs) {
     (void)tg::save_snapshot(fz, pcmp, tg::snapshot_codec::compressed);
   });
   const auto raw = tg::snapshot_sections(tg::snapshot_rank_path(praw, 0));
-  ASSERT_EQ(raw.size(), 13u);
+  ASSERT_EQ(raw.size(), 10u);
   for (const auto& s : raw) EXPECT_EQ(s.codec, 0u);  // raw save: every row raw
 
   const auto cmp = tg::snapshot_sections(tg::snapshot_rank_path(pcmp, 0));
-  ASSERT_EQ(cmp.size(), 13u);
+  ASSERT_EQ(cmp.size(), 10u);
   // Structural u64 columns are varint-packed, metadata stays raw.
-  const std::vector<std::uint64_t> want_codec = {1, 1, 1, 2, 0, 3, 1, 1, 0, 0, 2, 1, 0};
+  const std::vector<std::uint64_t> want_codec = {1, 1, 1, 2, 0, 3, 1, 1, 0, 0};
   for (std::size_t i = 0; i < cmp.size(); ++i) {
     EXPECT_EQ(cmp[i].codec, want_codec[i]) << "section " << i;
     if (cmp[i].codec != 0) {
@@ -778,7 +720,7 @@ TEST(Snapshot, FlipSweepAtEverySectionIsRejected) {
 }
 
 TEST(Snapshot, LegacyVersionsAreRejected) {
-  // Only version 3 is readable; files claiming the retired v1/v2 layouts
+  // Only version 4 is readable; files claiming the retired v1/v2/v3 layouts
   // must be refused by name, both by the loader and by the header peek.
   const std::string prefix = fresh_prefix("legacy");
   tc::runtime::run(1, [&](tc::communicator& c) {
@@ -799,7 +741,7 @@ TEST(Snapshot, LegacyVersionsAreRejected) {
           << what << ": " << e.what();
     }
   };
-  for (const char legacy : {'\x01', '\x02'}) {
+  for (const char legacy : {'\x01', '\x02', '\x03'}) {
     auto old = pristine;
     old[8] = legacy;  // header word 1 (little-endian), upper bytes stay 0
     rewrite_file(path, old);
@@ -818,7 +760,7 @@ TEST(Snapshot, LegacyVersionsAreRejected) {
 
 namespace {
 
-constexpr std::size_t kNumSections = 13;
+constexpr std::size_t kNumSections = 10;
 constexpr std::size_t kTableOffset = 128;
 
 std::uint64_t test_fnv1a(const char* p, std::size_t n) {
@@ -854,28 +796,6 @@ void put_varint(std::vector<char>& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-/// Dense metadata-free ER slab: hub bitmaps only materialize for
-/// counting-shape freezes (both projected metadata types empty), so the
-/// bitmap-section tests need this graph, not meta_graph.
-using plain_graph = tg::dodgr<tg::none, tg::none>;
-void build_dense_plain_graph(tc::communicator& c, plain_graph& g) {
-  tg::graph_builder<tg::none, tg::none> builder(c, tg::ordering_policy::degree);
-  tripoll::gen::erdos_renyi_generator er(120, 1500, 78);
-  for (std::uint64_t k = 0; k < er.num_edges(); ++k) {
-    const auto e = er.edge_at(k);
-    if (e.u != e.v) builder.add_edge(e.u, e.v);
-  }
-  builder.build_into(g);
-}
-
-void expect_load_rejected_plain(const std::string& prefix, const char* what) {
-  tc::runtime::run(1, [&](tc::communicator& c) {
-    EXPECT_THROW(((void)tg::load_snapshot<tg::none, tg::none>(c, prefix)),
-                 std::runtime_error)
-        << what;
-  });
-}
-
 /// Rebuild a snapshot with section `idx` replaced by `bytes` under codec
 /// tag `codec`, recomputing the section checksum, the table checksum and
 /// the header file size.  The result is a well-formed hostile file -- every
@@ -904,7 +824,7 @@ void rewrite_section(const std::string& path, std::size_t idx, std::uint64_t cod
     store_u64(out, kTableOffset + i * 24 + 16,
               test_fnv1a(stored[i].data(), stored[i].size()));
   }
-  store_u64(out, 88, test_fnv1a(out.data() + kTableOffset, kNumSections * 24));
+  store_u64(out, 80, test_fnv1a(out.data() + kTableOffset, kNumSections * 24));
   for (std::size_t i = 0; i < kNumSections; ++i) {
     out.resize((out.size() + 63) / 64 * 64, 0);
     out.insert(out.end(), stored[i].begin(), stored[i].end());
@@ -984,8 +904,7 @@ TEST(Snapshot, CraftedOffsetColumnsAreRejected) {
 }
 
 TEST(Snapshot, NonRawCodecOnViewServedSectionsIsRejected) {
-  // Metadata arenas (sections 4, 8, 9) and bitmap words (12) are served as
-  // zero-copy views of their logical size; a crafted file tagging them with
+  // Metadata arenas (sections 4, 8, 9) are served as zero-copy views of their logical size; a crafted file tagging them with
   // a varint codec would make the view read past the stored bytes.
   const std::string prefix = fresh_prefix("evil_viewtag");
   tc::runtime::run(1, [&](tc::communicator& c) {
@@ -1011,77 +930,6 @@ TEST(Snapshot, NonRawCodecOnViewServedSectionsIsRejected) {
     }
   }
   remove_snapshot(prefix, 1);
-
-  // Section 12 (bm_words) needs a counting-shape graph with bitmap rows.
-  const std::string pbm = fresh_prefix("evil_viewtag_bm");
-  tc::runtime::run(1, [&](tc::communicator& c) {
-    plain_graph g(c);
-    build_dense_plain_graph(c, g);
-    tg::freeze_options o;
-    o.hub_degree_threshold = 4;
-    auto fz = tg::freeze(g, o);
-    ASSERT_GT(fz.arenas().bm_words.size(), 0u);
-    (void)tg::save_snapshot(fz, pbm, tg::snapshot_codec::compressed);
-  });
-  {
-    const std::string path = tg::snapshot_rank_path(pbm, 0);
-    const auto pristine = slurp_file(path);
-    const auto sections = tg::snapshot_sections(path);
-    ASSERT_GT(sections[12].stored_bytes, 0u);
-    std::vector<char> same(
-        pristine.begin() + static_cast<std::ptrdiff_t>(sections[12].offset),
-        pristine.begin() +
-            static_cast<std::ptrdiff_t>(sections[12].offset + sections[12].stored_bytes));
-    rewrite_section(path, 12, 1 /* varint_delta */, std::move(same));
-    expect_load_rejected_plain(pbm, "non-raw tag on section 12");
-  }
-  remove_snapshot(pbm, 1);
-}
-
-TEST(Snapshot, CraftedBmOffsetColumnIsRejected) {
-  // bm_offset values index into bm_words inside the survey bitmap kernels;
-  // hostile interiors must be rejected at load time even when the section
-  // is raw-tagged (where no decode would otherwise touch the values).
-  for (const auto codec : {tg::snapshot_codec::raw, tg::snapshot_codec::compressed}) {
-    const std::string prefix = fresh_prefix(
-        codec == tg::snapshot_codec::raw ? "evil_bmoff_raw" : "evil_bmoff_cmp");
-    std::vector<std::uint64_t> good_bm_offsets;
-    tc::runtime::run(1, [&](tc::communicator& c) {
-      plain_graph g(c);
-      build_dense_plain_graph(c, g);
-      tg::freeze_options o;
-      o.hub_degree_threshold = 4;
-      auto fz = tg::freeze(g, o);
-      ASSERT_GT(fz.arenas().bm_words.size(), 0u);
-      (void)tg::save_snapshot(fz, prefix, codec);
-      good_bm_offsets.assign(fz.arenas().bm_offset.data(),
-                             fz.arenas().bm_offset.data() + fz.arenas().bm_offset.size());
-    });
-    const std::string path = tg::snapshot_rank_path(prefix, 0);
-    const auto pristine = slurp_file(path);
-    const std::uint64_t n = read_u64(pristine, 40);
-    const std::uint64_t bm_words = read_u64(pristine, 80);
-    ASSERT_GE(n, 2u);
-    ASSERT_GT(bm_words, 0u);
-    ASSERT_EQ(good_bm_offsets.size(), n + 1);
-
-    // Sanity for the rewrite helper: the TRUE values, raw-tagged, load.
-    std::vector<char> raw_good;
-    for (const auto v : good_bm_offsets) put_u64(raw_good, v);
-    rewrite_section(path, 10, 0, raw_good);
-    tc::runtime::run(1, [&](tc::communicator& c) {
-      EXPECT_NO_THROW(((void)tg::load_snapshot<tg::none, tg::none>(c, prefix)));
-    });
-
-    std::vector<char> raw_evil;
-    put_u64(raw_evil, 0);
-    for (std::uint64_t i = 1; i < n; ++i) put_u64(raw_evil, bm_words + 100);
-    put_u64(raw_evil, bm_words);
-    rewrite_file(path, pristine);
-    rewrite_section(path, 10, 0, raw_evil);
-    expect_load_rejected_plain(prefix, "raw bm_offset past bm_words");
-    remove_snapshot(prefix, 1);
-  }
 }
 
 // --- analytics over frozen storage ---------------------------------------------------

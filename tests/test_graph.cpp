@@ -380,9 +380,9 @@ std::uint64_t folded_content_id(tc::communicator& c, Graph& g) {
 }
 
 /// Build one quick ablation preset and return its folded content id.  The
-/// three cover every column kind: rmat has no metadata (and gets hub bitmap
-/// rows at freeze), temporal merges duplicate timestamps under keep_least,
-/// and web carries a u64 label per vertex and a timestamp per edge.
+/// three cover every column kind: rmat has no metadata, temporal merges
+/// duplicate timestamps under keep_least, and web carries a u64 label per
+/// vertex and a timestamp per edge.
 std::uint64_t built_content_id(const std::string& preset, int ranks,
                                tg::ordering_policy ordering) {
   std::uint64_t id = 0;

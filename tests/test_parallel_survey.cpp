@@ -1,10 +1,9 @@
 // Tests for the intra-rank parallel survey traversal (core/survey.hpp +
-// core/parallel.hpp) and the hub/tail bitmap intersection dispatch
-// (core/intersect.hpp + the freeze-time bitmap arenas).
+// core/parallel.hpp).
 //
 // The load-bearing property is BIT-IDENTITY: triangle counts, per-callback
 // fire counts, volume_bytes and messages must not move across
-//   threads x backend x ordering x mode x storage form x hub threshold,
+//   threads x backend x ordering x mode x storage form,
 // where the storage forms are the frozen CSR and the streaming overlay
 // (before and after an ingest batch).
 // Wall clock is the only thing allowed to change (benched separately in
@@ -24,7 +23,6 @@
 #include "comm/counting_set.hpp"
 #include "comm/runtime.hpp"
 #include "core/callbacks.hpp"
-#include "core/intersect.hpp"
 #include "core/survey.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/presets.hpp"
@@ -52,8 +50,7 @@ void require(bool cond, const std::string& what) {
 }
 
 /// A skewed test graph: a K10 hub core every rank touches plus a
-/// deterministic ER slab.  Dense low ids keep freeze-time bitmap rows past
-/// the density guard, so low hub thresholds really do build bitmaps.
+/// deterministic ER slab.
 void build_graph(tc::communicator& c, tg::dodgr<tg::none, tg::none>& g,
                  tg::ordering_policy ordering) {
   tg::graph_builder<tg::none, tg::none> builder(c, ordering);
@@ -82,7 +79,6 @@ struct run_fingerprint {
   std::uint64_t messages = 0;
   std::uint64_t push_batches = 0;
   std::uint64_t wedge_candidates = 0;
-  std::uint64_t bitmap_batches = 0;
   std::uint64_t list_batches = 0;
 
   bool operator==(const run_fingerprint&) const = default;
@@ -97,7 +93,6 @@ run_fingerprint fingerprint_of(const tripoll::plan_result<1>& r, std::uint64_t t
   fp.messages = r.total.total.messages;
   fp.push_batches = r.total.push_batches;
   fp.wedge_candidates = r.total.wedge_candidates;
-  fp.bitmap_batches = r.total.bitmap_batches;
   fp.list_batches = r.total.list_batches;
   return fp;
 }
@@ -109,22 +104,12 @@ run_fingerprint count_run(tc::communicator& c, Graph& g, survey_options opts) {
   return fingerprint_of(r, ctx.global_count(c));
 }
 
-/// The fingerprint an overlay run must match: the overlay keeps no hub
-/// bitmap rows, so every batch a frozen run closed by bitmap probe it closes
-/// with the list kernels.  Nothing else may differ.
-run_fingerprint without_bitmaps(run_fingerprint fp) {
-  fp.list_batches += fp.bitmap_batches;
-  fp.bitmap_batches = 0;
-  return fp;
-}
-
 std::string fp_str(const run_fingerprint& fp) {
   return "tri=" + std::to_string(fp.triangles) + " fires=" + std::to_string(fp.fires) +
          " vol=" + std::to_string(fp.volume_bytes) +
          " msg=" + std::to_string(fp.messages) +
          " pb=" + std::to_string(fp.push_batches) +
          " wc=" + std::to_string(fp.wedge_candidates) +
-         " bm=" + std::to_string(fp.bitmap_batches) +
          " ls=" + std::to_string(fp.list_batches);
 }
 
@@ -176,16 +161,15 @@ TEST_P(ParallelMatrix, ThreadSweepIsBitIdentical) {
 
     // The overlay over the frozen graph, before any ingest...
     tg::overlay ov(fz);
-    require_sweep([&](int t) { return count_run(c, ov, {mode, t}); }, without_bitmaps(base),
-                  "overlay");
+    require_sweep([&](int t) { return count_run(c, ov, {mode, t}); }, base, "overlay");
 
     // ...and after one batch, against the compacted graph of the result.
     (void)ov.ingest(delta_batch<tg::none>(c, [](auto, auto) { return tg::none{}; }));
     auto compacted = ov.compact();
     const auto after = count_run(c, compacted, {mode, 1});
     require(after.triangles > base.triangles, "the ingest batch must close triangles");
-    require_sweep([&](int t) { return count_run(c, ov, {mode, t}); },
-                  without_bitmaps(after), "overlay after ingest");
+    require_sweep([&](int t) { return count_run(c, ov, {mode, t}); }, after,
+                  "overlay after ingest");
   });
 }
 
@@ -195,152 +179,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          tg::ordering_policy::degeneracy),
                        ::testing::Values(survey_mode::push_only,
                                          survey_mode::push_pull)));
-
-// --- hub threshold sweep ------------------------------------------------------------
-
-TEST(ParallelSurvey, HubThresholdSweepIsEquivalent) {
-  tc::runtime::run(2, [](tc::communicator& c) {
-    tg::dodgr<tg::none, tg::none> g(c);
-    build_graph(c, g, tg::ordering_policy::degree);
-
-    run_fingerprint base;
-    bool have_base = false;
-    bool any_bitmaps = false;
-    for (const std::uint64_t threshold : {std::uint64_t{1}, std::uint64_t{4},
-                                          std::uint64_t{64},
-                                          std::uint64_t{1} << 30}) {
-      tg::freeze_options fo;
-      fo.hub_degree_threshold = threshold;
-      auto fz = tg::freeze(g, fo);
-      for (const int threads : {1, 4}) {
-        const auto fp = count_run(c, fz, {survey_mode::push_pull, threads});
-        if (!have_base) {
-          base = fp;
-          have_base = true;
-        } else {
-          // The kernel mix moves with the threshold; nothing else may.
-          auto norm = fp;
-          norm.bitmap_batches = base.bitmap_batches;
-          norm.list_batches = base.list_batches;
-          require(norm == base, "threshold=" + std::to_string(threshold) +
-                                    " threads=" + std::to_string(threads) +
-                                    " diverged: " + fp_str(fp));
-          require(fp.bitmap_batches + fp.list_batches ==
-                      base.bitmap_batches + base.list_batches,
-                  "total closed batches across thresholds");
-        }
-        if (fp.bitmap_batches > 0) any_bitmaps = true;
-        // Thread count must not move the kernel mix at a fixed threshold.
-        const auto fp1 = count_run(c, fz, {survey_mode::push_pull, 1});
-        require(fp1.bitmap_batches == fp.bitmap_batches &&
-                    fp1.list_batches == fp.list_batches,
-                "kernel mix moved with thread count");
-      }
-    }
-    require(any_bitmaps, "no threshold produced a single bitmap batch");
-
-    // Bitmaps disabled: the dispatch must fall back to lists everywhere.
-    tg::freeze_options off;
-    off.build_hub_bitmaps = false;
-    auto fz_off = tg::freeze(g, off);
-    require(!fz_off.has_hub_bitmaps(), "build_hub_bitmaps=false left rows behind");
-    const auto fp_off = count_run(c, fz_off, {survey_mode::push_pull, 4});
-    require(fp_off.bitmap_batches == 0, "bitmap batches without bitmap rows");
-    require(fp_off.triangles == base.triangles && fp_off.fires == base.fires &&
-                fp_off.volume_bytes == base.volume_bytes &&
-                fp_off.messages == base.messages,
-            "bitmap on/off changed results");
-  });
-}
-
-// --- kernel identity on adversarial inputs -------------------------------------------
-
-namespace {
-
-std::vector<std::size_t> probe_hits_dispatch(const tripoll::core::bitmap_view& bm,
-                                             const std::vector<std::uint64_t>& ids) {
-  std::vector<std::size_t> hits;
-  tripoll::core::bitmap_probe(bm, reinterpret_cast<const std::byte*>(ids.data()),
-                              sizeof(std::uint64_t), ids.size(),
-                              [&](std::size_t i) { hits.push_back(i); });
-  return hits;
-}
-
-std::vector<std::size_t> probe_hits_scalar(const tripoll::core::bitmap_view& bm,
-                                           const std::vector<std::uint64_t>& ids) {
-  std::vector<std::size_t> hits;
-  tripoll::core::bitmap_probe_scalar(bm, reinterpret_cast<const std::byte*>(ids.data()),
-                                     sizeof(std::uint64_t), ids.size(),
-                                     [&](std::size_t i) { hits.push_back(i); });
-  return hits;
-}
-
-}  // namespace
-
-TEST(BitmapKernels, DispatchMatchesScalarOnAdversarialLists) {
-  // A row over [1000, 1000 + 4*64) with a skewed membership pattern.
-  std::vector<std::uint64_t> words(4, 0);
-  tripoll::core::bitmap_view bm{words.data(), words.size(), 1000};
-  for (std::uint64_t off = 0; off < 256; ++off) {
-    if (off % 3 == 0 || off < 10 || off >= 250) {
-      words[off >> 6] |= std::uint64_t{1} << (off & 63U);
-    }
-  }
-
-  std::vector<std::vector<std::uint64_t>> cases;
-  cases.push_back({});                         // empty candidate list
-  cases.push_back({0, 1, 2, 999});             // all below base (wraps huge)
-  cases.push_back({5000, 1u << 20, ~0ull});    // all past the row
-  std::vector<std::uint64_t> skewed;           // heavy repeats + boundary ids
-  for (int rep = 0; rep < 7; ++rep) {
-    for (std::uint64_t id : {1000ull, 1001ull, 1063ull, 1064ull, 1255ull, 1256ull,
-                             999ull, 1300ull}) {
-      skewed.push_back(id);
-    }
-  }
-  cases.push_back(skewed);
-  std::vector<std::uint64_t> dense;            // every id in and around the row
-  for (std::uint64_t id = 990; id < 1270; ++id) dense.push_back(id);
-  cases.push_back(dense);
-  std::vector<std::uint64_t> disjoint;         // interleaves misses only
-  for (std::uint64_t id = 0; id < 64; ++id) disjoint.push_back(id * 2);
-  cases.push_back(disjoint);
-
-  for (std::size_t k = 0; k < cases.size(); ++k) {
-    EXPECT_EQ(probe_hits_dispatch(bm, cases[k]), probe_hits_scalar(bm, cases[k]))
-        << "case " << k;
-  }
-
-  // Hits against an expected oracle on the dense case.
-  const auto hits = probe_hits_scalar(bm, dense);
-  for (std::size_t i = 0, h = 0; i < dense.size(); ++i) {
-    const bool member = bm.test(dense[i]);
-    if (member) {
-      ASSERT_LT(h, hits.size());
-      EXPECT_EQ(hits[h++], i);
-    }
-  }
-
-  // An empty row never reports a hit, whatever the candidates.
-  tripoll::core::bitmap_view empty{};
-  for (const auto& c : cases) {
-    EXPECT_TRUE(probe_hits_dispatch(empty, c).empty());
-  }
-}
-
-TEST(BitmapKernels, AndPopcountMatchesScalarFold) {
-  std::vector<std::uint64_t> a, b;
-  for (std::uint64_t i = 0; i < 37; ++i) {
-    a.push_back(tripoll::serial::splitmix64(i));
-    b.push_back(tripoll::serial::splitmix64(i ^ 0xABCD));
-  }
-  std::uint64_t expect = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    expect += static_cast<std::uint64_t>(__builtin_popcountll(a[i] & b[i]));
-  }
-  EXPECT_EQ(tripoll::core::bitmap_and_popcount(a.data(), b.data(), a.size()), expect);
-  EXPECT_EQ(tripoll::core::bitmap_and_popcount(a.data(), b.data(), 0), 0u);
-}
 
 // --- plan reductions across threads --------------------------------------------------
 
@@ -463,8 +301,8 @@ TEST(ParallelSurvey, OverlayWindowedAndReducedPlansAreBitIdentical) {
     const auto want_closure = closure(compacted, 1);
     require(want_closure.fires > 0, "windowed closure plan found no triangles");
     require_sweep([&](int t) { return closure(ov, t); }, want_closure, "windowed closure");
-    require_sweep([&](int t) { return reduced(ov, t); },
-                  without_bitmaps(reduced(compacted, 1)), "add_reduced");
+    require_sweep([&](int t) { return reduced(ov, t); }, reduced(compacted, 1),
+                  "add_reduced");
   });
 }
 
@@ -614,7 +452,7 @@ TEST(ParallelSurvey, SocketBackendThreadSweepIsBitIdentical) {
           require(fp.triangles > 0, "socket run found no triangles");
           tg::overlay ov(fz);
           const auto fp_ov = count_run(c, ov, {survey_mode::push_pull, threads});
-          require(fp_ov == without_bitmaps(fp_serial),
+          require(fp_ov == fp_serial,
                   "socket overlay threads=" + std::to_string(threads) + " diverged: " +
                       fp_str(fp_ov) + " vs " + fp_str(fp_serial));
         });

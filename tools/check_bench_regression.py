@@ -33,12 +33,10 @@ baseline; BENCH_pr4.json records the trajectory for humans.
 Parallel gates (PR 6): --parallel-gates points at the JSON emitted by
 `bench_parallel_traversal --json` and asserts, from that run's
 `pr6_parallel_cases`:
-  * identical triangles / volume_bytes / messages / kernel mix across every
-    thread count of every case (bit-identity is unconditional),
+  * identical triangles / volume_bytes / messages / closed batches across
+    every thread count of every case (bit-identity is unconditional),
   * rmat speedup at 4 threads >= --parallel-speedup-min (1.6), skipped when
-    the recording machine had fewer than 4 hardware threads,
-  * the skewed (web) case closed at least one batch via the hub bitmap
-    kernel (the freeze-time rows exist and the dispatch reaches them).
+    the recording machine had fewer than 4 hardware threads.
 Like the other gates these are checks within one run, needing no committed
 baseline; BENCH_pr6.json records the trajectory for humans.
 
@@ -237,16 +235,11 @@ def check_parallel_gates(path, speedup_min):
             continue
         base = samples[0]
         for s in samples[1:]:
-            for key in ("triangles", "volume_bytes", "messages",
-                        "bitmap_batches", "list_batches"):
+            for key in ("triangles", "volume_bytes", "messages", "list_batches"):
                 if s.get(key) != base.get(key):
                     failures.append(
                         f"{name}: {key} diverged at {s.get('threads')} threads "
                         f"({s.get(key)} vs {base.get(key)})")
-        if case.get("nobitmap_triangles") != base.get("triangles"):
-            failures.append(f"{name}: bitmap on/off changed the triangle count "
-                            f"({case.get('nobitmap_triangles')} vs "
-                            f"{base.get('triangles')})")
         speedup = case.get("speedup_4t", 0.0)
         print(f"parallel gate: {name}: speedup at 4 threads {speedup:.2f}x "
               f"(needs >= {speedup_min:.2f}x on rmat; hw_threads={hw_threads})")
@@ -258,10 +251,6 @@ def check_parallel_gates(path, speedup_min):
             else:
                 print("parallel gate: fewer than 4 hardware threads, "
                       "speedup gate skipped")
-        if name == "web":
-            if base.get("bitmap_batches", 0) <= 0:
-                failures.append("web: skewed case closed zero batches via the "
-                                "hub bitmap kernel")
     return failures
 
 
