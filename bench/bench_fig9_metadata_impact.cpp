@@ -16,10 +16,10 @@
 //   * three single-callback projected runs, and
 //   * one fused 3-callback projected plan,
 // reporting survey volume_bytes for each.  `--json <path>` writes the cases
-// for tools/check_bench_regression.py --plan-gates, which asserts the
-// acceptance ratios (projection >= 2x volume reduction at identical
-// triangle counts; fused traffic within 1.1x of a single run); `--quick`
-// shrinks sizes for CI and skips the weak-scaling tables.
+// for the gate table in tools/check_bench_regression.py (`--gates`), whose
+// rows assert the acceptance ratios (projection >= 2x volume reduction at
+// identical triangle counts; fused traffic within 1.1x of a single run);
+// `--quick` shrinks sizes for CI and skips the weak-scaling tables.
 #include <cstdio>
 #include <cstring>
 #include <map>

@@ -9,10 +9,12 @@
 //     count (must be bit-identical; the binary exits 1 if they move).
 //
 // `--json <path>` writes a `pr6_parallel_cases` object consumed by
-// tools/check_bench_regression.py --parallel-gates, which asserts
-//   * identical counts/volume/messages across every thread count,
-//   * speedup at 4 threads >= --parallel-speedup-min (1.6) on the rmat
-//     case (skipped when the machine has fewer than 4 hardware threads).
+// the gate table in tools/check_bench_regression.py (`--gates`), whose
+// rows assert
+//   * identical counts/volume/messages/list batches across every thread
+//     count,
+//   * speedup at 4 threads >= 1.6 on the rmat case (skipped when the
+//     machine has fewer than 4 hardware threads).
 // `--quick` shrinks the graphs and repetitions for CI.
 #include <algorithm>
 #include <chrono>

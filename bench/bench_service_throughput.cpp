@@ -15,15 +15,15 @@
 // a mismatch is FATAL.
 //
 // `--json <path>` writes a `pr9_service_cases` object consumed by
-// tools/check_bench_regression.py --service-gates, which asserts
+// the gate table in tools/check_bench_regression.py (`--gates`), whose
+// rows assert
 //   * identical unit results between daemon replies and the standalone
 //     traversal (bit-identity is unconditional),
-//   * fused/unfused plans-per-second ratio >= --service-fusion-min (1.5)
-//     at 8 clients,
-//   * cold/hit latency ratio >= --service-cache-min (10) (cache hits skip
-//     the traversal entirely),
+//   * fused/unfused plans-per-second ratio >= 1.5 at 8 clients,
+//   * cold/hit latency ratio >= 10 (cache hits skip the traversal
+//     entirely),
 //   * fused traversal count strictly below the plan count (the admission
-//     window actually batched).
+//     window actually batched), unfused exactly one per plan.
 // `--quick` shrinks the graph and round counts for CI.
 #include <algorithm>
 #include <atomic>

@@ -25,11 +25,12 @@
 // counts must match between rebuild and overlay; any divergence is FATAL.
 //
 // `--json <path>` writes a `pr10_streaming_cases` object consumed by
-// tools/check_bench_regression.py --streaming-gates, which asserts
+// the gate table in tools/check_bench_regression.py (`--gates`), whose
+// rows assert
 //   * bit-identity (triangles / volume / messages / window fires)
 //     unconditionally,
-//   * ingest+windowed-survey >= --streaming-speedup-min (10x) faster than
-//     rebuild+windowed-survey on the 1% delta case,
+//   * ingest+windowed-survey >= 10x faster than rebuild+windowed-survey
+//     on the 1% delta case (which must be present),
 //   * windowed survey volume strictly below the unwindowed volume.
 // `--quick` shrinks the graph and repetitions for CI.
 #include <algorithm>

@@ -20,6 +20,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <tuple>
@@ -28,6 +29,7 @@
 #include <utility>
 
 #include "serial/buffer.hpp"
+#include "serial/hash.hpp"
 #include "serial/serialize.hpp"
 
 namespace tripoll::comm {
@@ -69,8 +71,8 @@ class thunk_table {
     // Fold (id, mangled name) into the running fingerprint: identical
     // registration order and types <=> identical fingerprint.
     std::uint64_t fp = fingerprint_.load(std::memory_order_relaxed);
-    fp = fnv1a(fp, reinterpret_cast<const char*>(&id), sizeof(id));
-    for (const char* p = name; *p != '\0'; ++p) fp = fnv1a(fp, p, 1);
+    fp = serial::fnv1a(&id, sizeof(id), fp);
+    fp = serial::fnv1a(name, std::strlen(name), fp);
     fingerprint_.store(fp, std::memory_order_relaxed);
     count_.store(id + 1, std::memory_order_release);
     return id;
@@ -101,18 +103,9 @@ class thunk_table {
   }
 
  private:
-  [[nodiscard]] static std::uint64_t fnv1a(std::uint64_t h, const char* data,
-                                           std::size_t n) noexcept {
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(data[i]));
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  }
-
   std::array<thunk_fn, kMaxThunks> table_{};
   std::atomic<std::uint32_t> count_{0};
-  std::atomic<std::uint64_t> fingerprint_{0xcbf29ce484222325ull};
+  std::atomic<std::uint64_t> fingerprint_{serial::kFnv1aBasis};
   std::mutex mutex_;
 };
 

@@ -20,9 +20,7 @@
 //
 // fork_join() is the blocking counterpart used by the ingest/freeze pipeline
 // (graph/io.cpp, graph/frozen.hpp): spawn workers 1..T-1, run worker 0 on the
-// calling thread, join, rethrow the first worker exception.  Workers may be
-// pinned round-robin over the hardware CPUs (pin_current_thread) when the
-// user opts in via survey_options::pin_threads or TRIPOLL_PIN=1.
+// calling thread, join, rethrow the first worker exception.
 #pragma once
 
 #include <atomic>
@@ -36,11 +34,6 @@
 #include <utility>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace tripoll::core {
 
 // Resolve an options-level thread request into an actual worker count (>= 1).
@@ -53,36 +46,6 @@ namespace tripoll::core {
     if (n > 0) return n;
   }
   return 1;
-}
-
-// Resolve a pinning request: an explicit true wins, false consults the
-// TRIPOLL_PIN environment variable ("1"/"true"/anything not starting with
-// '0' enables).  Mirrors resolve_threads() so the CLI and env compose.
-[[nodiscard]] inline bool resolve_pinning(bool requested) {
-  if (requested) return true;
-  if (const char* env = std::getenv("TRIPOLL_PIN")) {
-    return env[0] != '\0' && env[0] != '0';
-  }
-  return false;
-}
-
-// Pin the calling thread to CPU (slot mod hardware_concurrency).  Callers
-// pass a globally distinct slot (rank * threads + worker) so co-located
-// ranks under the threads-as-ranks and socket runtimes interleave over the
-// CPUs round-robin instead of stacking on core 0.  Best-effort: a no-op on
-// non-Linux platforms or when affinity syscalls are unavailable, and never
-// an error -- pinning is a performance hint, not a correctness requirement.
-inline void pin_current_thread(int slot) {
-#if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0 || slot < 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(slot) % hw, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)slot;
-#endif
 }
 
 // Blocking fork-join: run fn(worker) for worker in [0, threads), with worker

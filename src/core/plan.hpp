@@ -72,12 +72,6 @@ struct survey_options {
   /// volume_bytes, messages, per-callback fire counts -- are bit-identical
   /// across thread counts; see docs/THREADING.md.
   int threads = 0;
-  /// Pin the engine's threads round-robin over hardware threads (NUMA
-  /// locality for the arena-chunk scans).  false additionally consults the
-  /// TRIPOLL_PIN environment variable (unset/"0" means unpinned); a no-op
-  /// on platforms without thread affinity.  The owning (calling) thread is
-  /// never pinned -- only spawned workers.  See docs/THREADING.md.
-  bool pin_threads = false;
 };
 
 /// How an `add_reduced` context is combined at the end of a run.

@@ -164,7 +164,6 @@ class survey_engine {
     comm_->barrier();
     reset_counters();
     threads_ = core::resolve_threads(opts.threads);
-    pin_ = core::resolve_pinning(opts.pin_threads);
     {
       const core::detail::plan_window w = plan_->time_window();
       win_active_ = window_capable && w.active;
@@ -549,10 +548,7 @@ class survey_engine {
         ctxs_.push_back(std::make_unique<worker_ctx>(*eng_.plan_, transport, rank, nranks));
       }
       for (int w = 0; w < eng_.threads_; ++w) {
-        threads_.emplace_back([this, w, rank, &transport, stage]() mutable {
-          // Rank-strided pin slots keep co-located ranks (inproc backend,
-          // several socket ranks on one host) off each other's cores.
-          if (eng_.pin_) core::pin_current_thread(rank * eng_.threads_ + w);
+        threads_.emplace_back([this, w, &transport, stage]() mutable {
           worker_ctx& wc = *ctxs_[static_cast<std::size_t>(w)];
           try {
             stage(wc);
@@ -811,10 +807,7 @@ class survey_engine {
   void dry_run_scan_parallel(std::size_t n) {
     core::chunk_queue chunks(n, core::chunk_size_for(n, threads_));
     std::vector<targets_map> partial(static_cast<std::size_t>(threads_));
-    const int rank = comm_->rank();
     core::fork_join(threads_, [&](int w) {
-      // The owning thread (w == 0) participates, comm-free and unpinned.
-      if (pin_ && w > 0) core::pin_current_thread(rank * threads_ + w);
       std::size_t first = 0, last = 0;
       while (chunks.next(first, last)) {
         scan_slots(partial[static_cast<std::size_t>(w)], first, last);
@@ -948,7 +941,6 @@ class survey_engine {
   std::optional<fire_state> own_;
 
   int threads_ = 1;
-  bool pin_ = false;  ///< resolved survey_options::pin_threads / TRIPOLL_PIN
   bool win_active_ = false;         ///< plan window active this run (run() caches it)
   std::uint64_t win_t0_ = 0;        ///< window [t0, t1) on stored edge timestamps
   std::uint64_t win_t1_ = 0;

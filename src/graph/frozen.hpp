@@ -50,6 +50,7 @@
 #include "core/parallel.hpp"  // chunked fork-join for the parallel freeze fill
 #include "graph/ordering.hpp"
 #include "graph/types.hpp"
+#include "serial/hash.hpp"
 
 namespace tripoll::graph {
 
@@ -151,29 +152,22 @@ class meta_column<T, true> {
 
 namespace detail {
 
-/// Incremental FNV-1a accumulator (same constants as the snapshot-layer
+/// Incremental FNV-1a accumulator (serial::fnv1a, as the snapshot-layer
 /// checksum): the building block of the snapshot content id.  Lives here
 /// rather than in snapshot.hpp because the include direction runs
 /// snapshot.hpp -> frozen.hpp and the id is a property of the arenas, not
 /// of any particular file that stores them.
 struct fnv1a_accumulator {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = serial::kFnv1aBasis;
 
-  void mix_bytes(const void* p, std::size_t n) noexcept {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
+  void mix_bytes(const void* p, std::size_t n) noexcept { h = serial::fnv1a(p, n, h); }
 
   /// Mix a u64 as its little-endian byte image (endianness-stable, matching
   /// the snapshot wire format).
   void mix_u64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<unsigned char>(v >> (8 * i));
-      h *= 1099511628211ull;
-    }
+    unsigned char le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<unsigned char>(v >> (8 * i));
+    mix_bytes(le, sizeof(le));
   }
 };
 

@@ -132,46 +132,22 @@ std::optional<parsed_edge> parse_edge_line(std::string_view line, bool* malforme
   return e;
 }
 
-bool resolve_direct_io(bool requested) {
-  if (requested) return true;
-  if (const char* env = std::getenv("TRIPOLL_DIRECT_IO")) {
-    return env[0] != '\0' && env[0] != '0';
-  }
-  return false;
-}
-
 namespace {
 
-/// Sequential reader over one file.  With `direct` it opens O_DIRECT and
-/// reads at kDirectAlign-aligned file offsets into an aligned staging
-/// buffer (page-cache bypass); where the filesystem rejects O_DIRECT --
-/// at open() or on the first pread() -- it degrades to plain buffered
-/// reads of the same bytes.  Each parser thread owns one instance, so no
-/// shared file position exists (all reads are pread at explicit offsets).
+/// Sequential reader over one file: buffered pread()s at explicit offsets.
+/// Each parser thread owns one instance, so no shared file position exists.
 class file_reader {
  public:
-  // O_DIRECT wants the offset, length and buffer address aligned; 4096
-  // covers every mainstream block size (512-byte devices accept it too).
-  static constexpr std::size_t kDirectAlign = 4096;
   static constexpr std::size_t kBufBytes = 1 << 18;
 
-  file_reader(const std::string& path, bool direct) : path_(path), direct_(direct) {
-#if defined(O_DIRECT)
-    if (direct_) {
-      fd_ = ::open(path.c_str(), O_RDONLY | O_DIRECT);
-      if (fd_ < 0) direct_ = false;  // tmpfs & friends: EINVAL/ENOTSUP
-    }
-#else
-    direct_ = false;
-#endif
+  explicit file_reader(const std::string& path) : path_(path) {
+    fd_ = ::open(path.c_str(), O_RDONLY);
     if (fd_ < 0) {
-      fd_ = ::open(path.c_str(), O_RDONLY);
-      if (fd_ < 0) {
-        throw std::runtime_error("read_edge_list: cannot open '" + path +
-                                 "': " + std::strerror(errno));
-      }
+      throw std::runtime_error("read_edge_list: cannot open '" + path +
+                               "': " + std::strerror(errno));
     }
-    if (::posix_memalign(&buf_, kDirectAlign, kBufBytes) != 0) {
+    buf_ = std::malloc(kBufBytes);
+    if (buf_ == nullptr) {
       ::close(fd_);
       throw std::runtime_error("read_edge_list: out of memory reading '" + path + "'");
     }
@@ -207,33 +183,19 @@ class file_reader {
  private:
   [[nodiscard]] bool refill() {
     for (;;) {
-      const std::uint64_t phys = direct_ ? offset_ / kDirectAlign * kDirectAlign : offset_;
-      const ssize_t got = ::pread(fd_, buf_, kBufBytes, static_cast<off_t>(phys));
+      const ssize_t got = ::pread(fd_, buf_, kBufBytes, static_cast<off_t>(offset_));
       if (got < 0) {
         if (errno == EINTR) continue;
-        if (direct_ && errno == EINVAL) {
-          // Filesystems that accept O_DIRECT at open() but reject the read
-          // geometry: drop to buffered reads for the rest of this slice.
-          direct_ = false;
-          const int plain = ::open(path_.c_str(), O_RDONLY);
-          if (plain >= 0) {
-            ::close(fd_);
-            fd_ = plain;
-            continue;
-          }
-        }
         throw std::runtime_error("read_edge_list: read error on '" + path_ + "'");
       }
-      const std::uint64_t skip = offset_ - phys;
-      if (static_cast<std::uint64_t>(got) <= skip) return false;  // EOF
-      consumed_ = static_cast<std::size_t>(skip);
+      if (got == 0) return false;  // EOF
+      consumed_ = 0;
       avail_ = static_cast<std::size_t>(got);
       return true;
     }
   }
 
   std::string path_;
-  bool direct_ = false;
   int fd_ = -1;
   void* buf_ = nullptr;
   std::uint64_t offset_ = 0;   ///< logical file offset of the next read()
@@ -247,10 +209,10 @@ class file_reader {
 /// ends.  This is the one parse loop behind both the serial and the
 /// parallel ingest paths, so their per-line behavior cannot drift.
 template <typename EdgeSink>
-ingest_stats parse_slice(const std::string& path, bool direct, std::uint64_t nominal_begin,
+ingest_stats parse_slice(const std::string& path, std::uint64_t nominal_begin,
                          std::uint64_t nominal_end, const EdgeSink& sink) {
   ingest_stats stats;
-  file_reader src(path, direct);
+  file_reader src(path);
 
   // Align the start forward to the next line boundary: the owner of a byte
   // range parses only lines that *start* inside it, so every line is parsed
@@ -326,7 +288,7 @@ ingest_stats parse_slice(const std::string& path, bool direct, std::uint64_t nom
 
 ingest_stats read_edge_list(const comm::communicator& c, const std::string& path,
                             const std::function<void(const parsed_edge&)>& sink) {
-  return read_edge_list(c, path, sink, ingest_options{1, false});
+  return read_edge_list(c, path, sink, ingest_options{1});
 }
 
 ingest_stats read_edge_list(const comm::communicator& c, const std::string& path,
@@ -338,7 +300,6 @@ ingest_stats read_edge_list(const comm::communicator& c, const std::string& path
                              "': " + std::strerror(errno));
   }
   const auto file_size = static_cast<std::uint64_t>(st.st_size);
-  const bool direct = resolve_direct_io(opts.direct_io);
 
   const auto rank = static_cast<std::uint64_t>(c.rank());
   const auto nranks = static_cast<std::uint64_t>(c.size());
@@ -347,7 +308,7 @@ ingest_stats read_edge_list(const comm::communicator& c, const std::string& path
 
   const int threads = core::resolve_threads(opts.threads);
   if (threads == 1 || r_end - r_begin < 2) {
-    return parse_slice(path, direct, r_begin, r_end, sink);
+    return parse_slice(path, r_begin, r_end, sink);
   }
 
   // Split this rank's nominal byte range over the threads with the same
@@ -368,7 +329,7 @@ ingest_stats read_edge_list(const comm::communicator& c, const std::string& path
     const std::uint64_t t_end = r_begin + span * (tw + 1) / T;
     if (t_begin == t_end) return;
     shard& out = shards[static_cast<std::size_t>(w)];
-    out.stats = parse_slice(path, direct, t_begin, t_end,
+    out.stats = parse_slice(path, t_begin, t_end,
                             [&out](const parsed_edge& e) { out.edges.push_back(e); });
   });
 

@@ -80,17 +80,7 @@ struct ingest_options {
   /// index order -- the edge SEQUENCE is bit-identical to a serial read at
   /// every thread count.
   int threads = 0;
-  /// Read through O_DIRECT with aligned staging buffers (page-cache bypass
-  /// for cold ingests larger than RAM).  false additionally consults the
-  /// TRIPOLL_DIRECT_IO environment variable; where the filesystem rejects
-  /// O_DIRECT (tmpfs, many CI runners) reads fall back to the buffered path
-  /// transparently -- the parsed bytes are identical either way.
-  bool direct_io = false;
 };
-
-/// Resolve an options-level direct-IO request: explicit true wins, false
-/// consults TRIPOLL_DIRECT_IO (unset/"0" means buffered).
-[[nodiscard]] bool resolve_direct_io(bool requested);
 
 /// Collective: read `path`, with rank r of P claiming the r-th byte slice
 /// (aligned forward to newline boundaries so each line is parsed exactly
@@ -99,7 +89,7 @@ struct ingest_options {
 ingest_stats read_edge_list(const comm::communicator& c, const std::string& path,
                             const std::function<void(const parsed_edge&)>& sink);
 
-/// As above, with explicit ingestion options (parallel parse, O_DIRECT).
+/// As above, with explicit ingestion options (parallel parse).
 /// The three-argument overload is equivalent to `{.threads = 1}`.
 ingest_stats read_edge_list(const comm::communicator& c, const std::string& path,
                             const std::function<void(const parsed_edge&)>& sink,

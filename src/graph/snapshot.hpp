@@ -63,6 +63,7 @@
 #include "graph/io.hpp"
 #include "graph/ordering.hpp"
 #include "serial/buffer.hpp"
+#include "serial/hash.hpp"
 #include "serial/serialize.hpp"
 
 namespace tripoll::graph {
@@ -102,18 +103,6 @@ template <typename T>
 
 [[nodiscard]] constexpr std::size_t align_up(std::size_t n) noexcept {
   return (n + kAlign - 1) / kAlign * kAlign;
-}
-
-/// FNV-1a over a byte range: the snapshot integrity checksum.  Not
-/// cryptographic -- it catches torn writes, truncation and bit rot, which
-/// is the failure model for files this layer itself wrote.
-[[nodiscard]] inline std::uint64_t fnv1a(const std::byte* p, std::size_t n) noexcept {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint8_t>(p[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 struct header {
@@ -453,11 +442,11 @@ std::uint64_t save_snapshot(frozen_dodgr<VMeta, EMeta>& g, const std::string& pr
     std::byte* row = table + i * 24;
     serial::store_u64_le(row, static_cast<std::uint64_t>(secs[i].codec));
     serial::store_u64_le(row + 8, secs[i].stored_bytes());
-    serial::store_u64_le(row + 16, sd::fnv1a(secs[i].data(), secs[i].stored_bytes()));
+    serial::store_u64_le(row + 16, serial::fnv1a(secs[i].data(), secs[i].stored_bytes()));
     running = sd::align_up(running) + secs[i].stored_bytes();
   }
   h.file_size = running;
-  h.table_checksum = sd::fnv1a(table, sd::kTableBytes);
+  h.table_checksum = serial::fnv1a(table, sd::kTableBytes);
 
   sd::file_writer out(snapshot_rank_path(prefix, c.rank()));
   std::byte hdr[sd::kHeaderBytes];
@@ -527,7 +516,7 @@ template <typename VMeta, typename EMeta>
   if (h.file_size != file->size()) sd::throw_corrupt(path);
 
   const std::byte* table = file->data() + sd::kHeaderBytes;
-  if (sd::fnv1a(table, sd::kTableBytes) != h.table_checksum) sd::throw_corrupt(path);
+  if (serial::fnv1a(table, sd::kTableBytes) != h.table_checksum) sd::throw_corrupt(path);
 
   struct section_ref {
     sd::column_codec codec = sd::column_codec::raw;
@@ -582,7 +571,7 @@ template <typename VMeta, typename EMeta>
   // then the remaining sections in parallel: checksum verify + decode per
   // section, raw sections verify only and stay zero-copy.
   const auto verify = [&](std::size_t i) {
-    if (sd::fnv1a(secs[i].data, secs[i].stored) != secs[i].checksum) {
+    if (serial::fnv1a(secs[i].data, secs[i].stored) != secs[i].checksum) {
       sd::throw_corrupt(path);
     }
   };

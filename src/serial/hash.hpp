@@ -7,6 +7,7 @@
 // ranks.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -20,14 +21,25 @@ namespace tripoll::serial {
   return x ^ (x >> 31);
 }
 
-/// FNV-1a for strings (FQDN metadata keys, counting-set keys).
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
+/// FNV-1a offset basis: the hash of the empty input.
+inline constexpr std::uint64_t kFnv1aBasis = 0xCBF29CE484222325ULL;
+
+/// FNV-1a over a byte range, continuing from `h` so a digest can fold
+/// several ranges in sequence.  Snapshot section checksums, frozen content
+/// ids and the handler-registry fingerprint all hash through this loop.
+[[nodiscard]] inline std::uint64_t fnv1a(const void* data, std::size_t n,
+                                         std::uint64_t h = kFnv1aBasis) noexcept {
+  const auto* b = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= b[i];
     h *= 0x100000001B3ULL;
   }
   return h;
+}
+
+/// FNV-1a for strings (FQDN metadata keys, counting-set keys).
+[[nodiscard]] inline std::uint64_t fnv1a(std::string_view s) noexcept {
+  return fnv1a(s.data(), s.size());
 }
 
 /// boost-style combiner for composite keys.

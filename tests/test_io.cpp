@@ -334,12 +334,11 @@ TEST(ParallelIngest, BitIdenticalSequencesAcrossThreadCounts) {
     for (const int nranks : {1, 3}) {
       tg::ingest_stats serial_stats;
       const auto serial =
-          ingest_sequences(file.path(), nranks, tg::ingest_options{1, false},
-                           &serial_stats);
+          ingest_sequences(file.path(), nranks, tg::ingest_options{1}, &serial_stats);
       for (const int threads : {2, 4, 8}) {
         tg::ingest_stats par_stats;
         const auto par = ingest_sequences(
-            file.path(), nranks, tg::ingest_options{threads, false}, &par_stats);
+            file.path(), nranks, tg::ingest_options{threads}, &par_stats);
         EXPECT_EQ(par, serial) << tcase.name << " nranks=" << nranks
                                << " threads=" << threads;
         EXPECT_EQ(par_stats.lines, serial_stats.lines) << tcase.name;
@@ -359,40 +358,11 @@ TEST(ParallelIngest, ThreadCountFromEnvironment) {
     contents += std::to_string(i) + " " + std::to_string(i + 1) + "\n";
   }
   const TempFile file(contents);
-  const auto serial = ingest_sequences(file.path(), 1, tg::ingest_options{1, false});
+  const auto serial = ingest_sequences(file.path(), 1, tg::ingest_options{1});
   ::setenv("TRIPOLL_THREADS", "4", 1);
-  const auto par = ingest_sequences(file.path(), 1, tg::ingest_options{0, false});
+  const auto par = ingest_sequences(file.path(), 1, tg::ingest_options{0});
   ::unsetenv("TRIPOLL_THREADS");
   EXPECT_EQ(par, serial);
-}
-
-TEST(ParallelIngest, DirectIoFallsBackWhereUnsupported) {
-  // temp_directory_path is tmpfs on most CI runners, which rejects
-  // O_DIRECT: the reader must fall back to buffered reads and produce the
-  // identical sequence (and identical stats) either way.
-  std::string contents = "# direct-io probe\n";
-  for (std::uint64_t i = 0; i < 300; ++i) {
-    contents += std::to_string(i * 7 % 500) + " " + std::to_string(i) + "\n";
-  }
-  const TempFile file(contents);
-  tg::ingest_stats buffered_stats, direct_stats;
-  const auto buffered = ingest_sequences(file.path(), 2, tg::ingest_options{2, false},
-                                         &buffered_stats);
-  const auto direct =
-      ingest_sequences(file.path(), 2, tg::ingest_options{2, true}, &direct_stats);
-  EXPECT_EQ(direct, buffered);
-  EXPECT_EQ(direct_stats.edges, buffered_stats.edges);
-  EXPECT_EQ(direct_stats.bytes, buffered_stats.bytes);
-}
-
-TEST(ParallelIngest, DirectIoEnvironmentOptIn) {
-  EXPECT_FALSE(tg::resolve_direct_io(false));
-  EXPECT_TRUE(tg::resolve_direct_io(true));
-  ::setenv("TRIPOLL_DIRECT_IO", "1", 1);
-  EXPECT_TRUE(tg::resolve_direct_io(false));
-  ::setenv("TRIPOLL_DIRECT_IO", "0", 1);
-  EXPECT_FALSE(tg::resolve_direct_io(false));
-  ::unsetenv("TRIPOLL_DIRECT_IO");
 }
 
 TEST(EdgeListWriter, RoundTripsThroughReader) {

@@ -432,6 +432,16 @@ TEST(Hash, Fnv1aStrings) {
   EXPECT_NE(ts::fnv1a(""), ts::fnv1a("a"));
 }
 
+TEST(Hash, Fnv1aKnownAnswers) {
+  // Published FNV-1a 64-bit test vectors, through both forms.
+  EXPECT_EQ(ts::fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(ts::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(ts::fnv1a("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(ts::fnv1a("foobar", 6), 0x85944171f73967e8ULL);
+  // Folding ranges in sequence equals hashing their concatenation.
+  EXPECT_EQ(ts::fnv1a("bar", 3, ts::fnv1a("foo", 3)), 0x85944171f73967e8ULL);
+}
+
 TEST(Hash, CombineOrderSensitive) {
   EXPECT_NE(ts::hash_combine(ts::splitmix64(1), 2),
             ts::hash_combine(ts::splitmix64(2), 1));
