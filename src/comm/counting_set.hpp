@@ -108,8 +108,6 @@ class counting_set {
     for (const auto& [k, n] : counts_) fn(k, n);
   }
 
-  [[nodiscard]] std::size_t local_size() const noexcept { return counts_.size(); }
-
   /// Collective: number of distinct keys across all ranks.
   [[nodiscard]] std::uint64_t global_size() {
     return comm_->all_reduce_sum<std::uint64_t>(counts_.size());

@@ -24,7 +24,10 @@
 // oriented Adjm+ record, its full UNDIRECTED metadata-augmented neighbor
 // list (id, cached <+ rank, edge metadata, neighbor vertex metadata),
 // replicated at both endpoints.  A batch then settles in delta-proportional
-// collective rounds:
+// collective rounds.  Every round that talks to other ranks ships its
+// entries through a comm::column_exchange (push, flush, barrier, then the
+// owning thread walks the inbox); the overlay registers no handler of its
+// own:
 //
 //   I1 route+dedup : edges normalize to (min,max) and shuffle to the owner
 //                    of the min endpoint; duplicates within the batch merge
@@ -32,15 +35,14 @@
 //                    the metadata is ordered); duplicates of an already
 //                    stored edge are dropped -- the stored edge wins.
 //   I2 insert      : surviving edges insert undirected entries at both
-//                    endpoints (new vertices materialize on their owner);
-//                    both endpoints are marked dirty.
+//                    endpoints (new vertices materialize on their owner
+//                    with vmeta_of(v)); both endpoints are marked dirty.
 //   I3 rank+info   : dirty vertices recompute degree (and, under degree
 //                    ordering, their <+ rank -- degeneracy peel ranks are
 //                    sticky: existing vertices keep their frozen rank, new
-//                    vertices enter at their current degree) and broadcast
-//                    (id, rank, meta) over their neighborhoods -- one bulk
-//                    message per (dirty vertex, rank) carrying the target
-//                    list, not one per neighbor.  A receiver refreshes its
+//                    vertices enter at their current degree) and send
+//                    (id, rank, meta) to every neighbor, one exchange entry
+//                    per (neighbor, dirty vertex).  A receiver refreshes its
 //                    cached entry; it joins the rebuild set ONLY if the
 //                    rank change flips the edge's <+ orientation.  A
 //                    non-flipping rank change is patched in place (the
@@ -86,6 +88,7 @@
 #include <utility>
 #include <vector>
 
+#include "comm/column_exchange.hpp"
 #include "comm/communicator.hpp"
 #include "comm/key_hash.hpp"
 #include "graph/frozen.hpp"
@@ -150,11 +153,11 @@ class overlay {
   using entry_type = adj_entry<VMeta, EMeta>;
   using record_type = vertex_record<VMeta, EMeta>;
   using edge_batch = std::vector<overlay_edge<EMeta>>;
-  using self = overlay<VMeta, EMeta>;
 
   /// Edge metadata orderable => batch duplicates merge chronologically
-  /// first; otherwise the first routed copy wins (deterministic either way
-  /// because dedup happens at a single owner rank).
+  /// first.  Otherwise the first copy in the owner's inbox wins: that is
+  /// deterministic for copies from one sender, but copies from different
+  /// senders land in arrival order, so which of them wins may vary.
   static constexpr bool meta_ordered = requires(const EMeta& a, const EMeta& b) {
     { a < b } -> std::convertible_to<bool>;
   };
@@ -165,11 +168,12 @@ class overlay {
   /// O(|E|) pass copies the oriented records and exchanges the reverse
   /// direction so every vertex holds its full undirected neighbor list.
   explicit overlay(base_type& base)
-      : comm_(&base.comm()), ordering_(base.ordering()),
-        handle_(comm_->register_object(*this)) {
-    // Pass 1: materialize every local node (no communication) so reverse
-    // messages -- which may be processed as soon as pass 2 starts sending --
-    // always find their destination node in place.
+      : comm_(&base.comm()), ordering_(base.ordering()), edges_(*comm_), info_(*comm_),
+        dplus_(*comm_) {
+    // Copy every local record, and send each oriented edge (v -> x) to x's
+    // owner, which registers v (rank, metadata, edge metadata) in x's
+    // undirected neighbor list.
+    comm::column_exchange<vertex_id, vertex_id, std::uint64_t, VMeta, EMeta> reverse(*comm_);
     nodes_.reserve(base.local_num_vertices());
     slots_.reserve(base.local_num_vertices());
     base.for_all_local([&](const vertex_id& v, const auto& rec) {
@@ -184,17 +188,22 @@ class overlay {
                                         e.target_out_degree, e.edge_meta,
                                         e.target_meta});
         nd.nbrs.push_back(nbr{e.target, e.target_rank, e.edge_meta, e.target_meta});
+        reverse.push(owner(e.target), e.target, v, rec.order_rank, rec.meta, e.edge_meta);
       }
     });
-    // Pass 2: each oriented edge (v -> x) registers v in x's undirected
-    // neighbor list, carrying v's rank/metadata and the edge's metadata.
-    base.for_all_local([&](const vertex_id& v, const auto& rec) {
-      for (const auto& e : rec.adj) {
-        comm_->async(owner(e.target), reverse_nbr_handler{}, handle_, e.target, v,
-                     rec.order_rank, rec.meta, e.edge_meta);
-      }
-    });
+    reverse.flush();
     comm_->barrier();
+    auto& [at, from, from_rank, from_meta, emeta] = reverse.inbox();
+    for (std::size_t i = 0; i < at.size(); ++i) {
+      node* nd = find_node(at[i]);
+      if (nd == nullptr) {
+        throw std::runtime_error(
+            "tripoll: overlay: base edge targets vertex " + std::to_string(at[i]) +
+            " that is not stored on its owner rank");
+      }
+      nd->nbrs.push_back(nbr{from[i], from_rank[i], std::move(emeta[i]), std::move(from_meta[i])});
+    }
+    reverse.release_inbox();
     for (auto& [v, nd] : nodes_) {
       (void)v;
       std::sort(nd.nbrs.begin(), nd.nbrs.end(),
@@ -202,10 +211,6 @@ class overlay {
     }
     sid_ = base.snapshot_id();
   }
-
-  ~overlay() { comm_->deregister_object(handle_); }
-  overlay(const overlay&) = delete;
-  overlay& operator=(const overlay&) = delete;
 
   // --- slot-addressed read API (what the survey engine traverses) ----------
 
@@ -231,14 +236,6 @@ class overlay {
 
   [[nodiscard]] std::size_t local_num_vertices() const noexcept {
     return slots_.size();
-  }
-  [[nodiscard]] std::size_t local_num_edges() const noexcept {
-    std::size_t m = 0;
-    for (const auto& [v, nd] : nodes_) {
-      (void)v;
-      m += nd.rec.adj.size();
-    }
-    return m;
   }
 
   [[nodiscard]] ordering_policy ordering() const noexcept { return ordering_; }
@@ -288,70 +285,80 @@ class overlay {
   /// and identical on every rank (it runs on the new vertex's owner).
   template <typename VMetaFn>
   overlay_ingest_stats ingest(const edge_batch& edges, VMetaFn&& vmeta_of) {
-    overlay_ingest_stats st;
-    st.submitted = edges.size();
+    std::uint64_t self_loops = 0, accepted = 0, dup_batch = 0, dup_base = 0;
 
-    // I1: normalize, drop self-loops, shuffle to the min-endpoint's owner
+    // I1: normalize, drop self-loops, route to the min endpoint's owner
     // (the single dedup point for the batch AND for the stored graph).
     for (const auto& e : edges) {
       if (e.u == e.v) {
-        ++local_self_loops_;
+        ++self_loops;
         continue;
       }
       const vertex_id a = std::min(e.u, e.v);
-      const vertex_id b = std::max(e.u, e.v);
-      comm_->async(owner(a), route_edge_handler{}, handle_, a, b, e.meta);
+      edges_.push(owner(a), a, std::max(e.u, e.v), e.meta);
     }
+    edges_.flush();
     comm_->barrier();
+    std::unordered_map<std::pair<vertex_id, vertex_id>, EMeta, pair_key_hash> batch;
+    {
+      auto& [a, b, meta] = edges_.inbox();
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        const auto [it, inserted] = batch.try_emplace({a[i], b[i]}, meta[i]);
+        if (inserted) continue;
+        ++dup_batch;
+        if constexpr (meta_ordered) {
+          if (meta[i] < it->second) it->second = meta[i];  // chronologically first
+        }
+      }
+    }
+    edges_.release_inbox();
 
     // I2: accept genuinely-new edges; insert undirected entries two-sided.
-    for (auto& [key, meta] : batch_) {
+    // The min endpoint's half is inserted here, the max endpoint's half on
+    // its owner after the exchange.
+    const auto insert_half = [&](vertex_id v, vertex_id to, const EMeta& meta) {
+      node* nd = find_node(v);
+      if (nd == nullptr) {
+        nd = &add_node(v);
+        nd->rec.meta = vmeta_of(v);
+        fresh_.push_back(v);
+      }
+      insert_nbr(*nd, nbr{to, 0, meta, VMeta{}});
+      dirty_.insert(v);
+      round_new_.emplace_back(v, to);
+    };
+    for (const auto& [key, meta] : batch) {
       const auto [a, b] = key;
-      node* na = find_node(a);
+      const node* na = find_node(a);
       if (na != nullptr && has_nbr(*na, b)) {
-        ++local_dup_base_;
+        ++dup_base;
         continue;
       }
-      ++local_accepted_;
-      if (na == nullptr) na = &create_node(a, vmeta_of(a));
-      insert_nbr(*na, nbr{b, 0, meta, VMeta{}});
-      dirty_.insert(a);
-      round_new_nbrs_[a].push_back(b);
-      comm_->async(owner(b), insert_reverse_handler{}, handle_, b, a, meta);
+      ++accepted;
+      insert_half(a, b, meta);
+      edges_.push(owner(b), b, a, meta);
     }
+    edges_.flush();
     comm_->barrier();
-    // Reverse inserts for NEW vertices on other ranks materialized them
-    // with default metadata; the handler could not run vmeta_of (it is not
-    // wire-shippable), so new vertices created by insert_reverse_handler
-    // are stamped here, locally, with the same deterministic function.
-    for (const vertex_id v : created_remote_) {
-      nodes_.at(v).rec.meta = vmeta_of(v);
-      ++st.new_vertices;  // counted here, not in create_node, to stay local
+    {
+      auto& [b, a, meta] = edges_.inbox();
+      for (std::size_t i = 0; i < b.size(); ++i) insert_half(b[i], a[i], meta[i]);
     }
-    st.new_vertices += local_new_vertices_;
-    created_remote_.clear();
-    local_new_vertices_ = 0;
+    edges_.release_inbox();
+    const std::uint64_t new_vertices = fresh_.size();
 
-    // I3-I5: shared rank/info/rebuild/d+ cascade (leaves rebuilt_vertices
-    // as a local count; the batched reduction below globalizes it).
-    propagate_and_rebuild(st);
+    // I3-I5: shared rank/info/rebuild/d+ cascade.
+    const std::uint64_t rebuilt = propagate_and_rebuild();
 
     // One batched all-reduce for every stat -- collectives have per-call
     // latency, and a streaming ingest's fixed cost is paid per batch.
-    const std::array<std::uint64_t, 7> local = {
-        std::exchange(local_self_loops_, 0),  std::exchange(local_accepted_, 0),
-        std::exchange(local_dup_batch_, 0),   std::exchange(local_dup_base_, 0),
-        st.new_vertices, st.submitted, st.rebuilt_vertices};
-    const auto total = reduce_stats(local);
-    st.self_loops = total[0];
-    st.accepted = total[1];
-    st.duplicate_batch = total[2];
-    st.duplicate_base = total[3];
-    st.new_vertices = total[4];
-    st.submitted = total[5];
-    st.rebuilt_vertices = total[6];
-    batch_.clear();
-    finish_mutation(st.accepted + st.expired_edges);
+    const auto t = reduce_stats(
+        {edges.size(), accepted, dup_batch, dup_base, self_loops, new_vertices, rebuilt});
+    const overlay_ingest_stats st{.submitted = t[0], .accepted = t[1],
+                                  .duplicate_batch = t[2], .duplicate_base = t[3],
+                                  .self_loops = t[4], .new_vertices = t[5],
+                                  .rebuilt_vertices = t[6]};
+    finish_mutation(st.accepted);
     return st;
   }
 
@@ -362,7 +369,6 @@ class overlay {
   overlay_ingest_stats expire_before(std::uint64_t t_min)
     requires meta_timestamped
   {
-    overlay_ingest_stats st;
     std::uint64_t dropped_halves = 0;
     for (auto& [v, nd] : nodes_) {
       const auto old_size = nd.nbrs.size();
@@ -374,13 +380,12 @@ class overlay {
         dirty_.insert(v);
       }
     }
-    propagate_and_rebuild(st);
+    const std::uint64_t rebuilt = propagate_and_rebuild();
     // Replicated metadata makes the cut symmetric: each undirected edge is
     // dropped at exactly its two endpoints, so halves sum to 2x edges.  One
     // batched all-reduce globalizes both counters.
-    const auto total = reduce_stats({dropped_halves, st.rebuilt_vertices, 0, 0, 0, 0, 0});
-    st.expired_edges = total[0] / 2;
-    st.rebuilt_vertices = total[1];
+    const auto t = reduce_stats({dropped_halves, rebuilt, 0, 0, 0, 0, 0});
+    const overlay_ingest_stats st{.rebuilt_vertices = t[1], .expired_edges = t[0] / 2};
     finish_mutation(st.expired_edges);
     return st;
   }
@@ -443,14 +448,6 @@ class overlay {
     return entry.second;
   }
 
-  node& create_node(vertex_id v, const VMeta& meta) {
-    node& nd = add_node(v);
-    nd.rec.meta = meta;
-    fresh_.push_back(v);
-    ++local_new_vertices_;
-    return nd;
-  }
-
   [[nodiscard]] static bool has_nbr(const node& nd, vertex_id id) {
     const auto it = std::lower_bound(
         nd.nbrs.begin(), nd.nbrs.end(), id,
@@ -494,10 +491,11 @@ class overlay {
     }
   }
 
-  /// I3-I5: recompute degree/rank for dirty vertices, broadcast (id, rank,
-  /// meta) to their neighborhoods, rebuild dirtied Adjm+ records locally,
-  /// then flow d+ to in-neighbors.  Shared by ingest and expiry.
-  void propagate_and_rebuild(overlay_ingest_stats& st) {
+  /// I3-I5: recompute degree/rank for dirty vertices, send (id, rank, meta)
+  /// to their neighborhoods, rebuild dirtied Adjm+ records locally, then
+  /// flow d+ to in-neighbors.  Shared by ingest and expiry; returns the
+  /// local number of rebuilt records (callers batch-reduce it).
+  std::uint64_t propagate_and_rebuild() {
     // I3a: degrees and ranks are local state.  Under degree ordering the
     // rank IS the (updated) undirected degree, exactly what a full rebuild
     // would assign.  Degeneracy peel ranks are sticky for existing vertices
@@ -516,39 +514,37 @@ class overlay {
     }
     fresh_.clear();
 
-    // I3b: broadcast (id, rank, meta) over each dirty vertex's
-    // neighborhood.  Receivers refresh their cached entry; they join the
-    // rebuild set ONLY if the rank change flips the edge's <+ orientation
-    // (their adjacency membership changes).  A rank change that keeps the
-    // orientation is patched in place -- without this distinction a single
-    // new edge at a hub would trigger O(deg) full record rebuilds.
+    // I3b: send (id, rank, meta) to every neighbor of each dirty vertex.
+    // Receivers refresh their cached entry; they join the rebuild set ONLY
+    // if the rank change flips the edge's <+ orientation (their adjacency
+    // membership changes).  A rank change that keeps the orientation is
+    // patched in place -- without this distinction a single new edge at a
+    // hub would trigger O(deg) full record rebuilds.
     dirty_adj_ = dirty_;
-    std::vector<std::vector<vertex_id>> buckets(static_cast<std::size_t>(comm_->size()));
     for (const vertex_id v : dirty_) {
       const node& nd = nodes_.at(v);
-      for (auto& b : buckets) b.clear();
       for (const nbr& x : nd.nbrs) {
-        buckets[static_cast<std::size_t>(owner(x.id))].push_back(x.id);
-      }
-      for (int r = 0; r < comm_->size(); ++r) {
-        const auto& b = buckets[static_cast<std::size_t>(r)];
-        if (b.empty()) continue;
-        comm_->async(r, nbr_info_handler{}, handle_, v, nd.rec.order_rank,
-                     nd.rec.meta, serial::as_wire_span(b));
+        info_.push(owner(x.id), x.id, v, nd.rec.order_rank, nd.rec.meta);
       }
     }
+    info_.flush();
     comm_->barrier();
+    {
+      auto& [to, from, from_rank, from_meta] = info_.inbox();
+      for (std::size_t i = 0; i < to.size(); ++i) {
+        apply_nbr_info(to[i], from[i], from_rank[i], from_meta[i]);
+      }
+    }
+    info_.release_inbox();
 
     // I4: purely local re-orientation of every dirtied record.  Records
     // whose out-neighbor SET actually changed (new edge, expiry, or an
     // orientation flip) are remembered: they are the only vertices whose
     // d+ can differ, so they are the only ones that owe I5 reports.
-    std::uint64_t rebuilt = 0;
     std::vector<vertex_id> dplus_changed;
     dplus_changed.reserve(dirty_adj_.size());
     for (const vertex_id v : dirty_adj_) {
       node& nd = nodes_.at(v);
-      ++rebuilt;
       std::unordered_map<vertex_id, std::uint64_t> old_dplus;
       old_dplus.reserve(nd.rec.adj.size());
       for (const entry_type& e : nd.rec.adj) old_dplus.emplace(e.target, e.target_out_degree);
@@ -576,51 +572,44 @@ class overlay {
       }
       if (changed) dplus_changed.push_back(v);
     }
-    st.rebuilt_vertices = rebuilt;  // local; callers batch-reduce with their stats
 
     // I5: builder-P6 twin, but targeted -- d+ flows only where it may have
     // changed.  Every record whose out-set changed reports to all its
     // in-neighbors; additionally each endpoint of a round-new edge reports
     // to that specific neighbor (whose placeholder, if the edge oriented
-    // toward it, awaits the value -- the handler is idempotent, so the
+    // toward it, awaits the value -- a report only overwrites, so the
     // occasional double send is harmless).  Rank-patched records keep
     // their d+ and owe nothing.
     for (const vertex_id v : dplus_changed) {
       const node& nd = nodes_.at(v);
-      const auto dplus_v = static_cast<std::uint64_t>(nd.rec.adj.size());
-      for (auto& b : buckets) b.clear();
       for (const nbr& x : nd.nbrs) {
         if (order_less(x.id, x.rank, v, nd.rec.order_rank)) {
-          buckets[static_cast<std::size_t>(owner(x.id))].push_back(x.id);
+          dplus_.push(owner(x.id), x.id, v, nd.rec.order_rank, nd.rec.out_degree());
         }
       }
-      for (int r = 0; r < comm_->size(); ++r) {
-        const auto& b = buckets[static_cast<std::size_t>(r)];
-        if (b.empty()) continue;
-        comm_->async(r, dplus_handler{}, handle_, v, nd.rec.order_rank, dplus_v,
-                     serial::as_wire_span(b));
-      }
     }
-    for (const auto& [v, targets] : round_new_nbrs_) {
-      const auto itn = nodes_.find(v);
-      if (itn == nodes_.end()) continue;
-      const node& nd = itn->second;
-      const auto dplus_v = static_cast<std::uint64_t>(nd.rec.adj.size());
-      for (auto& b : buckets) b.clear();
-      for (const vertex_id x : targets) {
-        buckets[static_cast<std::size_t>(owner(x))].push_back(x);
-      }
-      for (int r = 0; r < comm_->size(); ++r) {
-        const auto& b = buckets[static_cast<std::size_t>(r)];
-        if (b.empty()) continue;
-        comm_->async(r, dplus_handler{}, handle_, v, nd.rec.order_rank, dplus_v,
-                     serial::as_wire_span(b));
-      }
+    for (const auto& [v, x] : round_new_) {
+      const node& nd = nodes_.at(v);
+      dplus_.push(owner(x), x, v, nd.rec.order_rank, nd.rec.out_degree());
     }
-    round_new_nbrs_.clear();
+    round_new_.clear();
+    dplus_.flush();
     comm_->barrier();
+    {
+      auto& [to, from, from_rank, dplus] = dplus_.inbox();
+      for (std::size_t i = 0; i < to.size(); ++i) {
+        auto& adj = nodes_.at(to[i]).rec.adj;
+        const auto it = std::lower_bound(
+            adj.begin(), adj.end(), make_order_key(from[i], from_rank[i]),
+            [](const entry_type& e, const order_key& k) { return e.key() < k; });
+        if (it != adj.end() && it->target == from[i]) it->target_out_degree = dplus[i];
+      }
+    }
+    dplus_.release_inbox();
+    const std::uint64_t rebuilt = dirty_adj_.size();
     dirty_.clear();
     dirty_adj_.clear();
+    return rebuilt;
   }
 
   /// Elementwise-sum all-reduce of a stats vector: one collective per
@@ -647,54 +636,7 @@ class overlay {
     census_valid_ = false;
   }
 
-  // --- handlers (run on the destination rank's owning thread) ----------------
-
-  struct reverse_nbr_handler {
-    void operator()(comm::communicator& c, comm::dist_handle<self> h, vertex_id v,
-                    vertex_id from, std::uint64_t from_rank, const VMeta& from_meta,
-                    const EMeta& emeta) {
-      self& ov = c.resolve(h);
-      node* nd = ov.find_node(v);
-      if (nd == nullptr) {
-        throw std::runtime_error(
-            "tripoll: overlay: base edge targets vertex " + std::to_string(v) +
-            " that is not stored on its owner rank");
-      }
-      nd->nbrs.push_back(nbr{from, from_rank, emeta, from_meta});
-    }
-  };
-
-  struct route_edge_handler {
-    void operator()(comm::communicator& c, comm::dist_handle<self> h, vertex_id a,
-                    vertex_id b, const EMeta& meta) {
-      self& ov = c.resolve(h);
-      auto [it, inserted] = ov.batch_.try_emplace({a, b}, meta);
-      if (!inserted) {
-        ++ov.local_dup_batch_;
-        if constexpr (meta_ordered) {
-          if (meta < it->second) it->second = meta;  // chronologically first
-        }
-      }
-    }
-  };
-
-  struct insert_reverse_handler {
-    void operator()(comm::communicator& c, comm::dist_handle<self> h, vertex_id b,
-                    vertex_id a, const EMeta& meta) {
-      self& ov = c.resolve(h);
-      node* nb = ov.find_node(b);
-      if (nb == nullptr) {
-        nb = &ov.add_node(b);
-        ov.fresh_.push_back(b);
-        ov.created_remote_.push_back(b);
-      }
-      insert_nbr(*nb, nbr{a, 0, meta, VMeta{}});
-      ov.dirty_.insert(b);
-      ov.round_new_nbrs_[b].push_back(a);
-    }
-  };
-
-  /// Rank/meta update for one receiver vertex (bulk handler body).
+  /// I3b: apply one neighbor's (id, rank, meta) report at receiver `v`.
   void apply_nbr_info(vertex_id v, vertex_id from, std::uint64_t from_rank,
                       const VMeta& from_meta) {
     node* nd = find_node(v);
@@ -722,39 +664,6 @@ class overlay {
     if (now_out) patch_adj_entry(nd->rec, from, old_rank, from_rank, from_meta);
   }
 
-  /// I3b bulk message: one (id, rank, meta) update from a dirty vertex,
-  /// fanned out to all its neighbors owned by the receiving rank.  One
-  /// message per (dirty vertex, rank) pair instead of per neighbor -- at a
-  /// hub endpoint that is the difference between O(deg) and O(ranks)
-  /// messages per rank change.
-  struct nbr_info_handler {
-    void operator()(comm::communicator& c, comm::dist_handle<self> h, vertex_id from,
-                    std::uint64_t from_rank, const VMeta& from_meta,
-                    const serial::wire_span<vertex_id>& targets) {
-      self& ov = c.resolve(h);
-      for (const vertex_id v : targets) ov.apply_nbr_info(v, from, from_rank, from_meta);
-    }
-  };
-
-  /// I5 bulk message: one d+ report from vertex v, patched into the adj
-  /// entry for v at each listed in-neighbor owned by the receiving rank.
-  struct dplus_handler {
-    void operator()(comm::communicator& c, comm::dist_handle<self> h, vertex_id v,
-                    std::uint64_t rank_v, std::uint64_t dplus_v,
-                    const serial::wire_span<vertex_id>& targets) {
-      self& ov = c.resolve(h);
-      const auto key = make_order_key(v, rank_v);
-      for (const vertex_id u : targets) {
-        node* nd = ov.find_node(u);
-        if (nd == nullptr) continue;
-        const auto it = std::lower_bound(
-            nd->rec.adj.begin(), nd->rec.adj.end(), key,
-            [](const entry_type& e, const order_key& k) { return e.key() < k; });
-        if (it != nd->rec.adj.end() && it->target == v) it->target_out_degree = dplus_v;
-      }
-    }
-  };
-
   struct pair_key_hash {
     [[nodiscard]] std::size_t operator()(const std::pair<vertex_id, vertex_id>& p) const noexcept {
       return static_cast<std::size_t>(
@@ -764,27 +673,24 @@ class overlay {
 
   comm::communicator* comm_;
   ordering_policy ordering_;
-  comm::dist_handle<self> handle_;
+  /// The rounds' exchanges, registered once per overlay: (vertex, neighbor,
+  /// edge meta) for I1 and I2, (receiver, sender, sender rank, sender meta)
+  /// for I3b, and (receiver, sender, sender rank, sender d+) for I5.
+  comm::column_exchange<vertex_id, vertex_id, EMeta> edges_;
+  comm::column_exchange<vertex_id, vertex_id, std::uint64_t, VMeta> info_;
+  comm::column_exchange<vertex_id, vertex_id, std::uint64_t, std::uint64_t> dplus_;
   node_map nodes_;
   std::vector<typename node_map::value_type*> slots_;  ///< slot -> (id, node)
-  std::unordered_map<std::pair<vertex_id, vertex_id>, EMeta, pair_key_hash> batch_;
   std::unordered_set<vertex_id> dirty_;      ///< structural change this round
   std::unordered_set<vertex_id> dirty_adj_;  ///< records needing re-orientation
   std::vector<vertex_id> fresh_;             ///< vertices first seen this round
-  std::vector<vertex_id> created_remote_;    ///< new vertices from reverse inserts
-  /// Per round-new edge, each endpoint's list of its new neighbors: the
-  /// targets of the endpoint's extra (targeted) I5 d+ reports.
-  std::unordered_map<vertex_id, std::vector<vertex_id>, comm::key_hash<vertex_id>>
-      round_new_nbrs_;
+  /// (endpoint, new neighbor) for each half of a round-new edge: the
+  /// targets of the endpoints' extra (targeted) I5 d+ reports.
+  std::vector<std::pair<vertex_id, vertex_id>> round_new_;
   graph_census census_{};
   bool census_valid_ = false;
   std::uint64_t sid_ = 1;
   std::uint64_t batches_ = 0;
-  std::uint64_t local_accepted_ = 0;
-  std::uint64_t local_dup_batch_ = 0;
-  std::uint64_t local_dup_base_ = 0;
-  std::uint64_t local_self_loops_ = 0;
-  std::uint64_t local_new_vertices_ = 0;
 };
 
 /// Deduction guide: `graph::overlay ov(frozen);`.

@@ -368,11 +368,6 @@ class wire_span {
   [[nodiscard]] T front() const noexcept { return *begin(); }
   [[nodiscard]] T back() const noexcept { return (*this)[count_ - 1]; }
 
-  /// Owning copy for callers that must outlive the source buffer.
-  [[nodiscard]] std::vector<T> to_vector() const {
-    return std::vector<T>(begin(), end());
-  }
-
   /// Raw byte view of the element stream (wire encoding minus the count).
   [[nodiscard]] const std::byte* data() const noexcept { return data_; }
 

@@ -238,6 +238,41 @@ TEST(StreamingOverlay, RepeatedEdgesDedupAndOutOfOrderTimestamps) {
   });
 }
 
+// Every rank contributes its own copy of the same new edge, so the copies
+// merge across senders in the owner's inbox, and a rank that does not own
+// the stored edge (2,3) re-submits it.
+TEST(StreamingOverlay, CrossSenderDedupKeepsLeastTimestamp) {
+  for (const int ranks : {2, 3}) {
+    tc::runtime::run(ranks, [&](tc::communicator& c) {
+      tg::graph_builder<std::uint64_t, std::uint64_t> builder(c);
+      if (c.rank0()) {
+        builder.add_edge(1, 2, 10);
+        builder.add_edge(2, 3, 11);
+      }
+      tg::dodgr<std::uint64_t, std::uint64_t> g(c);
+      builder.build_into(g);
+      auto base = tg::freeze(g);
+      tg::overlay ov(base);
+
+      // Rank r submits (1,3) at ts 80 - 30r: the least copy comes from the
+      // last rank, never from rank 0.
+      const std::uint64_t ts = 80 - 30 * static_cast<std::uint64_t>(c.rank());
+      tg::overlay<std::uint64_t, std::uint64_t>::edge_batch batch = {{3, 1, ts}};
+      if (c.rank() == (ov.owner(2) + 1) % c.size()) batch.push_back({3, 2, 5});
+      const auto st = ov.ingest(batch);
+      EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(ranks) + 1);
+      EXPECT_EQ(st.accepted, 1u);
+      EXPECT_EQ(st.duplicate_batch, static_cast<std::uint64_t>(ranks) - 1);
+      EXPECT_EQ(st.duplicate_base, 1u);
+
+      const std::uint64_t least = 80 - 30 * static_cast<std::uint64_t>(ranks - 1);
+      EXPECT_EQ(windowed_count(c, ov, 10, least + 1), 1u) << "ranks " << ranks;
+      EXPECT_EQ(windowed_count(c, ov, 10, least), 0u) << "ranks " << ranks;
+      EXPECT_EQ(windowed_count(c, ov, 5, 12), 0u);  // ts 5 was NOT adopted
+    });
+  }
+}
+
 // --- window boundaries + expiry ----------------------------------------------
 
 TEST(StreamingOverlay, WindowBoundariesAndSlidingExpiry) {
@@ -295,61 +330,67 @@ TEST(StreamingOverlay, CompactionIdentityAndSnapshotRoundTrip) {
 
   for (const auto ord :
        {tg::ordering_policy::degree, tg::ordering_policy::degeneracy}) {
-    tc::runtime::run(3, [&](tc::communicator& c) {
-      std::vector<edge_pair> applied(edges.begin(),
-                                     edges.begin() + static_cast<std::ptrdiff_t>(base_n));
-      auto base = freeze_edges(c, applied, ord);
-      tg::overlay ov(base);
+    for (const int ranks : {1, 2, 3}) {
+      tc::runtime::run(ranks, [&](tc::communicator& c) {
+        std::vector<edge_pair> applied(edges.begin(),
+                                       edges.begin() + static_cast<std::ptrdiff_t>(base_n));
+        auto base = freeze_edges(c, applied, ord);
+        tg::overlay ov(base);
 
-      // Two delta batches, then compact.
-      const std::size_t mid = base_n + (edges.size() - base_n) / 2;
-      for (const auto& [from, to] :
-           {std::pair<std::size_t, std::size_t>{base_n, mid}, {mid, edges.size()}}) {
-        tg::overlay<std::uint64_t, std::uint64_t>::edge_batch batch;
-        for (std::size_t i = from; i < to; ++i) {
-          batch.push_back({edges[i].first, edges[i].second,
-                           edge_ts(edges[i].first, edges[i].second)});
+        // Two delta batches, then compact.
+        const std::size_t mid = base_n + (edges.size() - base_n) / 2;
+        for (const auto& [from, to] :
+             {std::pair<std::size_t, std::size_t>{base_n, mid}, {mid, edges.size()}}) {
+          tg::overlay<std::uint64_t, std::uint64_t>::edge_batch batch;
+          for (std::size_t i = from; i < to; ++i) {
+            batch.push_back({edges[i].first, edges[i].second,
+                             edge_ts(edges[i].first, edges[i].second)});
+          }
+          (void)ov.ingest(batch, [](tg::vertex_id v) { return vertex_label(v); });
         }
-        (void)ov.ingest(batch, [](tg::vertex_id v) { return vertex_label(v); });
-      }
-      const auto om = survey_metrics(c, ov);
+        const auto om = survey_metrics(c, ov);
 
-      auto fz = ov.compact();
-      EXPECT_EQ(fz.ordering(), ord);  // ranks reused, ordering tag preserved
-      const auto fm = survey_metrics(c, fz);
-      // Compaction preserves the overlay's orientation exactly -- full
-      // metric identity under BOTH ordering policies (sticky ranks).
-      EXPECT_EQ(fm.triangles, om.triangles);
-      EXPECT_EQ(fm.volume, om.volume);
-      EXPECT_EQ(fm.messages, om.messages);
+        auto fz = ov.compact();
+        EXPECT_EQ(fz.ordering(), ord);  // ranks reused, ordering tag preserved
+        const auto fm = survey_metrics(c, fz);
+        // Compaction preserves the overlay's orientation exactly -- full
+        // metric identity under BOTH ordering policies (sticky ranks).
+        EXPECT_EQ(fm.triangles, om.triangles);
+        EXPECT_EQ(fm.volume, om.volume);
+        EXPECT_EQ(fm.messages, om.messages);
 
-      applied.insert(applied.end(),
-                     edges.begin() + static_cast<std::ptrdiff_t>(base_n), edges.end());
-      auto rebuilt = freeze_edges(c, applied, ord);
-      const auto rm = survey_metrics(c, rebuilt);
-      EXPECT_EQ(fm.triangles, rm.triangles);
-      if (ord == tg::ordering_policy::degree) {
-        EXPECT_EQ(fm.volume, rm.volume);
-        EXPECT_EQ(fm.messages, rm.messages);
-      }
+        applied.insert(applied.end(),
+                       edges.begin() + static_cast<std::ptrdiff_t>(base_n), edges.end());
+        auto rebuilt = freeze_edges(c, applied, ord);
+        const auto rm = survey_metrics(c, rebuilt);
+        EXPECT_EQ(fm.triangles, rm.triangles);
+        if (ord == tg::ordering_policy::degree) {
+          EXPECT_EQ(fm.volume, rm.volume);
+          EXPECT_EQ(fm.messages, rm.messages);
+          // Byte for byte the rebuild's graph: the content id covers every
+          // column, including the replicated vertex labels (target_vmeta,
+          // kept by I3) and d+ (kept by I5), which count surveys never read.
+          EXPECT_EQ(fz.snapshot_id(), rebuilt.snapshot_id()) << "ranks " << ranks;
+        }
 
-      // v3 snapshot round trip of the compacted graph.
-      const std::string prefix =
-          fresh_prefix(ord == tg::ordering_policy::degree ? "cmp-deg" : "cmp-dgn");
-      (void)tg::save_snapshot(fz, prefix, tg::snapshot_codec::compressed);
-      c.barrier();
-      {
-        auto loaded = tg::load_snapshot<std::uint64_t, std::uint64_t>(c, prefix);
-        EXPECT_EQ(loaded.ordering(), ord);
-        EXPECT_EQ(loaded.snapshot_id(), fz.snapshot_id());
-        const auto lm = survey_metrics(c, loaded);
-        EXPECT_EQ(lm.triangles, fm.triangles);
-        EXPECT_EQ(lm.volume, fm.volume);
-        EXPECT_EQ(lm.messages, fm.messages);
-      }
-      c.barrier();
-      (void)std::remove(tg::snapshot_rank_path(prefix, c.rank()).c_str());
-    });
+        // v3 snapshot round trip of the compacted graph.
+        const std::string prefix =
+            fresh_prefix(ord == tg::ordering_policy::degree ? "cmp-deg" : "cmp-dgn");
+        (void)tg::save_snapshot(fz, prefix, tg::snapshot_codec::compressed);
+        c.barrier();
+        {
+          auto loaded = tg::load_snapshot<std::uint64_t, std::uint64_t>(c, prefix);
+          EXPECT_EQ(loaded.ordering(), ord);
+          EXPECT_EQ(loaded.snapshot_id(), fz.snapshot_id());
+          const auto lm = survey_metrics(c, loaded);
+          EXPECT_EQ(lm.triangles, fm.triangles);
+          EXPECT_EQ(lm.volume, fm.volume);
+          EXPECT_EQ(lm.messages, fm.messages);
+        }
+        c.barrier();
+        (void)std::remove(tg::snapshot_rank_path(prefix, c.rank()).c_str());
+      });
+    }
   }
 }
 
