@@ -17,7 +17,6 @@
 #include "gen/distribute.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 
 namespace comm = tripoll::comm;

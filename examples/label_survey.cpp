@@ -18,7 +18,6 @@
 #include "gen/distribute.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 #include "serial/hash.hpp"
 

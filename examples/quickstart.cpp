@@ -16,7 +16,6 @@
 #include "gen/distribute.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 

@@ -15,7 +15,7 @@
 #include <cstdint>
 
 #include "comm/communicator.hpp"
-#include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 #include "graph/types.hpp"
 
 namespace tripoll::baselines {

@@ -15,7 +15,7 @@
 
 #include "baselines/pearce_tc.hpp"  // distributed_count_result
 #include "comm/communicator.hpp"
-#include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 #include "graph/types.hpp"
 
 namespace tripoll::baselines {

@@ -334,8 +334,7 @@ template <typename Graph, typename Plan>
 /// pairs fused into one traversal.  Built through `tripoll::survey(g)`.
 /// `Graph` is any graph exposing the metadata types; running the plan needs
 /// a slot-addressed one (core/survey.hpp: graph::frozen_dodgr or
-/// graph::overlay).  A plan over a built `graph::dodgr` only feeds
-/// `graph::freeze(plan)`.
+/// graph::overlay).
 template <typename Graph, typename VProj = identity_projection,
           typename EProj = identity_projection, typename... Entries>
 class survey_plan {
@@ -539,10 +538,9 @@ class survey_plan {
 };
 
 /// Entry point of the plan API: start a survey description over `g` with
-/// identity projections and no callbacks yet.  `g` is a frozen
+/// identity projections and no callbacks yet.  `g` is a
 /// `graph::frozen_dodgr` (whose arenas may already hold freeze-time-
-/// projected metadata) or a `graph::overlay`; a plan over the built
-/// `graph::dodgr` can only be passed to `graph::freeze(plan)`.
+/// projected metadata) or a `graph::overlay`.
 template <typename Graph>
   requires requires {
     typename Graph::vertex_meta_type;

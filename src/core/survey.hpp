@@ -18,8 +18,8 @@
 //     cheaper, and the work then splits into Push and Pull phases.
 //
 // The engine walks slot-addressed graphs (core::slot_addressed_graph): the
-// frozen CSR `graph::frozen_dodgr` and the streaming `graph::overlay`.  The
-// built `graph::dodgr` has no slot-addressed API -- freeze() it first.
+// CSR `graph::frozen_dodgr`, as built or as projected by freeze(), and the
+// streaming `graph::overlay`.
 //
 // Intra-rank parallelism (docs/THREADING.md): with survey_options::threads
 // > 1, each phase's slot walk is partitioned into work-stealing chunks
@@ -133,8 +133,7 @@ class survey_engine {
 
   static_assert(core::slot_addressed_graph<Graph>,
                 "the survey engine walks slot-addressed graphs (graph::frozen_dodgr, "
-                "graph::overlay); a built graph::dodgr is not surveyable -- "
-                "call graph::freeze(g) first and survey the frozen graph");
+                "graph::overlay)");
 
   /// Smaller wedge batches close on the owning thread as they drain: a task
   /// (heap closure, queue lock, worker wake-up) costs more than intersecting.

@@ -19,7 +19,7 @@
 #include "gen/temporal.hpp"
 #include "gen/web.hpp"
 #include "graph/builder.hpp"
-#include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 #include "graph/types.hpp"
 

@@ -19,13 +19,16 @@
 //   P4  exchange : each vertex sends (v, rank(v), meta(v)) once to every rank
 //                  holding one of its neighbors.
 //   P5  assemble : orient edges by <+, sort each Adjm+(v) and the vertices by
-//                  <+, and write the CSR columns of the dodgr.
+//                  <+, and write the CSR columns of the frozen_dodgr.
 //   P6  d+ flow  : each vertex sends d+(v) once to every rank holding a DODGr
 //                  in-neighbor, which fills target_out_degree for Push-Pull.
 //
 // Adjm+ stores each undirected edge once, at its <+-lower endpoint, with the
 // metadata merged there; keep_least/keep_greatest (any order-independent
 // policy) give the same value at either endpoint.
+//
+// The built graph is surveyable as it stands; graph::freeze() only projects
+// its metadata (graph/frozen.hpp).
 #pragma once
 
 #include <algorithm>
@@ -41,7 +44,6 @@
 #include "comm/column_exchange.hpp"
 #include "comm/communicator.hpp"
 #include "comm/key_hash.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 #include "graph/types.hpp"
@@ -80,7 +82,7 @@ struct keep_greatest {
 template <typename VertexMeta, typename EdgeMeta, typename MergePolicy = merge::keep_existing>
 class graph_builder {
  public:
-  using graph_type = dodgr<VertexMeta, EdgeMeta>;
+  using graph_type = frozen_dodgr<VertexMeta, EdgeMeta>;
 
   explicit graph_builder(comm::communicator& c,
                          ordering_policy ordering = ordering_policy::degree)
@@ -141,7 +143,7 @@ class graph_builder {
       for (std::size_t i = 0; i < und.size(); ++i) rank[i] = und.degree(i);
     }
     const neighbor_table nt = exchange_neighbors(und, rank);  // P4
-    g.assign(assemble(und, rank, nt), ordering_);              // P5 + P6
+    g = graph_type(g.comm(), assemble(und, rank, nt), ordering_);  // P5 + P6
   }
 
  private:

@@ -15,7 +15,7 @@
 #include <cstdint>
 
 #include "graph/builder.hpp"
-#include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 #include "graph/types.hpp"
 
 namespace tripoll::graph {

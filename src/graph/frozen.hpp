@@ -13,23 +13,25 @@
 // vertex ids).  Sorting the vertex walk by <+ rank gives the
 // degeneracy-ordered CSR traversal of Pashanasangi & Seshadhri.
 //
-// graph_builder writes these columns directly, with the build-time metadata,
-// into a `graph::dodgr` (graph/dodgr.hpp); freeze() turns that into the
-// surveyable frozen_dodgr.
+// frozen_dodgr is the one graph type from build to survey:
+// graph_builder::build_into fills it with the build-time metadata, and the
+// built graph is surveyable as it stands (`graph::dodgr` is an alias).
 //
-// Projection push-down (the ROADMAP follow-up to PR 4's sender-side wire
-// projections): `freeze(g, vproj, eproj)` -- or `freeze(plan)` for a survey
-// plan's projections -- applies the metadata projections ONCE at freeze
-// time and stores only the projected columns, so every fused survey over
-// the same projection reads pre-projected arenas instead of projecting per
-// message.  A projection to `graph::none` (or any empty type) stores a
-// zero-byte column: a counting survey's frozen graph spends 24 bytes per
-// directed edge regardless of how rich the build-time metadata was.
+// Projection push-down: `freeze(g, vproj, eproj)` -- or `freeze(plan)` for
+// a survey plan's projections -- applies the metadata projections ONCE and
+// stores only the projected columns, so every fused survey over the same
+// projection reads pre-projected arenas instead of projecting per message.
+// A projection to `graph::none` (or any empty type) stores a zero-byte
+// column: a counting survey's frozen graph spends 24 bytes per directed
+// edge regardless of how rich the build-time metadata was.  freeze() is
+// only that projection: the structural columns, unchanged metadata columns
+// and the id->slot index are shared with `g`, not rebuilt.
 //
-// Arenas are either rank-owned vectors (after freeze()) or borrowed views
-// into an mmap'ed snapshot (graph/snapshot.hpp), held alive by a shared
-// keepalive token -- reloading a frozen graph from disk touches no edge
-// shuffle and no degeneracy peel.
+// Every arena is a (pointer, size, keepalive) view.  The keepalive owns a
+// vector (built, projected or decoded columns) or pins an mmap'ed snapshot
+// (graph/snapshot.hpp); copying an arena shares it, so a frozen graph
+// outlives the graph it was frozen from, and reloading a frozen graph from
+// disk touches no edge shuffle and no degeneracy peel.
 #pragma once
 
 #include <algorithm>
@@ -72,29 +74,20 @@ struct freeze_options {
   int threads = 0;
 };
 
-/// One contiguous frozen column: either owned storage (freeze) or a view
-/// into a mapped snapshot whose lifetime is pinned by `keepalive`.
+/// One contiguous frozen column: a view whose storage (an owned vector or
+/// a mapped snapshot) is pinned by `keepalive`.  Copies share the storage.
 template <typename T>
 class arena {
  public:
   arena() = default;
-  explicit arena(std::vector<T> v)
-      : owned_(std::move(v)), data_(owned_.data()), n_(owned_.size()) {}
+  explicit arena(std::vector<T> v) {
+    auto owned = std::make_shared<const std::vector<T>>(std::move(v));
+    data_ = owned->data();
+    n_ = owned->size();
+    keepalive_ = std::move(owned);
+  }
   arena(const T* p, std::size_t n, std::shared_ptr<const void> keepalive)
       : data_(p), n_(n), keepalive_(std::move(keepalive)) {}
-
-  arena(arena&& o) noexcept { *this = std::move(o); }
-  arena& operator=(arena&& o) noexcept {
-    owned_ = std::move(o.owned_);
-    keepalive_ = std::move(o.keepalive_);
-    n_ = o.n_;
-    data_ = owned_.empty() ? o.data_ : owned_.data();
-    o.data_ = nullptr;
-    o.n_ = 0;
-    return *this;
-  }
-  arena(const arena&) = delete;
-  arena& operator=(const arena&) = delete;
 
   [[nodiscard]] const T* data() const noexcept { return data_; }
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
@@ -102,7 +95,6 @@ class arena {
   [[nodiscard]] std::size_t bytes() const noexcept { return n_ * sizeof(T); }
 
  private:
-  std::vector<T> owned_;
   const T* data_ = nullptr;
   std::size_t n_ = 0;
   std::shared_ptr<const void> keepalive_;
@@ -171,6 +163,28 @@ struct fnv1a_accumulator {
   }
 };
 
+/// Collective: the Table 1 columns of a graph with record views
+/// (frozen_dodgr, overlay), walked through `for_all_local`.
+template <typename G>
+[[nodiscard]] graph_census census_of(comm::communicator& c, const G& g) {
+  std::uint64_t verts = 0, dir_edges = 0, dmax = 0, dmax_plus = 0, wedges = 0;
+  g.for_all_local([&](vertex_id, const auto& rec) {
+    ++verts;
+    dir_edges += rec.degree;
+    dmax = std::max(dmax, rec.degree);
+    const std::uint64_t dp = rec.out_degree();
+    dmax_plus = std::max(dmax_plus, dp);
+    wedges += dp * (dp - 1) / 2;
+  });
+  graph_census out;
+  out.num_vertices = c.all_reduce_sum(verts);
+  out.num_directed_edges = c.all_reduce_sum(dir_edges);
+  out.max_degree = c.all_reduce_max(dmax);
+  out.max_out_degree = c.all_reduce_max(dmax_plus);
+  out.wedge_checks = c.all_reduce_sum(wedges);
+  return out;
+}
+
 }  // namespace detail
 
 /// The raw column bundle of one rank's graph.  graph_builder fills it
@@ -217,8 +231,8 @@ struct frozen_storage_stats {
 };
 
 /// Immutable CSR structure-of-arrays form of a DODGr: slot-addressed record
-/// views with adjacency spans sorted by <+, no write API.  Build with the
-/// graph_builder, then freeze.
+/// views with adjacency spans sorted by <+, no write API.  graph_builder
+/// fills it; freeze() projects its metadata.
 template <typename VMeta, typename EMeta>
 class frozen_dodgr {
  public:
@@ -335,42 +349,42 @@ class frozen_dodgr {
 
   using record_type = record_view;
   using entry_type = entry_view;
+  using index_map = std::unordered_map<vertex_id, std::uint32_t, comm::key_hash<vertex_id>>;
+
+  /// An empty graph; graph_builder::build_into fills it.
+  explicit frozen_dodgr(comm::communicator& c)
+      : frozen_dodgr(c, empty_arenas(), ordering_policy::degree) {}
 
   frozen_dodgr(comm::communicator& c, arenas_type&& ar, ordering_policy ordering)
-      : comm_(&c), ar_(std::move(ar)), ordering_(ordering) {
-    // The id->slot index is 32-bit by design; a rank holding >= 2^32 local
-    // vertices must fail loudly, not wrap silently.
-    if (ar_.vid.size() > std::numeric_limits<std::uint32_t>::max()) {
-      throw std::length_error(
-          "frozen_dodgr: more than 2^32-1 local vertices on one rank; the "
-          "32-bit slot index cannot address this partition (use more ranks)");
-    }
-    index_.reserve(ar_.vid.size());
-    for (std::size_t i = 0; i < ar_.vid.size(); ++i) {
-      index_.emplace(ar_.vid[i], static_cast<std::uint32_t>(i));
-    }
-  }
+      : frozen_dodgr(c, std::move(ar), ordering, index_of(ar.vid)) {}
+
+  /// Columns whose vid column is that of the graph `index` was built for
+  /// (freeze() shares both with its source).
+  frozen_dodgr(comm::communicator& c, arenas_type&& ar, ordering_policy ordering,
+               std::shared_ptr<const index_map> index)
+      : comm_(&c), ar_(std::move(ar)), index_(std::move(index)), ordering_(ordering) {}
 
   frozen_dodgr(const frozen_dodgr&) = delete;
   frozen_dodgr& operator=(const frozen_dodgr&) = delete;
   frozen_dodgr(frozen_dodgr&&) = default;
+  frozen_dodgr& operator=(frozen_dodgr&&) = default;
 
-  [[nodiscard]] comm::communicator& comm() noexcept { return *comm_; }
+  [[nodiscard]] comm::communicator& comm() const noexcept { return *comm_; }
   [[nodiscard]] int owner(vertex_id v) const noexcept {
     return comm_->owner(comm::key_hash<vertex_id>{}(v));
   }
 
   /// Nullable record handle: contextually bool, -> and * reach the record.
   [[nodiscard]] std::optional<record_view> local_find(vertex_id v) const {
-    const auto it = index_.find(v);
-    if (it == index_.end()) return std::nullopt;
+    const auto it = index_->find(v);
+    if (it == index_->end()) return std::nullopt;
     return record_at(it->second);
   }
 
   /// CSR slot of a known-local vertex (4 bytes), resolved back to a view
   /// without touching the hash index.  Precondition: `v` is stored on this
   /// rank.
-  [[nodiscard]] std::uint32_t locate(vertex_id v) const { return index_.at(v); }
+  [[nodiscard]] std::uint32_t locate(vertex_id v) const { return index_->at(v); }
   [[nodiscard]] record_view resolve_record(std::uint32_t slot) const {
     return record_at(slot);
   }
@@ -397,30 +411,17 @@ class frozen_dodgr {
     return ar_.target.size();
   }
 
-  /// Collective: Table 1 columns (cached after the first call).
-  [[nodiscard]] graph_census census() {
-    if (census_valid_) return census_;
-    std::uint64_t verts = ar_.vid.size(), dir_edges = 0, dmax = 0, dmax_plus = 0,
-                  wedges = 0;
-    for (std::size_t i = 0; i < ar_.vid.size(); ++i) {
-      dir_edges += ar_.degree[i];
-      dmax = std::max(dmax, ar_.degree[i]);
-      const std::uint64_t dp = ar_.offset[i + 1] - ar_.offset[i];
-      dmax_plus = std::max(dmax_plus, dp);
-      wedges += dp * (dp - 1) / 2;
-    }
-    census_.num_vertices = comm_->all_reduce_sum(verts);
-    census_.num_directed_edges = comm_->all_reduce_sum(dir_edges);
-    census_.max_degree = comm_->all_reduce_max(dmax);
-    census_.max_out_degree = comm_->all_reduce_max(dmax_plus);
-    census_.wedge_checks = comm_->all_reduce_sum(wedges);
-    census_valid_ = true;
-    return census_;
-  }
+  /// Collective: Table 1 columns.
+  [[nodiscard]] graph_census census() const { return detail::census_of(*comm_, *this); }
 
   [[nodiscard]] ordering_policy ordering() const noexcept { return ordering_; }
 
   [[nodiscard]] const arenas_type& arenas() const noexcept { return ar_; }
+
+  /// The id -> slot index over the vid column.
+  [[nodiscard]] const std::shared_ptr<const index_map>& index() const noexcept {
+    return index_;
+  }
 
   /// Rank-local content id: FNV-1a over the graph's identity fields
   /// (nranks, rank, ordering, n, m, metadata element sizes) followed by the
@@ -492,8 +493,8 @@ class frozen_dodgr {
                    ar_.target_out_degree.bytes() + ar_.emeta.bytes() +
                    ar_.target_vmeta.bytes();
     s.index_bytes =
-        index_.bucket_count() * sizeof(void*) +
-        index_.size() * (sizeof(std::pair<vertex_id, std::uint32_t>) + sizeof(void*));
+        index_->bucket_count() * sizeof(void*) +
+        index_->size() * (sizeof(std::pair<vertex_id, std::uint32_t>) + sizeof(void*));
     return s;
   }
 
@@ -515,12 +516,32 @@ class frozen_dodgr {
                        adj_span(&ar_, ar_.offset[i], ar_.offset[i + 1])};
   }
 
+  [[nodiscard]] static arenas_type empty_arenas() {
+    arenas_type ar;
+    ar.offset = arena<std::uint64_t>(std::vector<std::uint64_t>{0});
+    return ar;
+  }
+
+  [[nodiscard]] static std::shared_ptr<const index_map> index_of(const arena<vertex_id>& vid) {
+    // The id->slot index is 32-bit by design; a rank holding >= 2^32 local
+    // vertices must fail loudly, not wrap silently.
+    if (vid.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error(
+          "frozen_dodgr: more than 2^32-1 local vertices on one rank; the "
+          "32-bit slot index cannot address this partition (use more ranks)");
+    }
+    auto index = std::make_shared<index_map>();
+    index->reserve(vid.size());
+    for (std::size_t i = 0; i < vid.size(); ++i) {
+      index->emplace(vid[i], static_cast<std::uint32_t>(i));
+    }
+    return index;
+  }
+
   comm::communicator* comm_;
   arenas_type ar_;
-  std::unordered_map<vertex_id, std::uint32_t, comm::key_hash<vertex_id>> index_;
+  std::shared_ptr<const index_map> index_;
   ordering_policy ordering_ = ordering_policy::degree;
-  graph_census census_{};
-  bool census_valid_ = false;
   mutable std::uint64_t snapshot_id_ = 0;  ///< 0: not yet computed/adopted
 };
 
@@ -624,6 +645,83 @@ template <typename PV, typename PE, typename Record, typename VProj, typename EP
   return ar;
 }
 
+/// A projected metadata column: nothing for an empty type, `in` itself
+/// (shared) under the identity projection, otherwise the projection applied
+/// once per cell over `threads` workers.
+template <typename P, typename T, typename Proj>
+[[nodiscard]] meta_column<P> project_column(const meta_column<T>& in, const Proj& proj,
+                                            int threads) {
+  const std::size_t n = in.size();
+  if constexpr (std::is_empty_v<P>) {
+    return meta_column<P>(n);
+  } else if constexpr (std::is_same_v<Proj, copy_meta> && std::is_same_v<P, T>) {
+    return in;
+  } else {
+    std::vector<P> out(n);
+    core::chunk_queue chunks(n, core::chunk_size_for(n, threads));
+    core::fork_join(threads, [&](int) {
+      std::size_t first = 0, last = 0;
+      while (chunks.next(first, last)) {
+        for (std::size_t i = first; i < last; ++i) out[i] = proj(in[i]);
+      }
+    });
+    return meta_column<P>(std::move(out));
+  }
+}
+
 }  // namespace detail
+
+/// The graph the builder fills is the frozen graph.
+template <typename VMeta, typename EMeta>
+using dodgr = frozen_dodgr<VMeta, EMeta>;
+
+/// Project a graph's metadata ONCE, storing only the projected columns
+/// (projection push-down: surveys over the result run with identity
+/// projections and read pre-projected arenas).  The id, degree, rank,
+/// offset and target columns, the metadata columns the projection leaves
+/// unchanged and the id -> slot index are shared with `g`, not copied; `g`
+/// may be discarded afterwards.
+template <typename VMeta, typename EMeta, typename VProj, typename EProj>
+[[nodiscard]] auto freeze(const frozen_dodgr<VMeta, EMeta>& g, VProj vproj, EProj eproj,
+                          const freeze_options& opts = {}) {
+  using PV = std::remove_cvref_t<std::invoke_result_t<const VProj&, const VMeta&>>;
+  using PE = std::remove_cvref_t<std::invoke_result_t<const EProj&, const EMeta&>>;
+  const auto& in = g.arenas();
+  const int threads = core::resolve_threads(opts.threads);
+
+  frozen_arenas<PV, PE> ar;
+  ar.vid = in.vid;
+  ar.degree = in.degree;
+  ar.order_rank = in.order_rank;
+  ar.offset = in.offset;
+  ar.vmeta = detail::project_column<PV>(in.vmeta, vproj, threads);
+  ar.target = in.target;
+  ar.target_rank = in.target_rank;
+  ar.target_out_degree = in.target_out_degree;
+  ar.emeta = detail::project_column<PE>(in.emeta, eproj, threads);
+  ar.target_vmeta = detail::project_column<PV>(in.target_vmeta, vproj, threads);
+  return frozen_dodgr<PV, PE>(g.comm(), std::move(ar), g.ordering(), g.index());
+}
+
+/// Freeze with the metadata stored unchanged: a graph sharing every column.
+template <typename VMeta, typename EMeta>
+[[nodiscard]] frozen_dodgr<VMeta, EMeta> freeze(const frozen_dodgr<VMeta, EMeta>& g,
+                                                const freeze_options& opts = {}) {
+  return freeze(g, detail::copy_meta{}, detail::copy_meta{}, opts);
+}
+
+/// Freeze through a survey plan's declared projections: the frozen graph
+/// stores exactly what that plan (and every plan sharing its projections)
+/// ships -- run the plan over the frozen graph WITHOUT re-declaring the
+/// projections, they are baked into the arenas.
+template <typename Plan>
+  requires requires(const Plan& p) {
+    p.graph();
+    p.vertex_proj();
+    p.edge_proj();
+  }
+[[nodiscard]] auto freeze(const Plan& plan, const freeze_options& opts = {}) {
+  return freeze(plan.graph(), plan.vertex_proj(), plan.edge_proj(), opts);
+}
 
 }  // namespace tripoll::graph

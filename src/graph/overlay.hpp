@@ -240,27 +240,8 @@ class overlay {
 
   [[nodiscard]] ordering_policy ordering() const noexcept { return ordering_; }
 
-  /// Collective: Table 1 columns over base+delta (cached until mutated).
-  [[nodiscard]] graph_census census() {
-    if (census_valid_) return census_;
-    std::uint64_t verts = 0, dir_edges = 0, dmax = 0, dmax_plus = 0, wedges = 0;
-    for (const auto& [v, nd] : nodes_) {
-      (void)v;
-      ++verts;
-      dir_edges += nd.rec.degree;
-      dmax = std::max(dmax, nd.rec.degree);
-      const std::uint64_t dp = nd.rec.out_degree();
-      dmax_plus = std::max(dmax_plus, dp);
-      wedges += dp * (dp - 1) / 2;
-    }
-    census_.num_vertices = comm_->all_reduce_sum(verts);
-    census_.num_directed_edges = comm_->all_reduce_sum(dir_edges);
-    census_.max_degree = comm_->all_reduce_max(dmax);
-    census_.max_out_degree = comm_->all_reduce_max(dmax_plus);
-    census_.wedge_checks = comm_->all_reduce_sum(wedges);
-    census_valid_ = true;
-    return census_;
-  }
+  /// Collective: Table 1 columns over base+delta.
+  [[nodiscard]] graph_census census() const { return detail::census_of(*comm_, *this); }
 
   /// Rank-local content id, bumped deterministically by every mutating
   /// collective (service cache invalidation keys off it).  Seeded from the
@@ -624,8 +605,8 @@ class overlay {
     });
   }
 
-  /// Deterministically advance the content id and invalidate caches after a
-  /// mutating collective (`changed` is a global count, identical everywhere).
+  /// Deterministically advance the content id after a mutating collective
+  /// (`changed` is a global count, identical everywhere).
   void finish_mutation(std::uint64_t changed) {
     ++batches_;
     detail::fnv1a_accumulator acc;
@@ -633,7 +614,6 @@ class overlay {
     acc.mix_u64(batches_);
     acc.mix_u64(changed);
     sid_ = acc.h != 0 ? acc.h : 1;
-    census_valid_ = false;
   }
 
   /// I3b: apply one neighbor's (id, rank, meta) report at receiver `v`.
@@ -687,8 +667,6 @@ class overlay {
   /// (endpoint, new neighbor) for each half of a round-new edge: the
   /// targets of the endpoints' extra (targeted) I5 d+ reports.
   std::vector<std::pair<vertex_id, vertex_id>> round_new_;
-  graph_census census_{};
-  bool census_valid_ = false;
   std::uint64_t sid_ = 1;
   std::uint64_t batches_ = 0;
 };

@@ -7,7 +7,7 @@
 
 #include "comm/runtime.hpp"
 #include "core/survey.hpp"
-#include "graph/dodgr.hpp"
+#include "graph/frozen.hpp"
 
 struct bare_count_callback {
   template <typename View>

@@ -1,6 +1,7 @@
 // Tests for the frozen CSR storage layer (graph/frozen.hpp) and its binary
-// snapshots (graph/snapshot.hpp): structural identity with the mutable map
-// form, projection push-down at freeze time, survey equivalence across the
+// snapshots (graph/snapshot.hpp): structural identity with the built
+// graph, projection push-down at freeze time (sharing the built graph's
+// columns and index), survey equivalence across the
 // backend x ordering x mode x storage matrix (frozen, overlay, loaded
 // snapshot), and snapshot round-trips (including mmap loads inside forked
 // socket ranks).
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -28,7 +30,6 @@
 #include "core/survey.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/builder.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 #include "graph/io.hpp"
 #include "graph/ordering.hpp"
@@ -203,12 +204,20 @@ TEST(Frozen, NoneColumnsOccupyZeroBytes) {
 
 TEST(Frozen, ProjectionPushDownStoresProjectedColumns) {
   tc::runtime::run(3, [](tc::communicator& c) {
-    meta_graph g(c);
-    build_meta_graph(c, g, tg::ordering_policy::degree);
+    auto g = std::make_unique<meta_graph>(c);
+    build_meta_graph(c, *g, tg::ordering_policy::degree);
+    const auto& built = g->arenas();
+
+    // An identity freeze shares every column and the id -> slot index.
+    auto full = tg::freeze(*g);
+    EXPECT_EQ(full.arenas().target.data(), built.target.data());
+    EXPECT_EQ(full.arenas().emeta.data(), built.emeta.data());
+    EXPECT_EQ(full.arenas().target_vmeta.data(), built.target_vmeta.data());
+    EXPECT_EQ(full.index(), g->index());
 
     // Push the closure survey's projections into the arenas: vertex meta
     // dropped entirely, edge meta kept as the 8-byte timestamp.
-    auto fz = tg::freeze(g, tripoll::drop_projection{},
+    auto fz = tg::freeze(*g, tripoll::drop_projection{},
                          [](const std::uint64_t& ts) { return ts; });
     static_assert(std::is_same_v<decltype(fz), tg::frozen_dodgr<tg::none, std::uint64_t>>);
     const auto& ar = fz.arenas();
@@ -216,8 +225,17 @@ TEST(Frozen, ProjectionPushDownStoresProjectedColumns) {
     EXPECT_EQ(ar.target_vmeta.bytes(), 0u);
     EXPECT_EQ(ar.emeta.bytes(), fz.local_num_edges() * 8);
 
+    // The projection stores new metadata columns only: the structural
+    // columns and the index are the built graph's.
+    EXPECT_EQ(ar.vid.data(), built.vid.data());
+    EXPECT_EQ(ar.offset.data(), built.offset.data());
+    EXPECT_EQ(ar.target.data(), built.target.data());
+    EXPECT_EQ(ar.target_out_degree.data(), built.target_out_degree.data());
+    EXPECT_NE(ar.emeta.data(), built.emeta.data());
+    EXPECT_EQ(fz.index(), g->index());
+
     // The projected edge column holds the projected values.
-    g.for_all_local([&](const tg::vertex_id& v, const meta_graph::record_type& rec) {
+    g->for_all_local([&](const tg::vertex_id& v, const meta_graph::record_type& rec) {
       const auto view = fz.local_find(v);
       ASSERT_TRUE(view);
       for (std::size_t j = 0; j < rec.adj.size(); ++j) {
@@ -227,7 +245,7 @@ TEST(Frozen, ProjectionPushDownStoresProjectedColumns) {
 
     // freeze(plan) picks the plan's projections up automatically.
     hist unused;
-    auto plan = tripoll::survey(g)
+    auto plan = tripoll::survey(*g)
                     .project_vertex(tripoll::drop_projection{})
                     .project_edge(cb::timestamp_projection{})
                     .add(closure_cb{}, unused);
@@ -235,6 +253,26 @@ TEST(Frozen, ProjectionPushDownStoresProjectedColumns) {
     static_assert(
         std::is_same_v<decltype(fz2), tg::frozen_dodgr<tg::none, std::uint64_t>>);
     EXPECT_EQ(fz2.local_num_edges(), fz.local_num_edges());
+
+    // The built graph surveys as it stands, exactly like its identity freeze.
+    const auto survey_of = [](auto& graph) {
+      hist h;
+      return tripoll::survey(graph).add(closure_cb{}, h).run();
+    };
+    const auto direct = survey_of(*g);
+    const auto frozen = survey_of(full);
+    EXPECT_GT(direct.total.triangles_found, 0u);
+    EXPECT_EQ(direct.total.triangles_found, frozen.total.triangles_found);
+    EXPECT_EQ(direct.total.total.volume_bytes, frozen.total.total.volume_bytes);
+    EXPECT_EQ(direct.total.total.messages, frozen.total.total.messages);
+
+    // Both frozen graphs outlive the built graph they share columns with.
+    g.reset();
+    const auto after = survey_of(full);
+    EXPECT_EQ(after.total.triangles_found, frozen.total.triangles_found);
+    EXPECT_EQ(after.total.total.volume_bytes, frozen.total.total.volume_bytes);
+    EXPECT_EQ(after.total.total.messages, frozen.total.total.messages);
+    EXPECT_EQ(survey_of(fz).total.triangles_found, frozen.total.triangles_found);
   });
 }
 

@@ -14,7 +14,6 @@
 #include "comm/runtime.hpp"
 #include "graph/builder.hpp"
 #include "gen/presets.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 #include "graph/types.hpp"
 #include "serial/hash.hpp"

@@ -21,7 +21,6 @@
 #include "gen/presets.hpp"
 #include "gen/temporal.hpp"
 #include "gen/web.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 
 namespace tc = tripoll::comm;

@@ -20,7 +20,6 @@
 #include "gen/rmat.hpp"
 #include "gen/temporal.hpp"
 #include "graph/builder.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 

@@ -27,7 +27,6 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/presets.hpp"
 #include "graph/builder.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 #include "graph/overlay.hpp"

@@ -27,7 +27,6 @@
 #include "core/survey.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/builder.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 #include "serial/hash.hpp"

@@ -1,8 +1,9 @@
 // Tests for the streaming overlay (graph/overlay.hpp): base+delta surveys
 // bit-identical to a full rebuild at every batch boundary, repeated-edge
 // dedup (in-batch and against the stored graph), out-of-order timestamps,
-// window boundary semantics, sliding-window expiry, and incremental
-// re-freeze compaction (rank reuse + v3 snapshot round-trip).
+// window boundary semantics, sliding-window expiry, incremental re-freeze
+// compaction (rank reuse + snapshot round-trip), and seeded random mutation
+// sequences checked step by step against a serial model.
 //
 // The socket-backend axis of the identity matrix is exercised end-to-end by
 // tests/socket_smoke.sh, which diffs the CLI `ingest` output across the
@@ -14,11 +15,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <map>
+#include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "baselines/serial_tc.hpp"
 #include "comm/runtime.hpp"
 #include "core/callbacks.hpp"
 #include "core/survey.hpp"
@@ -432,4 +438,160 @@ TEST(StreamingOverlay, IngestAfterCompactionKeepsIdentity) {
     EXPECT_EQ(om.volume, rm.volume);
     EXPECT_EQ(om.messages, rm.messages);
   });
+}
+
+// --- model-based mutation sequences ------------------------------------------
+
+namespace {
+
+using ts_edge = tg::overlay_edge<std::uint64_t>;
+
+/// The serial reference for the overlay: every live undirected edge with
+/// its kept timestamp.  Self-edges are dropped, copies within one batch keep
+/// the least timestamp, a stored edge keeps its own, and expiry drops every
+/// timestamp below t_min.
+struct keep_least_model {
+  std::map<edge_pair, std::uint64_t> live;
+
+  void ingest(const std::vector<ts_edge>& batch) {
+    std::map<edge_pair, std::uint64_t> merged;
+    for (const auto& e : batch) {
+      if (e.u == e.v) continue;
+      const edge_pair key{std::min(e.u, e.v), std::max(e.u, e.v)};
+      if (live.contains(key)) continue;
+      const auto [it, fresh] = merged.try_emplace(key, e.meta);
+      if (!fresh) it->second = std::min(it->second, e.meta);
+    }
+    live.insert(merged.begin(), merged.end());
+  }
+
+  void expire_before(std::uint64_t t_min) {
+    std::erase_if(live, [&](const auto& kv) { return kv.second < t_min; });
+  }
+
+  [[nodiscard]] std::uint64_t window_count(std::uint64_t t0, std::uint64_t t1) const {
+    std::vector<tg::edge> edges;
+    for (const auto& [key, ts] : live) {
+      if (t0 <= ts && ts < t1) edges.push_back({key.first, key.second});
+    }
+    return tripoll::baselines::serial_triangle_count(edges);
+  }
+};
+
+/// One step of a mutation sequence; every step ends with the survey window
+/// set to [t0, t1).
+struct mutation_step {
+  enum class kind { ingest, expire, compact, window } op = kind::window;
+  std::vector<ts_edge> batch;  ///< ingest: the whole batch (ranks take stripes)
+  std::uint64_t t_min = 0;     ///< expire
+  std::uint64_t t0 = 0, t1 = 0;
+};
+
+/// A seeded random sequence over 20 vertices with timestamps drifting
+/// forward, so batches repeat edges and timestamps within and across
+/// batches and expiry keeps cutting the oldest edges.  Scripted steps add
+/// a self-edge, an in-batch duplicate with an equal timestamp, its
+/// cross-batch repeat, and an expiry at exactly the timestamp of a
+/// triangle's edges (kept) next to a triangle with one edge at t_min - 1
+/// (dropped).
+std::vector<mutation_step> mutation_sequence(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<mutation_step> steps;
+  std::uint64_t clock = 100, t0 = 0, t1 = std::numeric_limits<std::uint64_t>::max();
+  const auto random_batch = [&] {
+    std::vector<ts_edge> batch(16 + rng() % 32);
+    for (auto& e : batch) e = {rng() % 20, rng() % 20, clock + rng() % 40};
+    return batch;
+  };
+  for (int i = 0; i < 20; ++i) {
+    mutation_step s;
+    const std::uint64_t r = rng() % 10;
+    if (r < 5) {
+      s.op = mutation_step::kind::ingest;
+      s.batch = random_batch();
+      clock += 10;
+    } else if (r < 7) {
+      s.op = mutation_step::kind::expire;
+      s.t_min = clock - rng() % 30;
+    } else if (r < 8) {
+      s.op = mutation_step::kind::compact;
+    } else {
+      s.op = mutation_step::kind::window;
+      t0 = clock - rng() % 60;
+      t1 = t0 + 1 + rng() % 80;
+    }
+    s.t0 = t0;
+    s.t1 = t1;
+    steps.push_back(std::move(s));
+  }
+
+  const std::uint64_t t_min = clock + 100;
+  using kind = mutation_step::kind;
+  steps.push_back({kind::ingest,
+                   {{30, 30, t_min}, {30, 31, t_min}, {31, 32, t_min}, {30, 32, t_min},
+                    {31, 32, t_min}, {33, 34, t_min}, {34, 35, t_min}, {33, 35, t_min - 1},
+                    {33, 35, t_min + 5}},
+                   0, 0, t1});
+  steps.push_back({kind::ingest, {{30, 31, t_min}, {32, 32, t_min}}, 0, 0, t1});
+  steps.push_back({kind::expire, {}, t_min, 0, t1});
+  steps.push_back({kind::window, {}, 0, t_min, t_min + 1});
+  steps.push_back({kind::compact, {}, 0, t_min, t_min + 1});
+  return steps;
+}
+
+}  // namespace
+
+// Random ingest / expire_before / compact / window sequences at 1, 2 and 3
+// ranks under both orderings: after every step the overlay's windowed and
+// unwindowed counts equal a serial count over the keep-least model.
+TEST(StreamingOverlay, MutationSequencesMatchSerialModel) {
+  const auto steps = mutation_sequence(20211114);
+  constexpr std::uint64_t all_time = std::numeric_limits<std::uint64_t>::max();
+  for (const auto ord :
+       {tg::ordering_policy::degree, tg::ordering_policy::degeneracy}) {
+    for (const int ranks : {1, 2, 3}) {
+      tc::runtime::run(ranks, [&](tc::communicator& c) {
+        keep_least_model model;
+        tg::graph_builder<std::uint64_t, std::uint64_t, tg::merge::keep_least> builder(c, ord);
+        tg::dodgr<std::uint64_t, std::uint64_t> base(c);
+        builder.build_into(base);
+        auto ov = std::make_unique<tg::overlay<std::uint64_t, std::uint64_t>>(base);
+
+        for (std::size_t i = 0; i < steps.size(); ++i) {
+          const auto& s = steps[i];
+          switch (s.op) {
+            case mutation_step::kind::ingest: {
+              tg::overlay<std::uint64_t, std::uint64_t>::edge_batch stripe;
+              for (std::size_t k = static_cast<std::size_t>(c.rank()); k < s.batch.size();
+                   k += static_cast<std::size_t>(c.size())) {
+                stripe.push_back(s.batch[k]);
+              }
+              (void)ov->ingest(stripe);
+              model.ingest(s.batch);
+              break;
+            }
+            case mutation_step::kind::expire:
+              (void)ov->expire_before(s.t_min);
+              model.expire_before(s.t_min);
+              break;
+            case mutation_step::kind::compact: {
+              auto fz = ov->compact();
+              EXPECT_EQ(windowed_count(c, fz, s.t0, s.t1), model.window_count(s.t0, s.t1))
+                  << "compacted, step " << i;
+              ov = std::make_unique<tg::overlay<std::uint64_t, std::uint64_t>>(fz);
+              break;
+            }
+            case mutation_step::kind::window:
+              break;
+          }
+          EXPECT_EQ(windowed_count(c, *ov, s.t0, s.t1), model.window_count(s.t0, s.t1))
+              << "ord " << static_cast<int>(ord) << " ranks " << ranks << " step " << i;
+          EXPECT_EQ(windowed_count(c, *ov, 0, all_time), model.window_count(0, all_time))
+              << "ord " << static_cast<int>(ord) << " ranks " << ranks << " step " << i;
+        }
+        // The scripted expiry kept the triangle whose edges sit at t_min.
+        EXPECT_EQ(model.window_count(steps.back().t0, steps.back().t1), 1u);
+      });
+    }
+  }
 }

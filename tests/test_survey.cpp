@@ -19,7 +19,6 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
-#include "graph/dodgr.hpp"
 #include "graph/frozen.hpp"
 
 namespace tc = tripoll::comm;
