@@ -1,6 +1,6 @@
 // bench_ablation_buffering -- ablation of the message-buffering threshold
-// (DESIGN.md choice M3; paper Sec. 4.1.1: buffering small RPCs into large
-// transport messages is the core of YGM's scalability story).
+// (paper Sec. 4.1.1: buffering small RPCs into large transport messages is
+// the core of YGM's scalability story).
 //
 // Sweeps the per-destination flush threshold from "nearly unbuffered" to
 // large, measuring survey runtime and transport buffer counts.  Expected

@@ -1,5 +1,5 @@
 // bench_ablation_partition -- ablation of vertex-id randomization
-// (DESIGN.md choice M4; paper Sec. 4.2 uses "random or cyclic partitionings"
+// (paper Sec. 4.2 uses "random or cyclic partitionings"
 // and relies on the DODGr construction to tame hub imbalance).
 //
 // Compares survey time and per-rank load spread on the same R-MAT topology

@@ -1,7 +1,6 @@
 // bench_micro_serialization -- microbenchmark of the cereal stand-in
 // (supporting Sec. 4.1.2: serialization cost is "a small amount of
-// computing overhead") and of the buffer pool that recycles transport
-// payload storage.
+// computing overhead").
 //
 // Run with --quick (or TRIPOLL_BENCH_QUICK=1) for the CI smoke: small
 // sizes, short measurement windows, same benchmark names.
@@ -220,33 +219,6 @@ void BM_Varint(benchmark::State& state) {
   }
 }
 
-// The payload-storage cycle of the transport hot path: flush hands a buffer
-// away, drain recycles one back.  Pooled steady state performs no
-// allocations; the fresh variant allocates and frees every cycle.
-void BM_BufferCyclePooled(benchmark::State& state) {
-  const auto bytes = static_cast<std::size_t>(state.range(0));
-  ts::buffer_pool pool(16);
-  const std::uint64_t fill = 0x5555AAAA5555AAAAull;
-  for (auto _ : state) {
-    ts::byte_buffer buf = pool.acquire(bytes);
-    for (std::size_t n = 0; n < bytes; n += sizeof(fill)) buf.append(&fill, sizeof(fill));
-    benchmark::DoNotOptimize(buf.data());
-    pool.recycle(std::move(buf));
-  }
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
-}
-
-void BM_BufferCycleFresh(benchmark::State& state) {
-  const auto bytes = static_cast<std::size_t>(state.range(0));
-  const std::uint64_t fill = 0x5555AAAA5555AAAAull;
-  for (auto _ : state) {
-    ts::byte_buffer buf(bytes);
-    for (std::size_t n = 0; n < bytes; n += sizeof(fill)) buf.append(&fill, sizeof(fill));
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
-}
-
 void register_benchmarks(bool quick) {
   const double min_time = quick ? 0.02 : 0.5;
   auto tune = [&](benchmark::internal::Benchmark* b) { b->MinTime(min_time); };
@@ -285,12 +257,6 @@ void register_benchmarks(bool quick) {
 
   tune(benchmark::RegisterBenchmark("BM_Varint", BM_Varint));
 
-  const std::vector<std::int64_t> cycle_sizes =
-      quick ? std::vector<std::int64_t>{4096} : std::vector<std::int64_t>{4096, 65536};
-  for (auto n : cycle_sizes) {
-    tune(benchmark::RegisterBenchmark("BM_BufferCyclePooled", BM_BufferCyclePooled)->Arg(n));
-    tune(benchmark::RegisterBenchmark("BM_BufferCycleFresh", BM_BufferCycleFresh)->Arg(n));
-  }
 }
 
 }  // namespace

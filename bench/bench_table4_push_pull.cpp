@@ -1,7 +1,7 @@
 // bench_table4_push_pull -- reproduces Table 4 (Push-Only vs Push-Pull:
 // runtime AND measured communication volume across rank counts).
 //
-// The paper's shapes this bench checks (see EXPERIMENTS.md):
+// The paper's shapes this bench checks:
 //  * Push-Only volume is nearly flat in the rank count; Push-Pull volume
 //    *grows* with ranks (shrinking per-rank aggregation opportunities).
 //  * On hub-heavy web graphs Push-Pull slashes volume (paper: >10x on

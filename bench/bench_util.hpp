@@ -1,10 +1,10 @@
 // bench_util.hpp -- shared helpers for the paper-reproduction benches.
 //
 // Every bench binary regenerates one table or figure of the paper
-// (see DESIGN.md Sec. 5) and prints rows in the same structure the paper
-// reports.  Absolute numbers are not comparable to the paper's Catalyst
-// cluster -- the *shape* (who wins, by what factor, where crossovers fall)
-// is what EXPERIMENTS.md checks.
+// (docs/BENCHMARKS.md lists which) and prints rows in the same structure
+// the paper reports.  Absolute numbers are not comparable to the paper's
+// Catalyst cluster -- the *shape* (who wins, by what factor, where
+// crossovers fall) is what to compare.
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,7 @@
 //
 // (The original also prunes degree-1 vertices iteratively; at the scales of
 // this reproduction that preprocessing does not change the ordering of the
-// comparison and is omitted.  See DESIGN.md.)
+// comparison and is omitted.)
 #pragma once
 
 #include <cstdint>

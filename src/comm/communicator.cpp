@@ -39,16 +39,9 @@ void communicator::drain(std::size_t max_buffers) {
     // sends they performed sit in our send buffers and will be flushed
     // before this rank can declare itself idle again.
     transport_->acknowledge_processed(rank_);
-    if (current_payload_shared_) {
-      // A handler stole the payload: its block now belongs to the shared
-      // owner (the reader's raw pointers stayed valid -- the block never
-      // moved).  Drop our reference instead of recycling.
-      current_payload_shared_.reset();
-    } else {
-      // The payload's storage block joins this rank's pool and backs a
-      // future outbound buffer; pools redistribute blocks across ranks.
-      pool_.recycle(std::move(env.payload));
-    }
+    // A handler that stole the payload owns its block now (the reader's raw
+    // pointers stayed valid -- the block never moved); drop our reference.
+    current_payload_shared_.reset();
     ++processed;
   }
   in_drain_ = false;
@@ -79,7 +72,6 @@ void communicator::backoff(unsigned& spins) {
 
 void communicator::barrier() {
   transport_->throw_if_aborted();
-  decay_flush_thresholds();
   flush_all();
   drain(SIZE_MAX);
   flush_all();  // handlers executed in the drain may have buffered new sends

@@ -11,12 +11,11 @@
 // One communicator belongs to exactly one rank thread; only that thread may
 // call its methods.  Handlers run on the destination rank's thread, giving
 // the single-writer discipline the vertex-centric algorithms assume.  (The
-// one sanctioned relaxation -- intra-rank survey workers delivering staged
-// buffers straight to the thread-safe transport, never through the
-// communicator -- is specified in docs/THREADING.md.)
+// one sanctioned relaxation -- intra-rank survey workers delivering their
+// own comm::send_buffers straight to the thread-safe transport, never
+// through the communicator -- is specified in docs/THREADING.md.)
 #pragma once
 
-#include <algorithm>
 #include <any>
 #include <cassert>
 #include <cstdint>
@@ -29,6 +28,7 @@
 
 #include "comm/config.hpp"
 #include "comm/handler_registry.hpp"
+#include "comm/send_buffers.hpp"
 #include "comm/stats.hpp"
 #include "comm/transport.hpp"
 #include "serial/buffer.hpp"
@@ -50,11 +50,7 @@ class communicator {
   communicator(transport& t, int rank)
       : transport_(&t),
         rank_(rank),
-        send_buffers_(static_cast<std::size_t>(t.nranks())),
-        pending_messages_(static_cast<std::size_t>(t.nranks()), 0),
-        flush_thresholds_(static_cast<std::size_t>(t.nranks()),
-                          initial_flush_threshold(t.cfg())),
-        pool_(t.cfg().pool_buffers_per_tier) {}
+        send_buffers_(t, rank) {}
 
   communicator(const communicator&) = delete;
   communicator& operator=(const communicator&) = delete;
@@ -75,28 +71,13 @@ class communicator {
   /// on rank `dest`.  Handler must be a stateless (empty) callable; state
   /// travels through `args`, which must be serializable.  Delivery order
   /// between different destinations is unspecified; messages to one
-  /// destination are delivered in send order.
+  /// destination are delivered in send order.  Buffered per destination
+  /// until config::buffer_capacity bytes or the next flush (send_buffers).
   template <typename Handler, typename... Args>
-  void async(int dest, Handler /*handler*/, const Args&... args) {
-    static_assert(std::is_empty_v<Handler>,
-                  "RPC handlers must be stateless; pass state as arguments");
+  void async(int dest, Handler handler, const Args&... args) {
     assert(dest >= 0 && dest < size());
     transport_->throw_if_aborted();
-
-    const std::uint32_t id = detail::handler_id<Handler, std::decay_t<Args>...>();
-    auto& buf = send_buffers_[static_cast<std::size_t>(dest)];
-    serial::writer w(buf);
-    w.write_varint(id);
-    w(args...);
-    const std::uint64_t pending = ++pending_messages_[static_cast<std::size_t>(dest)];
-
-    // Coalesce until either watermark trips: bytes (adaptive, see below) or
-    // message count (bounds latency for floods of tiny RPCs).
-    if (buf.size() >= flush_thresholds_[static_cast<std::size_t>(dest)]) {
-      flush_grow(dest);
-    } else if (pending >= cfg().flush_message_watermark) {
-      flush(dest);
-    }
+    send_buffers_.async(dest, handler, args...);
     maybe_poll();
   }
 
@@ -107,9 +88,7 @@ class communicator {
   }
 
   /// Flush all per-destination send buffers to the transport.
-  void flush_all() {
-    for (int dest = 0; dest < size(); ++dest) flush(dest);
-  }
+  void flush_all() { send_buffers_.flush_all(); }
 
   /// Drain and execute everything currently in this rank's inbox.
   void process_incoming() { drain(SIZE_MAX); }
@@ -119,8 +98,8 @@ class communicator {
   /// engine's parallel mode hands intersection tasks to worker threads this
   /// way.  Only callable from inside a handler.  The payload's heap block
   /// never moves (byte_buffer moves transfer the pointer), so raw pointers
-  /// taken before the call stay valid; a stolen payload skips the buffer
-  /// pool and is freed when the last shared_ptr drops.
+  /// taken before the call stay valid; a stolen payload is freed when the
+  /// last shared_ptr drops.
   [[nodiscard]] std::shared_ptr<const serial::byte_buffer> share_current_payload();
 
   // --- barrier ---------------------------------------------------------------
@@ -210,59 +189,21 @@ class communicator {
 
   [[nodiscard]] transport& underlying_transport() noexcept { return *transport_; }
 
-  /// Effective adaptive byte watermark for one destination (observability
-  /// for tests and the buffering ablation).
-  [[nodiscard]] std::size_t flush_threshold(int dest) const noexcept {
-    return flush_thresholds_[static_cast<std::size_t>(dest)];
-  }
-
-  /// This rank's payload-storage pool (telemetry only).
-  [[nodiscard]] const serial::buffer_pool& pool() const noexcept { return pool_; }
-
  private:
-  [[nodiscard]] static std::size_t initial_flush_threshold(const config& c) noexcept {
-    return c.adaptive_flush ? std::min(c.flush_min_bytes, c.buffer_capacity)
-                            : c.buffer_capacity;
-  }
-
-  void flush(int dest) {
-    auto& buf = send_buffers_[static_cast<std::size_t>(dest)];
-    if (buf.empty()) return;
-    const std::uint64_t n = pending_messages_[static_cast<std::size_t>(dest)];
-    pending_messages_[static_cast<std::size_t>(dest)] = 0;
-    transport_->deliver(rank_, dest, buf.release(), n);
-    // Re-prime from recycled storage when available; otherwise the buffer
-    // grows lazily on the next append.
-    pool_.try_reuse(buf, flush_thresholds_[static_cast<std::size_t>(dest)]);
-  }
-
-  /// Byte-watermark flush: under sustained traffic the threshold doubles
-  /// toward buffer_capacity so bigger buffers amortize transport overhead.
-  void flush_grow(int dest) {
-    flush(dest);
-    if (!cfg().adaptive_flush) return;
-    auto& threshold = flush_thresholds_[static_cast<std::size_t>(dest)];
-    threshold = std::min(threshold * 2, cfg().buffer_capacity);
-  }
-
-  /// Barrier-time decay: thresholds halve back toward the floor so a phase
-  /// of trickle traffic after a flood is delivered promptly again.
-  void decay_flush_thresholds() {
-    if (!cfg().adaptive_flush) return;
-    const std::size_t floor_bytes = initial_flush_threshold(cfg());
-    for (auto& threshold : flush_thresholds_) {
-      threshold = std::max(threshold / 2, floor_bytes);
-    }
-  }
+  /// A send-heavy rank drains up to kDrainBatch inbound buffers every
+  /// kPollEvery async() calls, keeping its inbox (and memory) bounded; a
+  /// full drain happens at barriers.
+  static constexpr std::size_t kPollEvery = 64;
+  static constexpr std::size_t kDrainBatch = 16;
 
   /// Execute up to `max_buffers` delivered buffers.
   void drain(std::size_t max_buffers);
 
   void maybe_poll() {
     if (in_drain_) return;  // no recursive draining from inside a handler
-    if (++ops_since_poll_ < cfg().poll_every) return;
+    if (++ops_since_poll_ < kPollEvery) return;
     ops_since_poll_ = 0;
-    drain(cfg().drain_batch);
+    drain(kDrainBatch);
   }
 
   /// Exponential-ish backoff for the barrier wait loop: spin, then yield,
@@ -273,10 +214,7 @@ class communicator {
   transport* transport_;
   int rank_;
 
-  std::vector<serial::byte_buffer> send_buffers_;
-  std::vector<std::uint64_t> pending_messages_;
-  std::vector<std::size_t> flush_thresholds_;
-  serial::buffer_pool pool_;
+  send_buffers send_buffers_;
   std::size_t ops_since_poll_ = 0;
   bool in_drain_ = false;
 

@@ -5,42 +5,15 @@
 
 namespace tripoll::comm {
 
-/// Runtime configuration.  Defaults mirror the message-buffering regime the
-/// paper describes (Sec. 4.1.1): small RPCs are aggregated into buffers of a
-/// few KiB before they ever reach the transport.
+/// Runtime configuration.
 struct config {
-  /// Per-destination send-buffer flush ceiling in bytes.  Larger buffers
-  /// amortize per-message overhead but delay delivery; the ablation bench
-  /// `bench_ablation_buffering` sweeps this knob.
-  std::size_t buffer_capacity = 16 * 1024;
-
-  /// Floor of the adaptive byte watermark.  A destination's effective flush
-  /// threshold starts here, doubles toward `buffer_capacity` each time the
-  /// buffer fills under sustained traffic (amortizing transport overhead),
-  /// and halves back toward this floor at every barrier so trickle traffic
-  /// is delivered promptly.
-  std::size_t flush_min_bytes = 2 * 1024;
-
-  /// Message-count watermark: a destination buffer holding this many
-  /// logical RPCs flushes regardless of byte size, bounding the latency of
-  /// tiny-message floods.
-  std::size_t flush_message_watermark = 4096;
-
-  /// Adaptive byte watermark on/off.  Off pins the threshold to
-  /// `buffer_capacity` (the pre-adaptive fixed-size behavior).
-  bool adaptive_flush = true;
-
-  /// Per-tier cap of the per-rank buffer_pool that recycles transport
-  /// payload storage.  0 disables pooling.
-  std::size_t pool_buffers_per_tier = 16;
-
-  /// How many async() calls a rank performs between opportunistic polls of
-  /// its own inbox.  Keeps memory bounded when a rank is send-heavy.
-  std::size_t poll_every = 64;
-
-  /// Maximum number of inbound transport buffers drained per opportunistic
-  /// poll (a full drain happens at barriers).
-  std::size_t drain_batch = 16;
+  /// Per-destination send-buffer size in bytes.  Every RPC sender (the
+  /// communicator and each survey worker, comm/send_buffers.hpp) appends
+  /// RPCs to a per-destination buffer and hands it to the transport once it
+  /// reaches this many bytes, and at every flush or barrier -- the paper's
+  /// message buffering (Sec. 4.1.1).  Larger buffers amortize per-message
+  /// overhead but delay delivery; `bench_ablation_buffering` sweeps this.
+  std::size_t buffer_capacity = 64 * 1024;
 
   /// Watchdog: a rank waiting in a barrier longer than this without global
   /// progress aborts the run with a diagnostic instead of hanging forever.

@@ -26,8 +26,8 @@ namespace tripoll::comm {
 /// any thread; the consumer is the owning rank's thread (single consumer).
 class mailbox {
  public:
-  /// A flushed transport buffer and its source rank.  The payload's storage
-  /// block is pool-recycled by the consumer after draining.
+  /// A flushed transport buffer and its source rank.  The consumer frees
+  /// the payload after draining it, unless a handler shared it.
   struct envelope {
     serial::byte_buffer payload;
     int source = 0;

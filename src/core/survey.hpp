@@ -70,6 +70,7 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
+#include "comm/send_buffers.hpp"
 #include "core/intersect.hpp"
 #include "core/packed_batch.hpp"
 #include "core/parallel.hpp"
@@ -360,58 +361,11 @@ class survey_engine {
     }
   }
 
-  // --- send paths (serial via the communicator, parallel via staged buffers) --
+  // --- send paths (serial via the communicator, parallel via per-worker
+  // --- comm::send_buffers delivering straight to the transport) --------------
 
-  /// Per-worker send staging: the exact wire recipe of communicator::async
-  /// (varint handler id + serialized args, coalesced per destination) with
-  /// delivery straight to the thread-safe transport under this rank's id.
-  /// Identical bytes-per-RPC and one logical message per RPC keep
-  /// volume_bytes and messages invariant to how sends are grouped, hence to
-  /// the thread count (docs/THREADING.md).
-  class staged_sender {
-   public:
-    staged_sender(comm::transport& t, int rank, int nranks)
-        : t_(&t), rank_(rank), bufs_(static_cast<std::size_t>(nranks)),
-          counts_(static_cast<std::size_t>(nranks), 0) {}
-
-    template <typename Handler, typename... Args>
-    void async(int dest, Handler /*handler*/, const Args&... args) {
-      static_assert(std::is_empty_v<Handler>);
-      const std::uint32_t id = comm::detail::handler_id<Handler, std::decay_t<Args>...>();
-      auto& buf = bufs_[static_cast<std::size_t>(dest)];
-      serial::writer w(buf);
-      w.write_varint(id);
-      w(args...);
-      ++counts_[static_cast<std::size_t>(dest)];
-      if (buf.size() >= kStageBytes) flush(dest);
-    }
-
-    void flush(int dest) {
-      auto& buf = bufs_[static_cast<std::size_t>(dest)];
-      if (buf.empty()) return;
-      const std::uint64_t n = counts_[static_cast<std::size_t>(dest)];
-      counts_[static_cast<std::size_t>(dest)] = 0;
-      t_->deliver(rank_, dest, buf.release(), n);
-    }
-
-    void flush_all() {
-      for (int dest = 0; dest < static_cast<int>(bufs_.size()); ++dest) flush(dest);
-    }
-
-    /// Fixed watermark: workers see no barrier-time decay, so a static value
-    /// keeps staging deterministic and simple (64 KiB amortizes transport
-    /// overhead without hoarding memory across `threads x nranks` buffers).
-    static constexpr std::size_t kStageBytes = 64 * 1024;
-
-   private:
-    comm::transport* t_;
-    int rank_;
-    std::vector<serial::byte_buffer> bufs_;
-    std::vector<std::uint64_t> counts_;
-  };
-
-  /// Serial twin of staged_sender: forwards to the communicator (adaptive
-  /// flushing, polling) so the single-threaded path is exactly the old one.
+  /// Owning-thread sender: forwards to the communicator, whose send_buffers
+  /// follow the same rule as a worker's and which also polls its inbox.
   struct comm_sender {
     comm::communicator* c;
     template <typename Handler, typename... Args>
@@ -422,7 +376,7 @@ class survey_engine {
 
   /// Ship the wedge batch (p; q at position i; suffix beyond i) to Rank(q),
   /// all metadata projected sender-side.  `snd` is a comm_sender on the
-  /// owning thread or a worker's staged_sender; the counters are the
+  /// owning thread or a worker's comm::send_buffers; the counters are the
   /// caller's (engine-local or per-worker, merged later).
   template <typename Sender>
   void send_wedge_batch(Sender& snd, graph::vertex_id p, const record_type& rec,
@@ -483,12 +437,12 @@ class survey_engine {
     std::vector<batch_entry> scratch;  ///< decoded batches this thread intersects
   };
 
-  /// One worker thread's whole world: its fire state plus its staged sender
+  /// One worker thread's whole world: its fire state plus its send buffers
   /// and send counter.
   struct worker_ctx : fire_state {
-    worker_ctx(Plan& plan, comm::transport& t, int rank, int nranks)
-        : fire_state(plan), sender(t, rank, nranks) {}
-    staged_sender sender;
+    worker_ctx(Plan& plan, comm::transport& t, int rank)
+        : fire_state(plan), sender(t, rank) {}
+    comm::send_buffers sender;
     std::uint64_t push_batches = 0;
   };
 
@@ -538,13 +492,12 @@ class survey_engine {
     void run_stage(Stage&& stage) {
       auto& transport = eng_.comm_->underlying_transport();
       const int rank = eng_.comm_->rank();
-      const int nranks = eng_.comm_->size();
       eng_.tasks_.reopen();
       eng_.tasks_enabled_ = true;
       eng_.senders_active_.store(eng_.threads_, std::memory_order_relaxed);
       ctxs_.reserve(static_cast<std::size_t>(eng_.threads_));
       for (int w = 0; w < eng_.threads_; ++w) {
-        ctxs_.push_back(std::make_unique<worker_ctx>(*eng_.plan_, transport, rank, nranks));
+        ctxs_.push_back(std::make_unique<worker_ctx>(*eng_.plan_, transport, rank));
       }
       for (int w = 0; w < eng_.threads_; ++w) {
         threads_.emplace_back([this, w, &transport, stage]() mutable {
@@ -569,7 +522,7 @@ class survey_engine {
       }
       // The owning thread drains (and enqueues tasks) while workers send,
       // closing queued batches itself between polls; leaving only once
-      // senders_active_ hits zero guarantees every staged buffer has been
+      // senders_active_ hits zero guarantees every worker's buffer has been
       // delivered before this rank can announce idle.
       while (eng_.senders_active_.load(std::memory_order_acquire) > 0) {
         eng_.comm_->process_incoming();
@@ -684,7 +637,7 @@ class survey_engine {
   /// sends items [first, last) through ctx.sender, counting into
   /// ctx.candidates / ctx.push_batches.  With threads > 1 the worker pool
   /// consumes self-scheduled chunks; otherwise the owning thread walks the
-  /// whole range through the communicator (adaptive flushing, polling).
+  /// whole range through the communicator (which also polls its inbox).
   /// `own_` holds the slices of the batches the owning thread closes itself
   /// (all of them at threads == 1); it joins after the workers.
   template <typename Range>

@@ -3,7 +3,7 @@
 // The paper evaluates on LiveJournal, Friendster, Twitter, uk-2007-05,
 // web-cc12-hostgraph and WDC-2012 (Table 1).  Those range from 69M to 224B
 // edges; this single-node reproduction uses topology-class-matched synthetic
-// graphs (see DESIGN.md Sec. 2): R-MAT of varying skew for the social
+// graphs: R-MAT of varying skew for the social
 // networks, the hub-heavy clustered web generator for the web graphs.
 #pragma once
 

@@ -1,4 +1,4 @@
-// buffer.hpp -- flat byte buffer, size-tiered buffer pool, bounds-checked reader.
+// buffer.hpp -- flat byte buffer, frame header, bounds-checked reader.
 //
 // This is the lowest layer of the cereal stand-in used by the simulated
 // distributed runtime: every RPC payload is serialized into a byte_buffer,
@@ -9,11 +9,11 @@
 // appends millions of small records per second and never reads storage it
 // did not write, so growth leaves new capacity uninitialized (a vector
 // value-initializes on resize/insert) and append compiles down to a
-// bounds check plus memcpy.  Storage blocks are recycled through
-// buffer_pool so steady-state traffic performs no allocations at all.
+// bounds check plus memcpy.  A send buffer grows toward
+// config::buffer_capacity and its block moves to the transport on flush;
+// the allocator, not a pool, reuses freed blocks.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -36,8 +36,7 @@ class deserialize_error : public std::runtime_error {
 
 /// Growable, append-only byte sink backed by a flat heap block with
 /// uninitialized growth.  All typed encoding lives in serialize.hpp.
-/// Move-only: payloads are handed to the transport by move and recycled
-/// through buffer_pool, never copied.
+/// Move-only: payloads are handed to the transport by move, never copied.
 class byte_buffer {
  public:
   byte_buffer() = default;
@@ -125,10 +124,6 @@ class byte_buffer {
   /// buffer without copying); this buffer is left empty with no storage.
   [[nodiscard]] byte_buffer release() noexcept { return std::move(*this); }
 
-  /// Adopt another buffer's storage (recycled from a pool); existing
-  /// contents are discarded.
-  void adopt(byte_buffer other) noexcept { *this = std::move(other); }
-
  private:
   void grow(std::size_t min_capacity) {
     std::size_t new_capacity = capacity_ == 0 ? 64 : capacity_ * 2;
@@ -145,112 +140,6 @@ class byte_buffer {
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
-};
-
-/// Size-tiered freelist of byte_buffer storage blocks.  Tier i holds
-/// buffers with capacity in [2^(kMinTierLog2+i), 2^(kMinTierLog2+i+1));
-/// acquire() rounds the request up to a tier so recycled blocks are
-/// interchangeable within their class.  Not thread-safe: each rank owns a
-/// pool, and buffers flushed to another rank are recycled into the
-/// *receiver's* pool after draining (pools redistribute storage across
-/// ranks instead of returning it to the allocator).
-class buffer_pool {
- public:
-  static constexpr std::size_t kMinTierLog2 = 9;   // 512 B
-  static constexpr std::size_t kMaxTierLog2 = 21;  // 2 MiB
-  static constexpr std::size_t kTiers = kMaxTierLog2 - kMinTierLog2 + 1;
-
-  explicit buffer_pool(std::size_t max_per_tier = 16) noexcept
-      : max_per_tier_(max_per_tier < kShelfSlots ? max_per_tier : kShelfSlots) {}
-
-  /// A buffer with capacity >= min_bytes: recycled when the tier has one
-  /// big enough, freshly allocated otherwise.  Requests above the top tier
-  /// class are honored at their exact size (and such blocks are simply not
-  /// pooled on recycle).
-  [[nodiscard]] byte_buffer acquire(std::size_t min_bytes) {
-    const std::size_t tier = tier_for(min_bytes);
-    auto& shelf = tiers_[tier];
-    if (shelf.count > 0 && shelf.slots[shelf.count - 1].capacity() >= min_bytes) {
-      ++hits_;
-      byte_buffer out = std::move(shelf.slots[--shelf.count]);
-      out.clear();
-      return out;
-    }
-    ++misses_;
-    const std::size_t class_bytes = std::size_t{1} << (kMinTierLog2 + tier);
-    return byte_buffer(class_bytes < min_bytes ? min_bytes : class_bytes);
-  }
-
-  /// Return a storage block to its tier; oversize/undersize blocks and full
-  /// tiers simply drop the block (freed by ~byte_buffer).
-  void recycle(byte_buffer buf) noexcept {
-    const std::size_t cap = buf.capacity();
-    if (cap < (std::size_t{1} << kMinTierLog2) ||
-        cap > (std::size_t{1} << (kMaxTierLog2 + 1))) {
-      return;
-    }
-    // A block is reusable for every request of its tier or below; file it
-    // under the largest tier whose class size it satisfies.
-    std::size_t tier = 0;
-    while (tier + 1 < kTiers && (std::size_t{1} << (kMinTierLog2 + tier + 1)) <= cap) {
-      ++tier;
-    }
-    auto& shelf = tiers_[tier];
-    if (shelf.count >= max_per_tier_ || shelf.count >= kShelfSlots) return;
-    buf.clear();
-    shelf.slots[shelf.count++] = std::move(buf);
-    ++recycled_;
-  }
-
-  /// Hand `buf` a recycled storage block if one is on the shelf; leaves it
-  /// untouched (empty, unallocated) when the pool has nothing -- the buffer
-  /// then grows lazily on first append.
-  void try_reuse(byte_buffer& buf, std::size_t want_bytes) {
-    const std::size_t tier = tier_for(want_bytes);
-    auto& shelf = tiers_[tier];
-    if (shelf.count == 0 || shelf.slots[shelf.count - 1].capacity() < want_bytes) {
-      // The caller's buffer will allocate lazily instead -- that deferred
-      // allocation is this miss.
-      ++misses_;
-      return;
-    }
-    ++hits_;
-    buf.adopt(std::move(shelf.slots[--shelf.count]));
-    buf.clear();
-  }
-
-  // Pool telemetry (tests and the pool microbench).
-  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
-  [[nodiscard]] std::uint64_t recycled() const noexcept { return recycled_; }
-
-  [[nodiscard]] std::size_t pooled_count() const noexcept {
-    std::size_t n = 0;
-    for (const auto& shelf : tiers_) n += shelf.count;
-    return n;
-  }
-
- private:
-  static constexpr std::size_t kShelfSlots = 64;
-
-  struct shelf_t {
-    std::array<byte_buffer, kShelfSlots> slots;
-    std::size_t count = 0;
-  };
-
-  [[nodiscard]] static std::size_t tier_for(std::size_t bytes) noexcept {
-    std::size_t tier = 0;
-    while (tier < kTiers - 1 && (std::size_t{1} << (kMinTierLog2 + tier)) < bytes) {
-      ++tier;
-    }
-    return tier;
-  }
-
-  std::array<shelf_t, kTiers> tiers_{};
-  std::size_t max_per_tier_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t recycled_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -278,113 +278,29 @@ struct seq_handler {
 
 }  // namespace
 
-TEST(Flush, MessageWatermarkBoundsCoalescing) {
-  // With an effectively infinite byte threshold, the message-count watermark
-  // must still force flushes.
-  tc::config cfg;
-  cfg.buffer_capacity = 8 * 1024 * 1024;
-  cfg.adaptive_flush = false;  // pin byte threshold to buffer_capacity
-  cfg.flush_message_watermark = 8;
-  auto stats = tc::runtime::run(
-      2,
-      [](tc::communicator& c) {
-        if (c.rank0()) {
-          for (int i = 0; i < 100; ++i) c.async(1, bump_counter{}, std::uint64_t{1});
-        }
-        c.barrier();
-      },
-      cfg);
-  EXPECT_GE(stats.messages_sent, 100u);
-  // 100 messages at watermark 8 = 12 watermark flushes + the barrier flush.
-  EXPECT_GE(stats.buffers_sent, 12u);
-}
-
-TEST(Flush, AdaptiveThresholdGrowsUnderLoadAndDecaysAtBarriers) {
-  tc::config cfg;
-  cfg.buffer_capacity = 16 * 1024;
-  cfg.flush_min_bytes = 256;
-  cfg.adaptive_flush = true;
-  tc::runtime::run(
-      2,
-      [&](tc::communicator& c) {
-        EXPECT_EQ(c.flush_threshold(1), 256u);
-        if (c.rank0()) {
-          // ~160 KB of traffic: enough byte-watermark flushes to double the
-          // threshold up to the ceiling.
-          for (int i = 0; i < 20000; ++i) c.async(1, bump_counter{}, std::uint64_t{1});
-          EXPECT_EQ(c.flush_threshold(1), cfg.buffer_capacity);
-        }
-        c.barrier();
-        if (c.rank0()) {
-          // decay_flush_thresholds() halved it on barrier entry.
-          EXPECT_LT(c.flush_threshold(1), cfg.buffer_capacity);
-          for (int i = 0; i < 10; ++i) c.barrier();
-          EXPECT_EQ(c.flush_threshold(1), 256u);  // back at the floor
-        } else {
-          for (int i = 0; i < 10; ++i) c.barrier();
-        }
-      },
-      cfg);
-}
-
-TEST(Flush, FixedThresholdWhenAdaptiveDisabled) {
+TEST(Flush, DestinationFlushesAtBufferCapacity) {
+  // The one send-buffer rule: a destination's buffer goes to the transport
+  // once it holds buffer_capacity bytes, and at the barrier.  Every RPC here
+  // has the same size, so the flush count follows from the capacity alone.
   tc::config cfg;
   cfg.buffer_capacity = 4096;
-  cfg.adaptive_flush = false;
-  tc::runtime::run(
-      2,
-      [&](tc::communicator& c) {
-        EXPECT_EQ(c.flush_threshold(0), 4096u);
-        if (c.rank0()) {
-          for (int i = 0; i < 5000; ++i) c.async(1, bump_counter{}, std::uint64_t{1});
-          EXPECT_EQ(c.flush_threshold(1), 4096u);  // never moves
-        }
-        c.barrier();
-        EXPECT_EQ(c.flush_threshold(0), 4096u);
-      },
-      cfg);
-}
-
-TEST(Pool, PayloadStorageIsRecycledAcrossRanks) {
-  // Rank 0 floods rank 1; the drained payload blocks join rank 1's pool and
-  // back its replies, so rank 1's flushes hit the pool instead of malloc.
-  tc::config cfg;
-  cfg.buffer_capacity = 2048;
-  cfg.flush_min_bytes = 2048;
+  constexpr std::uint64_t kSends = 5000;
   auto stats = tc::runtime::run(
       2,
       [](tc::communicator& c) {
         if (c.rank0()) {
-          for (int i = 0; i < 2000; ++i) c.async(1, bump_counter{}, std::uint64_t{1});
-        }
-        c.barrier();
-        if (c.rank() == 1) {
-          for (int i = 0; i < 2000; ++i) c.async(0, bump_counter{}, std::uint64_t{1});
-          EXPECT_GT(c.pool().hits(), 0u);
+          for (std::uint64_t i = 0; i < kSends; ++i) {
+            c.async(1, bump_counter{}, std::uint64_t{1});
+          }
         }
         c.barrier();
       },
       cfg);
-  EXPECT_GE(stats.handlers_run, 4000u);
-}
-
-TEST(Pool, DisabledByZeroTierCap) {
-  tc::config cfg;
-  cfg.buffer_capacity = 2048;
-  cfg.pool_buffers_per_tier = 0;
-  tc::runtime::run(
-      2,
-      [](tc::communicator& c) {
-        if (c.rank0()) {
-          for (int i = 0; i < 2000; ++i) c.async(1, bump_counter{}, std::uint64_t{1});
-        }
-        c.barrier();
-        c.async((c.rank() + 1) % c.size(), bump_counter{}, std::uint64_t{1});
-        c.barrier();
-        EXPECT_EQ(c.pool().hits(), 0u);
-        EXPECT_EQ(c.pool().recycled(), 0u);
-      },
-      cfg);
+  ASSERT_EQ(stats.messages_sent, kSends);
+  ASSERT_EQ(stats.remote_bytes % kSends, 0u);
+  const std::uint64_t rpc_bytes = stats.remote_bytes / kSends;
+  const std::uint64_t rpcs_per_buffer = (cfg.buffer_capacity + rpc_bytes - 1) / rpc_bytes;
+  EXPECT_EQ(stats.buffers_sent, (kSends + rpcs_per_buffer - 1) / rpcs_per_buffer);
 }
 
 TEST(Drain, PerSourceOrderSurvivesInterleavedDelivery) {
@@ -393,7 +309,6 @@ TEST(Drain, PerSourceOrderSurvivesInterleavedDelivery) {
   // must be processed in send order.
   tc::config cfg;
   cfg.buffer_capacity = 64;
-  cfg.flush_min_bytes = 64;
   const int n = 4;
   const std::uint64_t per_rank = 500;
   tc::runtime::run(

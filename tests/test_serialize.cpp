@@ -76,56 +76,6 @@ TEST(ByteBuffer, PrepareCommitWritesInPlace) {
   EXPECT_EQ(buf.data()[1], std::byte{2});
 }
 
-// --- buffer pool -------------------------------------------------------------
-
-TEST(BufferPool, RecycledStorageIsReused) {
-  ts::buffer_pool pool(4);
-  ts::byte_buffer buf = pool.acquire(4096);
-  EXPECT_EQ(pool.misses(), 1u);
-  const std::uint64_t v = 42;
-  buf.append(&v, sizeof(v));
-  const auto* storage = buf.data();
-  pool.recycle(std::move(buf));
-  EXPECT_EQ(pool.recycled(), 1u);
-  EXPECT_EQ(pool.pooled_count(), 1u);
-
-  ts::byte_buffer again = pool.acquire(4096);
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(again.data(), storage);  // same block, no allocation
-  EXPECT_TRUE(again.empty());        // recycled buffers come back cleared
-}
-
-TEST(BufferPool, AcquireGrantsRequestedCapacity) {
-  ts::buffer_pool pool;
-  for (std::size_t want : {std::size_t{1}, std::size_t{600}, std::size_t{100000}}) {
-    EXPECT_GE(pool.acquire(want).capacity(), want);
-  }
-}
-
-TEST(BufferPool, TierCapDropsExcess) {
-  ts::buffer_pool pool(2);
-  for (int i = 0; i < 5; ++i) pool.recycle(ts::byte_buffer(4096));
-  EXPECT_EQ(pool.pooled_count(), 2u);
-}
-
-TEST(BufferPool, TinyAndHugeBlocksAreDropped) {
-  ts::buffer_pool pool(8);
-  pool.recycle(ts::byte_buffer{});     // no storage at all
-  pool.recycle(ts::byte_buffer(16));   // below the smallest tier
-  EXPECT_EQ(pool.pooled_count(), 0u);
-}
-
-TEST(BufferPool, TryReuseLeavesBufferAloneWhenEmpty) {
-  ts::buffer_pool pool;
-  ts::byte_buffer buf;
-  pool.try_reuse(buf, 4096);
-  EXPECT_EQ(buf.capacity(), 0u);  // pool empty: no allocation forced
-  pool.recycle(ts::byte_buffer(4096));
-  pool.try_reuse(buf, 4096);
-  EXPECT_GE(buf.capacity(), 4096u);
-  EXPECT_EQ(pool.hits(), 1u);
-}
-
 TEST(BufferReader, ReadPastEndThrows) {
   ts::byte_buffer buf;
   const std::uint32_t v = 7;

@@ -107,41 +107,49 @@ TEST(SurveyDeterminism, CountIndependentOfRankCount) {
 
 // --- configuration robustness -----------------------------------------------------
 
-class BufferSweep : public ::testing::TestWithParam<std::size_t> {};
+class BufferSweep : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
 
+// Buffer grouping never shows in a survey's results: triangles, volume_bytes
+// and messages at any buffer_capacity and thread count equal the
+// default-config, single-thread reference.
 TEST_P(BufferSweep, CountsInvariantUnderFlushThreshold) {
+  const auto [capacity, threads] = GetParam();
+  struct outcome {
+    std::uint64_t triangles = 0;
+    tripoll::phase_metrics total;
+  };
+  const auto survey = [](const tc::config& cfg, int nthreads) {
+    outcome out;
+    tc::runtime::run(
+        4,
+        [&](tc::communicator& c) {
+          tripoll::gen::plain_graph g(c);
+          build_rmat(c, g, 9, 55);
+          auto fz = tripoll::graph::freeze(g);
+          cb::count_context ctx;
+          const auto result = tripoll::triangle_survey(fz, cb::count_callback{}, ctx,
+                                                       {survey_mode::push_pull, nthreads});
+          const auto total = ctx.global_count(c);
+          if (c.rank0()) out = {total, result.total};
+        },
+        cfg);
+    return out;
+  };
   tc::config cfg;
-  cfg.buffer_capacity = GetParam();
-  std::uint64_t triangles = 0;
-  tc::runtime::run(
-      4,
-      [&](tc::communicator& c) {
-        tripoll::gen::plain_graph g(c);
-        build_rmat(c, g, 9, 55);
-        auto fz = tripoll::graph::freeze(g);
-        cb::count_context ctx;
-        tripoll::triangle_survey(fz, cb::count_callback{}, ctx, {survey_mode::push_pull});
-        const auto total = ctx.global_count(c);
-        if (c.rank0()) triangles = total;
-      },
-      cfg);
-  // Reference with default config.
-  std::uint64_t reference = 0;
-  tc::runtime::run(4, [&](tc::communicator& c) {
-    tripoll::gen::plain_graph g(c);
-    build_rmat(c, g, 9, 55);
-    auto fz = tripoll::graph::freeze(g);
-    cb::count_context ctx;
-    tripoll::triangle_survey(fz, cb::count_callback{}, ctx, {survey_mode::push_pull});
-    const auto total = ctx.global_count(c);
-    if (c.rank0()) reference = total;
-  });
-  EXPECT_EQ(triangles, reference);
+  cfg.buffer_capacity = capacity;
+  const outcome swept = survey(cfg, threads);
+  const outcome reference = survey(tc::config{}, 1);
+  EXPECT_GT(reference.triangles, 0u);
+  EXPECT_EQ(swept.triangles, reference.triangles);
+  EXPECT_EQ(swept.total.volume_bytes, reference.total.volume_bytes);
+  EXPECT_EQ(swept.total.messages, reference.total.messages);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, BufferSweep,
-                         ::testing::Values(std::size_t{32}, std::size_t{256},
-                                           std::size_t{4096}, std::size_t{1048576}));
+                         ::testing::Combine(::testing::Values(std::size_t{32}, std::size_t{256},
+                                                              std::size_t{4096},
+                                                              std::size_t{1048576}),
+                                            ::testing::Values(1, 2)));
 
 // --- push-pull vs push-only relationships ------------------------------------------
 

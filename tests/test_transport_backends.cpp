@@ -119,7 +119,6 @@ TEST_P(BackendConformance, OutOfOrderDrainKeepsPerSourceFifo) {
   // across sources is fine, reordering within one source is not.
   tc::config cfg;
   cfg.buffer_capacity = 64;
-  cfg.flush_min_bytes = 64;
   const int n = 4;
   const std::uint64_t per_rank = 400;
   run_ranks(

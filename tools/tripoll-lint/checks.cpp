@@ -448,7 +448,7 @@ void scan_view_escapes(const file_model& f, const function_decl& fn,
       if (member_lhs && (t[i + 1].text == ";" || t[i + 1].text == ".")) {
         std::ostringstream msg;
         msg << "handler view argument '" << name << "' is stored in a member; "
-            << "it points into the receive payload, which is recycled after "
+            << "it points into the receive payload, which is freed after "
             << "the handler returns -- copy the bytes instead "
             << "(docs/THREADING.md)";
         out.push_back({f.path, t[i].line, t[i].col, kViewEscape, msg.str()});
@@ -470,7 +470,7 @@ void scan_view_escapes(const file_model& f, const function_decl& fn,
           std::ostringstream msg;
           msg << "handler view argument '" << name << "' is stored in a member "
               << "container; it points into the receive payload, which is "
-              << "recycled after the handler returns -- copy the bytes instead "
+              << "freed after the handler returns -- copy the bytes instead "
               << "(docs/THREADING.md)";
           out.push_back({f.path, t[i].line, t[i].col, kViewEscape, msg.str()});
         }

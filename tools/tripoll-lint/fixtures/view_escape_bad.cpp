@@ -10,7 +10,7 @@ namespace fixture {
 struct wedge_handler {
   void operator()(communicator& c, wire_span<std::uint64_t> candidates) {
     // Deferred without the share_current_payload() escort: the span points
-    // into a payload that is recycled when the handler returns.
+    // into a payload that is freed when the handler returns.
     c.async(0, [candidates] {  // EXPECT: tripoll-view-escape
       (void)candidates;
     });
