@@ -5,35 +5,46 @@
 // degree-sorted lists (Sec. 4.3); binary-search and hashing variants are the
 // two other canonical strategies in the distributed triangle-counting
 // literature (Sec. 2) and are implemented for the baselines and for the
-// `bench_micro_intersection` comparison.  Every wedge batch and pulled
-// adjacency of a survey closes through `adaptive_intersect`.
+// `bench_micro_intersection` comparison.  Every wedge batch of a survey
+// closes through `adaptive_intersect`; every pulled adjacency closes through
+// one `probe_table` built over it.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
+#include <limits>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace tripoll::core {
 
 /// Merge-path intersection of two ranges sorted ascending under keys
 /// extracted by `key_a`/`key_b` (comparable with <, ==).  Invokes
-/// `on_match(a_elem, b_elem)` for every common key.
+/// `on_match(a_elem, b_elem)` for every common key.  Each side's current key
+/// is kept and re-extracted only when that side advances, so the kernel
+/// extracts at most |A| + |B| keys.
 template <typename ItA, typename ItB, typename KeyA, typename KeyB, typename OnMatch>
 void merge_path_intersect(ItA a, ItA a_end, ItB b, ItB b_end, KeyA key_a, KeyB key_b,
                           OnMatch&& on_match) {
-  while (a != a_end && b != b_end) {
-    const auto ka = key_a(*a);
-    const auto kb = key_b(*b);
+  if (a == a_end || b == b_end) return;
+  auto ka = key_a(*a);
+  auto kb = key_b(*b);
+  while (true) {
     if (ka < kb) {
-      ++a;
+      if (++a == a_end) return;
+      ka = key_a(*a);
     } else if (kb < ka) {
-      ++b;
+      if (++b == b_end) return;
+      kb = key_b(*b);
     } else {
       on_match(*a, *b);
-      ++a;
-      ++b;
+      if (++a == a_end || ++b == b_end) return;
+      ka = key_a(*a);
+      kb = key_b(*b);
     }
   }
 }
@@ -62,9 +73,11 @@ void binary_search_intersect(ItA a, ItA a_end, ItB b, ItB b_end, KeyA key_a, Key
 template <typename ItA, typename ItB, typename KeyA, typename KeyB, typename OnMatch>
 void gallop_intersect(ItA a, ItA a_end, ItB b, ItB b_end, KeyA key_a, KeyB key_b,
                       OnMatch&& on_match) {
-  while (a != a_end && b != b_end) {
-    const auto ka = key_a(*a);
-    if (key_b(*b) < ka) {
+  if (a == a_end || b == b_end) return;
+  auto ka = key_a(*a);
+  auto kb = key_b(*b);
+  while (true) {
+    if (kb < ka) {
       // Gallop: after the loop, every element in [b, b+lo) is < ka and
       // b[hi] (if it exists) is >= ka; binary search the window between.
       const auto n = static_cast<std::size_t>(std::distance(b, b_end));
@@ -79,14 +92,16 @@ void gallop_intersect(ItA a, ItA a_end, ItB b, ItB b_end, KeyA key_a, KeyB key_b
                            b + static_cast<std::ptrdiff_t>(hi), ka,
                            [&](const auto& elem, const auto& k) { return key_b(elem) < k; });
       if (b == b_end) return;
+      kb = key_b(*b);
     }
-    const auto kb = key_b(*b);
     if (ka < kb) {
-      ++a;
+      if (++a == a_end) return;
+      ka = key_a(*a);
     } else {
       on_match(*a, *b);
-      ++a;
-      ++b;
+      if (++a == a_end || ++b == b_end) return;
+      ka = key_a(*a);
+      kb = key_b(*b);
     }
   }
 }
@@ -155,5 +170,54 @@ void hash_intersect(ItA a, ItA a_end, ItB b, ItB b_end, KeyA key_a, KeyB key_b,
     if (hit != index.end()) on_match(*a, *hit->second);
   }
 }
+
+/// Open-addressing index over a list of n entries: the survey builds one
+/// per pulled adjacency Adjm+(q) and probes it with every entry of each
+/// local source's suffix, so the pulled list is walked once, not once per
+/// source.  Slots hold entry index + 1 (0 = empty) under a multiplicative
+/// hash of the entry's id.  The table keeps at least 2n slots (load <= 1/2),
+/// so every probe ends at an empty slot.  build() reuses the storage.
+class probe_table {
+ public:
+  static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
+
+  /// Index entries [0, n); entry k is filed under id_of(k).
+  template <typename IdOf>
+  void build(std::size_t n, IdOf id_of) {
+    if (n >= std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("probe_table: too many entries");
+    }
+    unsigned bits = 1;
+    while ((std::size_t{1} << bits) < 2 * n) ++bits;
+    shift_ = 64 - bits;
+    mask_ = (std::size_t{1} << bits) - 1;
+    slots_.assign(mask_ + 1, 0);
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t s = home(id_of(k));
+      while (slots_[s] != 0) s = (s + 1) & mask_;
+      slots_[s] = static_cast<std::uint32_t>(k + 1);
+    }
+  }
+
+  /// The first entry filed under `id` for which `match(k)` holds, or npos.
+  /// `match` must check the id too: other ids share probe sequences.
+  template <typename Match>
+  [[nodiscard]] std::size_t find(std::uint64_t id, Match match) const {
+    for (std::size_t s = home(id);; s = (s + 1) & mask_) {
+      const std::uint32_t v = slots_[s];
+      if (v == 0) return npos;
+      if (match(std::size_t{v} - 1)) return std::size_t{v} - 1;
+    }
+  }
+
+ private:
+  [[nodiscard]] std::size_t home(std::uint64_t id) const noexcept {
+    return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(2, 0);
+  std::size_t mask_ = 1;
+  unsigned shift_ = 63;
+};
 
 }  // namespace tripoll::core

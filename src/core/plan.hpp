@@ -99,8 +99,10 @@ struct survey_result {
   std::uint64_t wedge_candidates = 0;   ///< candidate r vertices examined
   std::uint64_t triangles_found = 0;    ///< engine-side cross-check counter
   std::uint64_t proposals_filtered = 0; ///< hopeless pull proposals never sent
-  std::uint64_t list_batches = 0;       ///< batches closed via merge/gallop
-  /// Always 0: no kernel besides merge/gallop exists.  Kept only for
+  /// Lists closed: one per wedge batch (merge/gallop) and one per local
+  /// source of a pulled adjacency (probe table).
+  std::uint64_t list_batches = 0;
+  /// Always 0: no hub kernel exists.  Kept only for
   /// bench/pipeline's report schema (`intersect.bitmap_*`); a later
   /// benchmark-only change drops it with `intersect.bitmap_*` and
   /// `freeze.hub_vertices` (ROADMAP item 6).

@@ -34,9 +34,10 @@
 // and every reported metric is a sum of per-batch/per-source contributions
 // independent of the partition.
 //
-// Every wedge batch and pulled adjacency closes through one kernel,
-// core::adaptive_intersect (merge-path, or a gallop when the sizes are
-// skewed; core/intersect.hpp).
+// Every wedge batch closes through core::adaptive_intersect (merge-path, or
+// a gallop when the sizes are skewed; core/intersect.hpp).  A pulled
+// adjacency is decoded once into a core::probe_table, and each local
+// source's suffix probes it in <+ order.
 //
 // What travels is governed by the plan's projections: every metadata field
 // of a wedge batch or pulled adjacency is projected sender-side, so the
@@ -417,6 +418,7 @@ class survey_engine {
     std::uint64_t candidate_count = 0;
     std::uint64_t q_out_degree = 0;  ///< d+(q), known locally from Adjm+ (P6)
     bool pull_granted = false;
+    bool pulled = false;  ///< Adjm+(q) arrived; a second list is refused
     std::vector<source_ref> sources;
   };
 
@@ -435,6 +437,7 @@ class survey_engine {
     std::uint64_t triangles = 0;
     std::uint64_t list_batches = 0;
     std::vector<batch_entry> scratch;  ///< decoded batches this thread intersects
+    core::probe_table probe;           ///< index over a decoded pulled list
   };
 
   /// One worker thread's whole world: its fire state plus its send buffers
@@ -590,13 +593,17 @@ class survey_engine {
         });
   }
 
-  /// Close one pulled adjacency Adjm+(q), decoded once into the closing
-  /// thread's scratch, against every local source (p, i): the pulled entries
-  /// meet the suffix of Adjm+(p) past the split.
+  /// Close one pulled adjacency Adjm+(q) against every local source (p, i).
+  /// The list is decoded once into the closing thread's scratch and indexed
+  /// once by its probe table; each entry of the suffix of Adjm+(p) past the
+  /// split then probes the table.  An entry matches only when both target
+  /// and target rank agree (order_key equality), and the suffix is walked in
+  /// <+ order, so each source fires what a merge would, in the same order.
   void process_pulled(graph::vertex_id q, const wire_vm& meta_q, const batch_type& batch,
                       const per_target& t, fire_state& fs) const {
     std::vector<batch_entry>& entries = fs.scratch;
     batch.decode(entries);
+    fs.probe.build(entries.size(), [&](std::size_t k) { return entries[k].r; });
     for (const source_ref& s : t.sources) {
       decltype(auto) rec_p = graph_->resolve_record(s.slot);
       const graph::vertex_id p = s.p;
@@ -606,20 +613,19 @@ class survey_engine {
       const entry_type& q_entry = rec_p.adj[i];
       decltype(auto) meta_p = pv(rec_p.meta);
       decltype(auto) meta_pq = pe(q_entry.edge_meta);
-      core::adaptive_intersect(
-          rec_p.adj.begin() + static_cast<std::ptrdiff_t>(i) + 1, rec_p.adj.end(),
-          entries.begin(), entries.end(),
-          [](const entry_type& e) { return e.key(); },
-          [](const batch_entry& e_qr) { return e_qr.key(); },
-          [&](const entry_type& e_pr, const batch_entry& e_qr) {
-            if (!admits(e_pr.edge_meta)) return;  // candidate edge outside window
-            // Callback on Rank(p): meta(r) comes from p's own Adjm+ entry.
-            decltype(auto) meta_r = pv(e_pr.target_meta);
-            decltype(auto) meta_pr = pe(e_pr.edge_meta);
-            fire(fs, view_type{p, q, e_pr.target, vm_view(meta_p), meta_q,
-                               vm_view(meta_r), em_view(meta_pq), em_view(meta_pr),
-                               e_qr.meta});
-          });
+      for (std::size_t j = i + 1; j < rec_p.adj.size(); ++j) {
+        const entry_type& e_pr = rec_p.adj[j];
+        const std::size_t k = fs.probe.find(e_pr.target, [&](std::size_t c) {
+          return entries[c].r == e_pr.target && entries[c].r_rank == e_pr.target_rank;
+        });
+        if (k == core::probe_table::npos) continue;
+        if (!admits(e_pr.edge_meta)) continue;  // candidate edge outside window
+        // Callback on Rank(p): meta(r) comes from p's own Adjm+ entry.
+        decltype(auto) meta_r = pv(e_pr.target_meta);
+        decltype(auto) meta_pr = pe(e_pr.edge_meta);
+        fire(fs, view_type{p, q, e_pr.target, vm_view(meta_p), meta_q, vm_view(meta_r),
+                           em_view(meta_pq), em_view(meta_pr), entries[k].meta});
+      }
     }
   }
 
@@ -868,8 +874,17 @@ class survey_engine {
     void operator()(comm::communicator& c, comm::dist_handle<self> h, graph::vertex_id q,
                     const wire_vm& meta_q, const batch_type& entries) {
       self& eng = c.resolve(h);
-      // Stable reference: targets_ sees no inserts after the dry run.
-      const per_target& t = eng.target_of("pulled_adj_handler", q);
+      // Stable reference: targets_ sees no inserts after the dry run.  The
+      // push phase already closed the sources of a refused pull, and a
+      // repeated list would close them twice: refuse both.  Handlers run on
+      // the owning thread, so the flag needs no lock.
+      per_target& t = eng.target_of("pulled_adj_handler", q);
+      if (!t.pull_granted || t.pulled) {
+        throw std::runtime_error(std::string("survey pulled_adj_handler: ") +
+                                 (t.pulled ? "second list" : "pull not granted") +
+                                 " for q=" + std::to_string(q));
+      }
+      t.pulled = true;
       if (!eng.tasks_enabled_) {
         eng.process_pulled(q, meta_q, entries, t, *eng.own_);
         return;

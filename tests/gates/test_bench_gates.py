@@ -186,6 +186,19 @@ class GateTable(unittest.TestCase):
                                            "cpu_time": ns, "time_unit": "ns"}]}, f)
             result = run_tool("--current", cur, "--baseline-dir", base)
             self.assertEqual(result.returncode, status, result.stdout)
+        # Five repetitions gate on their median: one 3.5x outlier passes,
+        # five 3.5x repetitions fail.
+        for reps, status in (([100.0, 350.0, 110.0, 95.0, 105.0], 0), ([350.0] * 5, 1)):
+            with open(os.path.join(cur, "micro.json"), "w") as f:
+                json.dump({"benchmarks": [
+                    {"name": "BM_Case/8/min_time:0.010/repeats:5", "cpu_time": ns,
+                     "time_unit": "ns", "run_type": "iteration", "repetition_index": i}
+                    for i, ns in enumerate(reps)] + [
+                    {"name": "BM_Case/8/min_time:0.010/repeats:5_mean",
+                     "cpu_time": sum(reps) / 5, "time_unit": "ns",
+                     "run_type": "aggregate", "aggregate_name": "mean"}]}, f)
+            result = run_tool("--current", cur, "--baseline-dir", base)
+            self.assertEqual(result.returncode, status, result.stdout)
 
 
 if __name__ == "__main__":

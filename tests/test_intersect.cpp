@@ -166,3 +166,57 @@ TEST(Intersect, HeterogeneousElementTypesViaKeys) {
   EXPECT_EQ(matches[0].first, 40);
   EXPECT_EQ(matches[1].first, 90);
 }
+
+TEST(Intersect, KernelsExtractEachKeyOnceAsTheyAdvance) {
+  // Counting key functors: merge-path keeps each side's current key and
+  // extracts a new one only when that side advances, so it does at most
+  // |A| + |B| extractions; the match sets stay those of the reference.
+  std::mt19937_64 rng(11);
+  for (int round = 0; round < 50; ++round) {
+    const auto a = sorted_unique(rng, 1 + rng() % 300, 1 + rng() % 600);
+    const auto b = sorted_unique(rng, 1 + rng() % 300, 1 + rng() % 600);
+    std::size_t extractions = 0;
+    const auto counted = [&extractions](std::uint64_t x) {
+      ++extractions;
+      return x;
+    };
+    std::set<std::uint64_t> merged;
+    core::merge_path_intersect(a.begin(), a.end(), b.begin(), b.end(), counted, counted,
+                               [&](std::uint64_t x, std::uint64_t) { merged.insert(x); });
+    EXPECT_LE(extractions, a.size() + b.size());
+    EXPECT_EQ(merged, reference(a, b));
+
+    std::set<std::uint64_t> galloped;
+    core::gallop_intersect(a.begin(), a.end(), b.begin(), b.end(), counted, counted,
+                           [&](std::uint64_t x, std::uint64_t) { galloped.insert(x); });
+    EXPECT_EQ(galloped, reference(a, b));
+  }
+}
+
+TEST(Intersect, ProbeTableFindsEveryEntryAndOnlyMatches) {
+  // The pulled-adjacency index: every indexed id is found at its position,
+  // absent ids and ids whose second field differs are not, and a rebuild
+  // over a shorter list forgets the longer one.
+  struct entry {
+    std::uint64_t id;
+    std::uint64_t rank;
+  };
+  std::mt19937_64 rng(5);
+  core::probe_table table;
+  EXPECT_EQ(table.find(3, [](std::size_t) { return true; }), core::probe_table::npos);
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 17u, 1000u, 5u}) {
+    std::vector<entry> entries;
+    for (const auto id : sorted_unique(rng, n, 1u << 20)) entries.push_back({id, id % 7});
+    table.build(entries.size(), [&](std::size_t k) { return entries[k].id; });
+    const auto lookup = [&](std::uint64_t id, std::uint64_t rank) {
+      return table.find(id, [&](std::size_t k) {
+        return entries[k].id == id && entries[k].rank == rank;
+      });
+    };
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      EXPECT_EQ(lookup(entries[k].id, entries[k].rank), k);
+      EXPECT_EQ(lookup(entries[k].id, entries[k].rank + 1), core::probe_table::npos);
+    }
+    EXPECT_EQ(lookup(1u << 21, 0), core::probe_table::npos);
+  }
+}

@@ -279,6 +279,78 @@ TEST(PushPull, PullsGrantedOnDenseGraph) {
   });
 }
 
+TEST(PushPull, PulledClosingMatchesPushOnly) {
+  // K24 plus a pendant with uint64 metadata: the top-order vertices are
+  // pulled, so these rows come from the pulled-list closing step.  The
+  // window [1000, 21000) drops the edges of vertex 0 and those among
+  // {21, 22, 23}.  Every row must equal push_only's, all nine fields, and at
+  // one thread a (p, q)'s rows fire in ascending <+ order of r.
+  constexpr std::uint64_t t0 = 1000, t1 = 21000;
+  const auto k24 = complete_graph(24);
+  edge_pairs admitted;
+  for (const auto& [u, v] : k24) {
+    if (emeta(u, v) >= t0 && emeta(u, v) < t1) admitted.emplace_back(u, v);
+  }
+  ASSERT_LT(admitted.size(), k24.size());
+  const auto expected = brute_force_count(admitted);
+  // Under degree ordering the rank is the degree: 0 has 24 with the pendant.
+  const auto order_less = [](tg::vertex_id u, tg::vertex_id v) {
+    const auto deg = [](tg::vertex_id x) -> std::uint64_t { return x == 0 ? 24 : 23; };
+    return tg::degree_less(u, deg(u), v, deg(v));
+  };
+
+  for (const int nranks : {1, 2, 3}) {
+    for (const int threads : {1, 2}) {
+      tc::runtime::run(nranks, [&](tc::communicator& c) {
+        meta_graph g(c);
+        tg::graph_builder<std::uint64_t, std::uint64_t> builder(c);
+        if (c.rank0()) {
+          for (const auto& [u, v] : k24) builder.add_edge(u, v, emeta(u, v));
+          builder.add_edge(0, 100, emeta(0, 100));
+          for (tg::vertex_id v = 0; v < 24; ++v) builder.add_vertex_meta(v, vmeta(v));
+          builder.add_vertex_meta(100, vmeta(100));
+        }
+        builder.build_into(g);
+        auto fz = tg::freeze(g);
+
+        const auto rows_of = [&](survey_mode mode, std::uint64_t& pulls) {
+          collect_context ctx;
+          const auto r = tripoll::survey(fz)
+                             .window(t0, t1)
+                             .add(collect_callback{}, ctx)
+                             .run({mode, threads});
+          pulls = r.total.pulls_granted;
+          return ctx.rows;
+        };
+        std::uint64_t pulls = 0, no_pulls = 0;
+        const auto local = rows_of(survey_mode::push_pull, pulls);
+        auto pushed = c.all_gather(rows_of(survey_mode::push_only, no_pulls));
+        auto pulled = c.all_gather(local);
+        EXPECT_GT(pulls, 0u) << "ranks " << nranks << " threads " << threads;
+
+        std::vector<meta_row> want, got;
+        for (auto& v : pushed) want.insert(want.end(), v.begin(), v.end());
+        for (auto& v : pulled) got.insert(got.end(), v.begin(), v.end());
+        EXPECT_EQ(got.size(), expected);
+        std::sort(want.begin(), want.end());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << "ranks " << nranks << " threads " << threads;
+
+        if (threads == 1) {
+          for (std::size_t k = 1; k < local.size(); ++k) {
+            const meta_row& a = local[k - 1];
+            const meta_row& b = local[k];
+            if (a[0] != b[0] || a[1] != b[1]) continue;
+            EXPECT_TRUE(order_less(a[2], b[2]))
+                << "(p, q) = (" << a[0] << ", " << a[1] << "): r " << a[2]
+                << " fired before " << b[2];
+          }
+        }
+      });
+    }
+  }
+}
+
 TEST(PushPull, PhaseMetricsAddUp) {
   const auto edges = complete_graph(16);
   tc::runtime::run(2, [&](tc::communicator& c) {

@@ -31,6 +31,7 @@ import json
 import operator
 import os
 import re
+import statistics
 import sys
 from collections import namedtuple
 
@@ -249,8 +250,11 @@ def normalize_name(name):
 
 
 def load_current(current_dir):
-    """Return {case_name: ns} from Google Benchmark JSON files in a directory."""
-    results = {}
+    """Return {case_name: ns} from Google Benchmark JSON files in a directory.
+    A case run with --benchmark_repetitions has one row per repetition under
+    one normalized name; its value is the median of those rows, so a single
+    slow repetition cannot fail the gate."""
+    samples = {}
     paths = glob.glob(os.path.join(current_dir, "*.json"))
     if not paths:
         raise FileNotFoundError(f"no *.json bench results under {current_dir}")
@@ -265,8 +269,9 @@ def load_current(current_dir):
             if scale is None:
                 print(f"warning: unknown time unit '{unit}' for {bench.get('name')}")
                 continue
-            results[normalize_name(bench["name"])] = float(bench["cpu_time"]) * scale
-    return results
+            samples.setdefault(normalize_name(bench["name"]), []).append(
+                float(bench["cpu_time"]) * scale)
+    return {name: statistics.median(ns) for name, ns in samples.items()}
 
 
 def main():
