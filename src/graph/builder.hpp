@@ -1,23 +1,27 @@
 // builder.hpp -- distributed construction of the DODGr from raw edges.
 //
 // Every rank contributes undirected edges (optional metadata) and vertex
-// metadata; the input never lands on one rank.  Construction is a bulk,
-// sort-based pipeline over rank-local arrays whose exchanges all go through
+// metadata; the input never lands on one rank.  Construction is a bulk
+// pipeline over rank-local arrays whose exchanges all go through
 // comm::column_exchange (one RPC per ~buffer_capacity bytes of entries):
 //
 //   feed         : add_edge(u, v) stages the half-edges u->v for Rank(u) and
 //                  v->u for Rank(v) (self-loops are dropped);
 //                  add_vertex_meta(v) stages (v, meta) for Rank(v).
-//   P1  dedup    : sort half-edges by (source, target, arrival) and merge
-//                  duplicates under a policy (e.g. keep the chronologically
+//   P1  dedup    : one hash pass gives every source and metadata id a dense
+//                  row (only the distinct ids are sorted), a stable counting
+//                  scatter files the half-edges into their rows, and each
+//                  row is sorted by (target, arrival) and its duplicates
+//                  merged under a policy (e.g. keep the chronologically
 //                  first timestamp, the paper's Reddit rule).  Vertex
 //                  metadata keeps the last arrival.
 //   P2  CSR      : the merged half-edges are the undirected adjacency, rows
 //                  ascending by id; a metadata-only vertex is a degree-0 row.
 //   P3  ordering : each vertex's <+ rank -- its degree, or its peel wave
 //                  from degeneracy_peel over the CSR (graph/ordering.hpp).
-//   P4  exchange : each vertex sends (v, rank(v), meta(v)) once to every rank
-//                  holding one of its neighbors.
+//   P4  exchange : the same dense index numbers this rank's distinct
+//                  neighbors; each vertex sends (v, rank(v), meta(v)) once to
+//                  every rank holding one of its neighbors.
 //   P5  assemble : orient edges by <+, sort each Adjm+(v) and the vertices by
 //                  <+, and write the CSR columns of the frozen_dodgr.
 //   P6  d+ flow  : each vertex sends d+(v) once to every rank holding a DODGr
@@ -170,13 +174,80 @@ class graph_builder {
     std::vector<int> owner;
     std::vector<order_key> key;         ///< <+ key, from the reported rank
     std::vector<VertexMeta> meta;
-    std::vector<std::size_t> of_nbr;   ///< table index of every undirected nbr[e]
+    std::vector<std::uint32_t> of_nbr;  ///< table index of every undirected nbr[e]
 
     [[nodiscard]] std::size_t size() const noexcept { return id.size(); }
     [[nodiscard]] std::size_t find(vertex_id v) const noexcept {
       const auto it = std::lower_bound(id.begin(), id.end(), v);
       return it != id.end() && *it == v ? static_cast<std::size_t>(it - id.begin()) : npos;
     }
+  };
+
+  /// Dense positions for a rank's distinct ids.  add() files each id in an
+  /// open-addressing table (top bits of a multiplicative hash, grown at
+  /// load 1/2) and returns its position in first-seen order; sort() then
+  /// orders `ids` ascending.  Positions are 32-bit, so a rank may hold at
+  /// most 2^32 - 2 distinct ids.
+  class dense_index {
+   public:
+    std::vector<vertex_id> ids;  ///< distinct, first-seen order until sort()
+
+    std::uint32_t add(vertex_id v) {
+      for (std::size_t s = home(v);; s = (s + 1) & mask_) {
+        if (slots_[s].pos == 0) {
+          if (ids.size() + 1 >= std::numeric_limits<std::uint32_t>::max()) {
+            throw std::length_error("tripoll: graph_builder: too many distinct ids on one rank");
+          }
+          ids.push_back(v);
+          slots_[s] = {v, static_cast<std::uint32_t>(ids.size())};
+          if (2 * ids.size() > mask_) grow();
+          return static_cast<std::uint32_t>(ids.size() - 1);
+        }
+        if (slots_[s].id == v) return slots_[s].pos - 1;
+      }
+    }
+
+    /// Sort `ids` ascending; entry k of the result is the sorted position of
+    /// the id add() first numbered k.
+    [[nodiscard]] std::vector<std::uint32_t> sort() {
+      std::vector<std::pair<vertex_id, std::uint32_t>> by_id(ids.size());
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        by_id[k] = {ids[k], static_cast<std::uint32_t>(k)};
+      }
+      std::sort(by_id.begin(), by_id.end());
+      std::vector<std::uint32_t> sorted_pos(ids.size());
+      for (std::size_t j = 0; j < by_id.size(); ++j) {
+        ids[j] = by_id[j].first;
+        sorted_pos[by_id[j].second] = static_cast<std::uint32_t>(j);
+      }
+      return sorted_pos;
+    }
+
+   private:
+    struct slot {
+      vertex_id id;
+      std::uint32_t pos;  ///< first-seen position + 1; 0 marks an empty slot
+    };
+
+    [[nodiscard]] std::size_t home(vertex_id v) const noexcept {
+      return static_cast<std::size_t>((v * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+
+    void grow() {
+      std::vector<slot> old = std::exchange(slots_, std::vector<slot>(2 * (mask_ + 1)));
+      mask_ = 2 * mask_ + 1;
+      --shift_;
+      for (const slot& o : old) {
+        if (o.pos == 0) continue;
+        std::size_t s = home(o.id);
+        while (slots_[s].pos != 0) s = (s + 1) & mask_;
+        slots_[s] = o;
+      }
+    }
+
+    std::vector<slot> slots_ = std::vector<slot>(64);
+    std::size_t mask_ = 63;
+    unsigned shift_ = 64 - 6;
   };
 
   [[nodiscard]] int owner(vertex_id v) const noexcept {
@@ -190,48 +261,60 @@ class graph_builder {
     }
   }
 
-  /// P1 + P2: sort the received half-edges, merge duplicates, and lay the
-  /// result out as a CSR over every local vertex (metadata-only ones too).
+  /// P1 + P2: file the received half-edges into one row per local vertex
+  /// (metadata-only ones too), merge each row's duplicates, and lay the
+  /// result out as a CSR.
   [[nodiscard]] undirected dedup_to_csr() {
     auto& [src, dst, meta] = half_edges_.inbox();
-    struct half {
-      vertex_id src, dst;
-      std::size_t arrival;
-    };
-    std::vector<half> halves(src.size());
-    for (std::size_t i = 0; i < halves.size(); ++i) halves[i] = {src[i], dst[i], i};
-    src = {};
-    dst = {};
-    std::sort(halves.begin(), halves.end(), [](const half& a, const half& b) {
-      return std::tie(a.src, a.dst, a.arrival) < std::tie(b.src, b.dst, b.arrival);
-    });
-
     auto& [meta_id, meta_value] = vertex_meta_.inbox();
-    std::vector<std::pair<vertex_id, std::size_t>> metas(meta_id.size());
-    for (std::size_t i = 0; i < metas.size(); ++i) metas[i] = {meta_id[i], i};
-    std::sort(metas.begin(), metas.end());
+    dense_index rows;
+    std::vector<std::uint32_t> row_of(src.size()), meta_row_of(meta_id.size());
+    for (std::size_t i = 0; i < src.size(); ++i) row_of[i] = rows.add(src[i]);
+    src = {};
+    for (std::size_t j = 0; j < meta_id.size(); ++j) meta_row_of[j] = rows.add(meta_id[j]);
+    const std::vector<std::uint32_t> sorted_row = rows.sort();
 
     undirected out;
+    out.vid = std::move(rows.ids);
+    const std::size_t n = out.vid.size();
+    out.vmeta.resize(n);
+    for (std::size_t j = 0; j < meta_id.size(); ++j) {  // ascending arrival: the last wins
+      out.vmeta[sorted_row[meta_row_of[j]]] = std::move(meta_value[j]);
+    }
+
+    // Stable counting scatter: row r's half-edges, in arrival order, fill
+    // halves[first[r], first[r + 1]).
+    struct half {
+      vertex_id dst;
+      std::size_t arrival;
+    };
+    std::vector<std::size_t> first(n + 1, 0);
+    for (std::uint32_t& r : row_of) {
+      r = sorted_row[r];
+      ++first[r + 1];
+    }
+    for (std::size_t r = 0; r < n; ++r) first[r + 1] += first[r];
+    std::vector<half> halves(row_of.size());
+    {
+      std::vector<std::size_t> next(first.begin(), first.end() - 1);
+      for (std::size_t i = 0; i < row_of.size(); ++i) halves[next[row_of[i]]++] = {dst[i], i};
+    }
+    row_of = {};
+    dst = {};
+
     out.nbr.reserve(halves.size());
     out.emeta.reserve(halves.size());
     out.offset.push_back(0);
-    std::size_t e = 0, m = 0;
-    while (e < halves.size() || m < metas.size()) {
-      vertex_id v = e < halves.size() ? halves[e].src : metas[m].first;
-      if (m < metas.size()) v = std::min(v, metas[m].first);
-      out.vid.push_back(v);
-      if (m < metas.size() && metas[m].first == v) {
-        while (m + 1 < metas.size() && metas[m + 1].first == v) ++m;
-        out.vmeta.push_back(std::move(meta_value[metas[m++].second]));
-      } else {
-        out.vmeta.emplace_back();
-      }
-      while (e < halves.size() && halves[e].src == v) {
-        const vertex_id u = halves[e].dst;
-        EdgeMeta merged = meta[halves[e].arrival];
-        for (++e; e < halves.size() && halves[e].src == v && halves[e].dst == u; ++e) {
-          MergePolicy{}(merged, meta[halves[e].arrival]);
-        }
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto row = halves.begin() + static_cast<std::ptrdiff_t>(first[r]);
+      const auto row_end = halves.begin() + static_cast<std::ptrdiff_t>(first[r + 1]);
+      std::sort(row, row_end, [](const half& a, const half& b) {
+        return std::tie(a.dst, a.arrival) < std::tie(b.dst, b.arrival);
+      });
+      for (auto h = row; h != row_end;) {
+        const vertex_id u = h->dst;
+        EdgeMeta merged = meta[h->arrival];
+        for (++h; h != row_end && h->dst == u; ++h) MergePolicy{}(merged, meta[h->arrival]);
         out.nbr.push_back(u);
         out.emeta.push_back(std::move(merged));
       }
@@ -249,15 +332,12 @@ class graph_builder {
     auto& c = *comm_;
     neighbor_table nt;
     {
-      std::vector<std::pair<vertex_id, std::size_t>> by_id(und.nbr.size());
-      for (std::size_t e = 0; e < by_id.size(); ++e) by_id[e] = {und.nbr[e], e};
-      std::sort(by_id.begin(), by_id.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      nt.of_nbr.resize(by_id.size());
-      for (const auto& [v, e] : by_id) {
-        if (nt.id.empty() || nt.id.back() != v) nt.id.push_back(v);
-        nt.of_nbr[e] = nt.id.size() - 1;
-      }
+      dense_index nbrs;
+      nt.of_nbr.resize(und.nbr.size());
+      for (std::size_t e = 0; e < und.nbr.size(); ++e) nt.of_nbr[e] = nbrs.add(und.nbr[e]);
+      const std::vector<std::uint32_t> sorted_pos = nbrs.sort();
+      for (std::uint32_t& k : nt.of_nbr) k = sorted_pos[k];
+      nt.id = std::move(nbrs.ids);
     }
     nt.owner.resize(nt.size());
     for (std::size_t k = 0; k < nt.size(); ++k) nt.owner[k] = owner(nt.id[k]);

@@ -11,7 +11,11 @@
 #include <tuple>
 #include <vector>
 
+#include "baselines/serial_tc.hpp"
 #include "comm/runtime.hpp"
+#include "core/callbacks.hpp"
+#include "core/survey.hpp"
+#include "gen/erdos_renyi.hpp"
 #include "graph/builder.hpp"
 #include "gen/presets.hpp"
 #include "graph/frozen.hpp"
@@ -195,6 +199,68 @@ TEST(Builder, KeepGreatestPolicy) {
   });
 }
 
+TEST(Builder, KeepExistingKeepsFirstArrival) {
+  tc::runtime::run(1, [](tc::communicator& c) {
+    tg::dodgr<tg::none, std::uint64_t> g(c);
+    tg::graph_builder<tg::none, std::uint64_t, tg::merge::keep_existing> builder(c);
+    builder.add_edge(1, 2, 9);
+    builder.add_edge(2, 1, 3);
+    builder.add_edge(1, 2, 5);
+    builder.build_into(g);
+    std::uint64_t edges = 0;
+    g.for_all_local([&](const tg::vertex_id&, const auto& rec) {
+      for (const auto& e : rec.adj) {
+        EXPECT_EQ(e.edge_meta, 9u);
+        ++edges;
+      }
+    });
+    EXPECT_EQ(edges, 1u);
+  });
+}
+
+// Ids that agree in their low bits, or sit at the top of the u64 range,
+// build the same graph as small ids.
+TEST(Builder, IdsSpreadOverU64BuildTheSameGraph) {
+  tripoll::gen::erdos_renyi_generator gen(120, 900, 5);
+  std::vector<tg::edge> edges;
+  for (std::uint64_t k = 0; k < gen.num_edges(); ++k) edges.push_back(gen.edge_at(k));
+  const std::uint64_t expected = tripoll::baselines::serial_triangle_count(edges);
+  ASSERT_GT(expected, 0u);
+
+  const auto census_and_count = [&](auto id_of) {
+    std::pair<tg::graph_census, std::uint64_t> out;
+    tc::runtime::run(3, [&](tc::communicator& c) {
+      plain_graph g(c);
+      tg::graph_builder<tg::none, tg::none> builder(c);
+      for (std::size_t i = static_cast<std::size_t>(c.rank()); i < edges.size();
+           i += static_cast<std::size_t>(c.size())) {
+        builder.add_edge(id_of(edges[i].u), id_of(edges[i].v));
+      }
+      builder.build_into(g);
+      const auto census = g.census();
+      auto fz = tg::freeze(g);
+      tripoll::callbacks::count_context ctx;
+      tripoll::triangle_survey(fz, tripoll::callbacks::count_callback{}, ctx);
+      const std::uint64_t triangles = ctx.global_count(c);
+      if (c.rank0()) out = {census, triangles};
+    });
+    return out;
+  };
+  const auto [small, small_count] = census_and_count([](tg::vertex_id k) { return k; });
+  const auto [high, high_count] = census_and_count([](tg::vertex_id k) { return k << 40; });
+  const auto [top, top_count] = census_and_count([](tg::vertex_id k) { return ~k; });  // max - k
+  EXPECT_EQ(small_count, expected);
+  EXPECT_EQ(high_count, expected);
+  EXPECT_EQ(top_count, expected);
+  // max_out_degree and wedge_checks are left out: <+ breaks degree ties by
+  // a hash of the id, so relabelling re-orients some edges.
+  for (const tg::graph_census& other : {high, top}) {
+    EXPECT_EQ(other.num_vertices, small.num_vertices);
+    EXPECT_EQ(other.num_directed_edges, small.num_directed_edges);
+    EXPECT_EQ(other.max_degree, small.max_degree);
+  }
+}
+
 TEST(Builder, VertexMetadataColocatedOnAdjacency) {
   tc::runtime::run(3, [](tc::communicator& c) {
     tg::dodgr<std::string, tg::none> g(c);
@@ -280,8 +346,9 @@ std::uint64_t sweep_ts(tg::vertex_id v, bool chord, int rank) {
 }
 
 /// Every rank contributes the whole ring + chords graph (chords reversed),
-/// then rank 0 adds vertex labels, a metadata-only vertex and a vertex
-/// whose only edges are self-loops.
+/// then rank 0 labels every vertex twice (a decoy, then 3v: the last
+/// arrival must win), adds a metadata-only vertex and a vertex whose only
+/// edges are self-loops.
 template <typename Merge>
 void build_sweep(tc::communicator& c, sweep_graph& g) {
   tg::graph_builder<std::uint64_t, std::uint64_t, Merge> builder(c);
@@ -290,6 +357,7 @@ void build_sweep(tc::communicator& c, sweep_graph& g) {
     builder.add_edge((v + 5) % kSweepN, v, sweep_ts(v, true, c.rank()));
   }
   if (c.rank0()) {
+    for (tg::vertex_id v = 0; v < kSweepN; ++v) builder.add_vertex_meta(v, 3 * v + 1);
     for (tg::vertex_id v = 0; v < kSweepN; ++v) builder.add_vertex_meta(v, 3 * v);
     builder.add_vertex_meta(kMetaOnly, 42);
     builder.add_edge(kLoopOnly, kLoopOnly, 1);
