@@ -15,7 +15,10 @@
 //   * push_pull (Sec. 4.4): a communication-free dry-run counts, for every
 //     (source rank, target vertex q), the suffix edges that would be pushed;
 //     Rank(q) grants a "pull" when shipping Adjm+(q) once to that rank is
-//     cheaper, and the work then splits into Push and Pull phases.
+//     cheaper, and the work then splits into Push and Pull phases.  The dry
+//     run numbers each rank's targets through a core::dense_index and lays
+//     their local sources out in one flat array, target by target, which
+//     both phases walk (docs/ARCHITECTURE.md, "Push-pull").
 //
 // The engine walks slot-addressed graphs (core::slot_addressed_graph): the
 // CSR `graph::frozen_dodgr`, as built or as projected by freeze(), and the
@@ -23,7 +26,8 @@
 //
 // Intra-rank parallelism (docs/THREADING.md): with survey_options::threads
 // > 1, each phase's slot walk is partitioned into work-stealing chunks
-// consumed by a small std::thread pool.  Workers stage
+// consumed by a small std::thread pool; the dry run's scan workers only
+// read the graph and fill their own parts.  Send-phase workers stage
 // sends into per-thread buffers delivered straight to the thread-safe
 // transport (never through the communicator), and intersect incoming
 // batches as tasks.  There is one fire path: whichever thread closes a
@@ -66,12 +70,12 @@
 #include <string>
 #include <thread>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "comm/send_buffers.hpp"
+#include "core/dense_index.hpp"
 #include "core/intersect.hpp"
 #include "core/packed_batch.hpp"
 #include "core/parallel.hpp"
@@ -206,11 +210,7 @@ class survey_engine {
     // reduce_scope::global entries (collective; runs on EVERY run shape).
     plan_->finish_reductions(*comm_);
 
-    // Release dry-run scratch.
-    targets_.clear();
-    targets_ = {};
-    pull_grants_.clear();
-    pull_grants_ = {};
+    release_dry_run();
     return out;
   }
 
@@ -221,8 +221,14 @@ class survey_engine {
     local_pulls_granted_ = local_push_batches_ = local_candidates_ = local_triangles_ = 0;
     local_proposals_filtered_ = local_list_batches_ = 0;
     local_invocations_.fill(0);
-    targets_.clear();
-    pull_grants_.clear();
+    release_dry_run();
+  }
+
+  void release_dry_run() {
+    index_ = {};
+    targets_ = {};
+    sources_ = {};
+    pull_grants_ = {};
   }
 
   template <typename Body>
@@ -335,8 +341,7 @@ class survey_engine {
   /// this is the classic every-split walk with suffix = adj.size()-i-1; with
   /// one, splits whose wedge edge is out-of-window or whose admitted suffix
   /// is empty are skipped entirely (one O(|adj|) suffix-count pass keeps the
-  /// dry run linear).  Shared by the serial and parallel dry-run scans so
-  /// both register exactly the same (source, target) pairs.
+  /// dry run linear).  Each dry-run scan worker walks its slots through it.
   template <typename Rec, typename Fn>
   void scan_wedge_splits(const Rec& rec, Fn&& fn) const {
     if (rec.adj.size() < 2) return;
@@ -400,29 +405,57 @@ class survey_engine {
   // --- dry-run bookkeeping types (declared early: they appear in member
   // --- function signatures below) --------------------------------------------
 
-  /// One local wedge source (p, split index) with its cached slot: the push
-  /// and pull phases revisit every source, and re-finding p by hash once per
-  /// source pair would cost ~|E+| lookups per survey.  Slots are stable for
-  /// the whole survey (the graph is not mutated).
+  /// One local wedge source: the slot of p (vid_at(slot) gives p) and the
+  /// split index of q in Adjm+(p).  The push and pull phases revisit every
+  /// source, and re-finding p by hash once per source pair would cost ~|E+|
+  /// lookups per survey.  Slots are stable for the whole survey (the graph
+  /// is not mutated).
   struct source_ref {
-    graph::vertex_id p = 0;
     std::uint32_t slot = 0;
     std::uint32_t split = 0;
   };
 
-  /// Dry-run product: for each target vertex q this rank would push to, the
-  /// total candidate count and the local (p, split-index) sources -- "the
-  /// pass also stores pointers to efficiently iterate over source vertices
-  /// stored locally".
+  /// Dry-run product for one target vertex q this rank would push to: the
+  /// total candidate count, d+(q), and the range [first, last) of sources_
+  /// holding its local sources -- "the pass also stores pointers to
+  /// efficiently iterate over source vertices stored locally".  targets_ is
+  /// numbered by index_, and its ranges tile sources_ in that order.
   struct per_target {
     std::uint64_t candidate_count = 0;
     std::uint64_t q_out_degree = 0;  ///< d+(q), known locally from Adjm+ (P6)
+    std::size_t first = 0;
+    std::size_t last = 0;
+    bool decided = false;  ///< Rank(q)'s decision arrived; a second is refused
     bool pull_granted = false;
     bool pulled = false;  ///< Adjm+(q) arrived; a second list is refused
-    std::vector<source_ref> sources;
+
+    /// Rank(q) grants a pull iff d+(q) < candidate_count, so only such a
+    /// target is proposed, and only its decision is accepted.
+    [[nodiscard]] bool proposes() const noexcept { return q_out_degree < candidate_count; }
   };
 
-  using targets_map = std::unordered_map<graph::vertex_id, per_target>;
+  /// A scan worker's row for one wedge split: the number of its target in
+  /// the worker's own index, and the source (12 bytes).
+  struct scan_row {
+    std::uint32_t target = 0;
+    source_ref source;
+  };
+
+  /// One dry-run scan worker's product: the targets it met, numbered
+  /// first-seen through its own index, with their sums (`last` counts each
+  /// target's rows), and one row per wedge split it scanned.
+  struct scan_part {
+    core::dense_index index;
+    std::vector<per_target> targets;
+    std::vector<scan_row> rows;
+  };
+
+  /// A pull Rank(q) granted: Adjm+(q), at `slot` here, goes to `rank`.
+  struct pull_grant {
+    graph::vertex_id q = 0;
+    std::uint32_t slot = 0;
+    int rank = 0;
+  };
 
   // --- intra-rank worker pool -------------------------------------------------
 
@@ -604,9 +637,10 @@ class survey_engine {
     std::vector<batch_entry>& entries = fs.scratch;
     batch.decode(entries);
     fs.probe.build(entries.size(), [&](std::size_t k) { return entries[k].r; });
-    for (const source_ref& s : t.sources) {
+    for (std::size_t src = t.first; src < t.last; ++src) {
+      const source_ref& s = sources_[src];
       decltype(auto) rec_p = graph_->resolve_record(s.slot);
-      const graph::vertex_id p = s.p;
+      const graph::vertex_id p = graph_->vid_at(s.slot);
       const std::uint32_t i = s.split;
       fs.candidates += admitted_from(rec_p, i + 1);
       ++fs.list_batches;
@@ -721,68 +755,98 @@ class survey_engine {
   // --- push-pull (Sec. 4.4) ------------------------------------------------------
 
   void dry_run() {
-    // Communication-free counting pass over slot chunks (per-worker partial
-    // maps merged in worker order when threads > 1 -- the per-target sums
-    // are partition-independent, only source order varies, and source order
-    // never feeds a reported metric).
+    // Communication-free counting pass over slot chunks.  Each worker numbers
+    // the targets it meets in its own scan_part (core::fork_join runs worker
+    // 0 on this thread, and only it at threads == 1); this thread then
+    // numbers them engine-wide in worker order and scatters their sources.
+    // The per-target sums are partition-independent; only the order of
+    // targets and of a target's sources varies, and neither feeds a
+    // reported metric.
     const std::size_t n = graph_->local_num_vertices();
-    if (threads_ > 1) {
-      dry_run_scan_parallel(n);
-    } else {
-      scan_slots(targets_, 0, n);
-    }
+    core::chunk_queue chunks(n, core::chunk_size_for(n, threads_));
+    std::vector<scan_part> parts(static_cast<std::size_t>(threads_));
+    core::fork_join(threads_, [&](int w) {
+      std::size_t first = 0, last = 0;
+      while (chunks.next(first, last)) {
+        scan_slots(parts[static_cast<std::size_t>(w)], first, last);
+      }
+    });
+    gather_targets(parts);
     // One aggregate proposal per (this rank, q) -- but only where pulling
     // could possibly win.  d+(q) is already local (the builder's P6 flow),
-    // and Rank(q) grants a pull iff d+(q) < candidate_count, so a proposal
-    // that fails that test here is known-hopeless and never sent.
-    for (const auto& [q, t] : targets_) {
-      if (t.q_out_degree >= t.candidate_count) {
+    // so a proposal per_target::proposes() rejects is known-hopeless and
+    // never sent.
+    for (std::size_t g = 0; g < targets_.size(); ++g) {
+      const per_target& t = targets_[g];
+      if (!t.proposes()) {
         ++local_proposals_filtered_;
         continue;  // pull_granted stays false; sources push in the push phase
       }
+      const graph::vertex_id q = index_.ids[g];
       comm_->async(graph_->owner(q), propose_handler{}, handle_, q, comm_->rank(),
                    t.candidate_count);
     }
     // The barrier of timed_phase() drains proposals and decisions.
   }
 
-  /// Register the in-window wedge splits of slots [first, last) in `out`.
-  void scan_slots(targets_map& out, std::size_t first, std::size_t last) const {
+  /// Scan the in-window wedge splits of slots [first, last) into `part`:
+  /// number each split's target, add its suffix to the target's sum and
+  /// append its row.
+  void scan_slots(scan_part& part, std::size_t first, std::size_t last) const {
     for (std::size_t slot = first; slot < last; ++slot) {
       const auto s = static_cast<std::uint32_t>(slot);
       decltype(auto) rec = graph_->resolve_record(s);
-      const graph::vertex_id p = graph_->vid_at(s);
       scan_wedge_splits(rec, [&](std::size_t i, const entry_type& q_entry,
                                  std::uint64_t admitted_suffix) {
-        per_target& t = out[q_entry.target];
+        const std::uint32_t k = part.index.add(q_entry.target);
+        if (k == part.targets.size()) {
+          part.targets.emplace_back().q_out_degree = q_entry.target_out_degree;
+        }
+        per_target& t = part.targets[k];
         t.candidate_count += admitted_suffix;
-        t.q_out_degree = q_entry.target_out_degree;
-        t.sources.push_back(source_ref{p, s, static_cast<std::uint32_t>(i)});
+        ++t.last;
+        part.rows.push_back({k, {s, static_cast<std::uint32_t>(i)}});
       });
     }
   }
 
-  void dry_run_scan_parallel(std::size_t n) {
-    core::chunk_queue chunks(n, core::chunk_size_for(n, threads_));
-    std::vector<targets_map> partial(static_cast<std::size_t>(threads_));
-    core::fork_join(threads_, [&](int w) {
-      std::size_t first = 0, last = 0;
-      while (chunks.next(first, last)) {
-        scan_slots(partial[static_cast<std::size_t>(w)], first, last);
+  /// Owning thread, after the scan: number the workers' targets through
+  /// index_ in worker order, add up their sums, and lay their sources out
+  /// target by target in sources_ (a counting pass, then a stable scatter).
+  /// Worker 0's numbering is the start of the engine-wide one, so index_
+  /// and targets_ take its part over whole.
+  void gather_targets(std::vector<scan_part>& parts) {
+    index_ = std::move(parts[0].index);
+    targets_ = std::move(parts[0].targets);
+    std::vector<std::vector<std::uint32_t>> number(parts.size());
+    for (std::size_t w = 1; w < parts.size(); ++w) {
+      scan_part& part = parts[w];
+      number[w].resize(part.targets.size());
+      for (std::size_t k = 0; k < part.targets.size(); ++k) {
+        const std::uint32_t g = index_.add(part.index.ids[k]);
+        if (g == targets_.size()) targets_.emplace_back();
+        per_target& t = targets_[g];
+        t.candidate_count += part.targets[k].candidate_count;
+        t.q_out_degree = part.targets[k].q_out_degree;
+        t.last += part.targets[k].last;
+        number[w][k] = g;
       }
-    });
-    for (auto& pm : partial) {
-      for (auto& [q, t] : pm) {
-        per_target& dst = targets_[q];
-        dst.candidate_count += t.candidate_count;
-        dst.q_out_degree = t.q_out_degree;
-        if (dst.sources.empty()) {
-          dst.sources = std::move(t.sources);
-        } else {
-          dst.sources.insert(dst.sources.end(), t.sources.begin(), t.sources.end());
-        }
+      part.index = {};
+      part.targets = {};
+    }
+    std::size_t next = 0;
+    for (per_target& t : targets_) {  // `last` holds the row count until here
+      t.first = next;
+      next += t.last;
+      t.last = t.first;  // the scatter's cursor; it ends at first + count
+    }
+    sources_.resize(next);
+    for (std::size_t w = 0; w < parts.size(); ++w) {
+      for (const scan_row& r : parts[w].rows) {
+        const std::uint32_t g = w == 0 ? r.target : number[w][r.target];
+        sources_[targets_[g].last++] = r.source;
       }
-      pm = {};
+      parts[w] = {};
     }
   }
 
@@ -797,10 +861,10 @@ class survey_engine {
       }
       // Pull pays off when shipping Adjm+(q) once beats receiving the
       // candidates: |Adj+(q)| < sum of suffix lengths from that rank.
-      const bool pull =
-          eng.graph_->resolve_record(eng.graph_->locate(q)).out_degree() < candidate_count;
+      const std::uint32_t slot = eng.graph_->locate(q);
+      const bool pull = eng.graph_->resolve_record(slot).out_degree() < candidate_count;
       if (pull) {
-        eng.pull_grants_[q].push_back(source_rank);
+        eng.pull_grants_.push_back({q, slot, source_rank});
         ++eng.local_pulls_granted_;
       }
       c.async(source_rank, decision_handler{}, h, q, pull);
@@ -811,63 +875,65 @@ class survey_engine {
     void operator()(comm::communicator& c, comm::dist_handle<self> h, graph::vertex_id q,
                     bool pull) {
       self& eng = c.resolve(h);
-      eng.target_of("decision_handler", q).pull_granted = pull;
+      // A decision for a q this rank filtered would take its sources out of
+      // the push phase with no pulled list to close them, and a second one
+      // would overwrite the first: refuse both.  Handlers run on the owning
+      // thread, so the flags need no lock.
+      per_target& t = eng.target_of("decision_handler", q);
+      if (!t.proposes() || t.decided) {
+        throw std::runtime_error(std::string("survey decision_handler: ") +
+                                 (t.decided ? "second decision" : "no proposal sent") +
+                                 " for q=" + std::to_string(q));
+      }
+      t.decided = true;
+      t.pull_granted = pull;
     }
   };
 
   phase_metrics run_push_undecided_phase() {
-    // Materialize the non-granted sources so the walk chunks a flat array.
-    std::vector<const source_ref*> work;
-    for (const auto& [q, t] : targets_) {
-      if (t.pull_granted) continue;
-      for (const source_ref& s : t.sources) work.push_back(&s);
-    }
-    return send_phase(work.size(), [&](auto& ctx, std::size_t first, std::size_t last) {
-      for (std::size_t k = first; k < last; ++k) {
-        const source_ref& s = *work[k];
-        send_wedge_batch(ctx.sender, s.p, graph_->resolve_record(s.slot), s.split,
-                         ctx.candidates, ctx.push_batches);
+    // Chunk the targets: a target not granted a pull pushes its sources, and
+    // has at most candidate_count <= d+(q) of them, so chunks stay balanced.
+    return send_phase(targets_.size(), [&](auto& ctx, std::size_t first, std::size_t last) {
+      for (std::size_t g = first; g < last; ++g) {
+        const per_target& t = targets_[g];
+        if (t.pull_granted) continue;
+        for (std::size_t k = t.first; k < t.last; ++k) {
+          const source_ref& s = sources_[k];
+          send_wedge_batch(ctx.sender, graph_->vid_at(s.slot), graph_->resolve_record(s.slot),
+                           s.split, ctx.candidates, ctx.push_batches);
+        }
       }
     });
   }
 
   phase_metrics run_pull_phase() {
-    std::vector<std::pair<graph::vertex_id, const std::vector<int>*>> pulls;
-    pulls.reserve(pull_grants_.size());
-    for (const auto& [q, ranks] : pull_grants_) pulls.emplace_back(q, &ranks);
-    return send_phase(pulls.size(), [&](auto& ctx, std::size_t first, std::size_t last) {
-      for (std::size_t k = first; k < last; ++k) {
-        send_pulled_adjacency(ctx.sender, pulls[k].first, *pulls[k].second);
-      }
+    return send_phase(pull_grants_.size(), [&](auto& ctx, std::size_t first, std::size_t last) {
+      for (std::size_t k = first; k < last; ++k) send_pulled_adjacency(ctx.sender, pull_grants_[k]);
     });
   }
 
-  /// Ship Adjm+(q)'s in-window entries to every granted rank (encoded into
-  /// each destination's buffer).
+  /// Ship Adjm+(q)'s in-window entries to the granted rank.
   template <typename Sender>
-  void send_pulled_adjacency(Sender& snd, graph::vertex_id q,
-                             const std::vector<int>& ranks) const {
-    decltype(auto) rec_q = graph_->resolve_record(graph_->locate(q));
+  void send_pulled_adjacency(Sender& snd, const pull_grant& grant) const {
+    decltype(auto) rec_q = graph_->resolve_record(grant.slot);
     bool windowed = false;
     if constexpr (window_capable) windowed = win_active_;
     if (windowed && admitted_from(rec_q, 0) == 0) return;  // nothing to close against
     decltype(auto) meta_q = pv(rec_q.meta);
     const auto fill = [&](typename batch_type::encoder& enc) { encode_from(enc, rec_q, 0); };
-    for (const int dest : ranks) {
-      snd.async(dest, pulled_adj_handler{}, handle_, q, vm_view(meta_q),
-                batch_type::encode(fill));
-    }
+    snd.async(grant.rank, pulled_adj_handler{}, handle_, grant.q, vm_view(meta_q),
+              batch_type::encode(fill));
   }
 
   /// The dry-run target a decision or pulled list names.  A frame naming a
   /// q this rank never proposed for is corrupt (or hostile): refuse it.
   [[nodiscard]] per_target& target_of(const char* handler, graph::vertex_id q) {
-    const auto it = targets_.find(q);
-    if (it == targets_.end()) {
+    const std::uint32_t g = index_.find(q);
+    if (g == core::dense_index::npos) {
       throw std::runtime_error(std::string("survey ") + handler +
                                ": no dry-run target for q=" + std::to_string(q));
     }
-    return it->second;
+    return targets_[g];
   }
 
   struct pulled_adj_handler {
@@ -902,8 +968,11 @@ class survey_engine {
   plan_type* plan_;
   comm::dist_handle<self> handle_;
 
-  targets_map targets_;
-  std::unordered_map<graph::vertex_id, std::vector<int>> pull_grants_;
+  // Dry-run product (released at the end of run()).
+  core::dense_index index_;          ///< q -> its number in targets_
+  std::vector<per_target> targets_;
+  std::vector<source_ref> sources_;  ///< every target's sources, target by target
+  std::vector<pull_grant> pull_grants_;  ///< arrival order; the pull phase chunks it
   /// The owning thread's fire state during a send phase (send_phase()).
   std::optional<fire_state> own_;
 

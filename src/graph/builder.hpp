@@ -8,13 +8,13 @@
 //   feed         : add_edge(u, v) stages the half-edges u->v for Rank(u) and
 //                  v->u for Rank(v) (self-loops are dropped);
 //                  add_vertex_meta(v) stages (v, meta) for Rank(v).
-//   P1  dedup    : one hash pass gives every source and metadata id a dense
-//                  row (only the distinct ids are sorted), a stable counting
-//                  scatter files the half-edges into their rows, and each
-//                  row is sorted by (target, arrival) and its duplicates
-//                  merged under a policy (e.g. keep the chronologically
-//                  first timestamp, the paper's Reddit rule).  Vertex
-//                  metadata keeps the last arrival.
+//   P1  dedup    : one hash pass (core::dense_index) gives every source and
+//                  metadata id a dense row (only the distinct ids are
+//                  sorted), a stable counting scatter files the half-edges
+//                  into their rows, and each row is sorted by (target,
+//                  arrival) and its duplicates merged under a policy (e.g.
+//                  keep the chronologically first timestamp, the paper's
+//                  Reddit rule).  Vertex metadata keeps the last arrival.
 //   P2  CSR      : the merged half-edges are the undirected adjacency, rows
 //                  ascending by id; a metadata-only vertex is a degree-0 row.
 //   P3  ordering : each vertex's <+ rank -- its degree, or its peel wave
@@ -48,6 +48,7 @@
 #include "comm/column_exchange.hpp"
 #include "comm/communicator.hpp"
 #include "comm/key_hash.hpp"
+#include "core/dense_index.hpp"
 #include "graph/frozen.hpp"
 #include "graph/ordering.hpp"
 #include "graph/types.hpp"
@@ -183,73 +184,6 @@ class graph_builder {
     }
   };
 
-  /// Dense positions for a rank's distinct ids.  add() files each id in an
-  /// open-addressing table (top bits of a multiplicative hash, grown at
-  /// load 1/2) and returns its position in first-seen order; sort() then
-  /// orders `ids` ascending.  Positions are 32-bit, so a rank may hold at
-  /// most 2^32 - 2 distinct ids.
-  class dense_index {
-   public:
-    std::vector<vertex_id> ids;  ///< distinct, first-seen order until sort()
-
-    std::uint32_t add(vertex_id v) {
-      for (std::size_t s = home(v);; s = (s + 1) & mask_) {
-        if (slots_[s].pos == 0) {
-          if (ids.size() + 1 >= std::numeric_limits<std::uint32_t>::max()) {
-            throw std::length_error("tripoll: graph_builder: too many distinct ids on one rank");
-          }
-          ids.push_back(v);
-          slots_[s] = {v, static_cast<std::uint32_t>(ids.size())};
-          if (2 * ids.size() > mask_) grow();
-          return static_cast<std::uint32_t>(ids.size() - 1);
-        }
-        if (slots_[s].id == v) return slots_[s].pos - 1;
-      }
-    }
-
-    /// Sort `ids` ascending; entry k of the result is the sorted position of
-    /// the id add() first numbered k.
-    [[nodiscard]] std::vector<std::uint32_t> sort() {
-      std::vector<std::pair<vertex_id, std::uint32_t>> by_id(ids.size());
-      for (std::size_t k = 0; k < ids.size(); ++k) {
-        by_id[k] = {ids[k], static_cast<std::uint32_t>(k)};
-      }
-      std::sort(by_id.begin(), by_id.end());
-      std::vector<std::uint32_t> sorted_pos(ids.size());
-      for (std::size_t j = 0; j < by_id.size(); ++j) {
-        ids[j] = by_id[j].first;
-        sorted_pos[by_id[j].second] = static_cast<std::uint32_t>(j);
-      }
-      return sorted_pos;
-    }
-
-   private:
-    struct slot {
-      vertex_id id;
-      std::uint32_t pos;  ///< first-seen position + 1; 0 marks an empty slot
-    };
-
-    [[nodiscard]] std::size_t home(vertex_id v) const noexcept {
-      return static_cast<std::size_t>((v * 0x9E3779B97F4A7C15ull) >> shift_);
-    }
-
-    void grow() {
-      std::vector<slot> old = std::exchange(slots_, std::vector<slot>(2 * (mask_ + 1)));
-      mask_ = 2 * mask_ + 1;
-      --shift_;
-      for (const slot& o : old) {
-        if (o.pos == 0) continue;
-        std::size_t s = home(o.id);
-        while (slots_[s].pos != 0) s = (s + 1) & mask_;
-        slots_[s] = o;
-      }
-    }
-
-    std::vector<slot> slots_ = std::vector<slot>(64);
-    std::size_t mask_ = 63;
-    unsigned shift_ = 64 - 6;
-  };
-
   [[nodiscard]] int owner(vertex_id v) const noexcept {
     return comm_->owner(comm::key_hash<vertex_id>{}(v));
   }
@@ -267,7 +201,7 @@ class graph_builder {
   [[nodiscard]] undirected dedup_to_csr() {
     auto& [src, dst, meta] = half_edges_.inbox();
     auto& [meta_id, meta_value] = vertex_meta_.inbox();
-    dense_index rows;
+    core::dense_index rows;
     std::vector<std::uint32_t> row_of(src.size()), meta_row_of(meta_id.size());
     for (std::size_t i = 0; i < src.size(); ++i) row_of[i] = rows.add(src[i]);
     src = {};
@@ -332,7 +266,7 @@ class graph_builder {
     auto& c = *comm_;
     neighbor_table nt;
     {
-      dense_index nbrs;
+      core::dense_index nbrs;
       nt.of_nbr.resize(und.nbr.size());
       for (std::size_t e = 0; e < und.nbr.size(); ++e) nt.of_nbr[e] = nbrs.add(und.nbr[e]);
       const std::vector<std::uint32_t> sorted_pos = nbrs.sort();

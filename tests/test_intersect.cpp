@@ -1,6 +1,7 @@
 // Property tests for the adjacency-intersection kernels: all must produce
 // identical match sets on arbitrary sorted inputs, including the galloping
-// and adaptive kernels backing the survey's wedge-closing step.
+// and adaptive kernels backing the survey's wedge-closing step.  Also the
+// two id tables beside them: probe_table and dense_index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "core/dense_index.hpp"
 #include "core/intersect.hpp"
 
 namespace core = tripoll::core;
@@ -218,5 +220,86 @@ TEST(Intersect, ProbeTableFindsEveryEntryAndOnlyMatches) {
       EXPECT_EQ(lookup(entries[k].id, entries[k].rank + 1), core::probe_table::npos);
     }
     EXPECT_EQ(lookup(1u << 21, 0), core::probe_table::npos);
+  }
+}
+
+// --- dense_index ------------------------------------------------------------------
+
+namespace {
+
+/// Number `ids` (repeats allowed) and check every answer against first-seen
+/// order: add() and find() agree, and `ids` holds each distinct id once.
+void expect_first_seen(core::dense_index& index, const std::vector<std::uint64_t>& ids) {
+  std::vector<std::uint64_t> seen;
+  for (const std::uint64_t v : ids) {
+    const auto it = std::find(seen.begin(), seen.end(), v);
+    const auto want = static_cast<std::uint32_t>(it - seen.begin());
+    if (it == seen.end()) seen.push_back(v);
+    EXPECT_EQ(index.add(v), want) << "id " << v;
+  }
+  EXPECT_EQ(index.ids, seen);
+  for (std::size_t k = 0; k < seen.size(); ++k) {
+    EXPECT_EQ(index.find(seen[k]), static_cast<std::uint32_t>(k)) << "id " << seen[k];
+  }
+}
+
+}  // namespace
+
+TEST(DenseIndex, NumbersFirstSeenAcrossGrowth) {
+  // 1000 distinct ids grow the table from 64 slots to 2048; each id comes
+  // back several times, before and after the growths.
+  std::mt19937_64 rng(11);
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    ids.push_back(rng());
+    ids.push_back(ids[rng() % ids.size()]);
+  }
+  core::dense_index index;
+  expect_first_seen(index, ids);
+  EXPECT_EQ(index.ids.size(), 1000u);
+}
+
+TEST(DenseIndex, FindOfAnAbsentIdIsNpos) {
+  core::dense_index index;
+  EXPECT_EQ(index.find(0), core::dense_index::npos);
+  EXPECT_EQ(index.find(7), core::dense_index::npos);
+  for (std::uint64_t v = 0; v < 200; v += 2) index.add(v);
+  for (std::uint64_t v = 1; v < 200; v += 2) {
+    EXPECT_EQ(index.find(v), core::dense_index::npos) << "id " << v;
+  }
+  EXPECT_EQ(index.find(~std::uint64_t{0}), core::dense_index::npos);
+  EXPECT_EQ(index.ids.size(), 100u);  // find() adds nothing
+}
+
+TEST(DenseIndex, IdsSpreadOverU64NumberAndFind) {
+  // k << 40 leaves the low 40 bits zero; ~k sets all the high bits.  Both
+  // families, interleaved and repeated, number in first-seen order.
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    ids.push_back(k << 40);
+    ids.push_back(~k);
+    if (k % 3 == 0) ids.push_back(k / 2 << 40);
+  }
+  core::dense_index index;
+  expect_first_seen(index, ids);
+  EXPECT_EQ(index.ids.size(), 600u);
+  EXPECT_EQ(index.find(std::uint64_t{300} << 40), core::dense_index::npos);
+  EXPECT_EQ(index.find(~std::uint64_t{300}), core::dense_index::npos);
+}
+
+TEST(DenseIndex, SortReturnsAscendingPositions) {
+  std::mt19937_64 rng(12);
+  core::dense_index index;
+  std::vector<std::uint64_t> first_seen;
+  for (int k = 0; k < 500; ++k) {
+    const std::uint64_t v = rng() % 2000;
+    if (index.add(v) == first_seen.size()) first_seen.push_back(v);
+  }
+  const std::vector<std::uint32_t> pos = index.sort();
+  ASSERT_EQ(pos.size(), first_seen.size());
+  EXPECT_TRUE(std::is_sorted(index.ids.begin(), index.ids.end()));
+  EXPECT_EQ(std::adjacent_find(index.ids.begin(), index.ids.end()), index.ids.end());
+  for (std::size_t k = 0; k < first_seen.size(); ++k) {
+    EXPECT_EQ(index.ids[pos[k]], first_seen[k]) << "first-seen position " << k;
   }
 }

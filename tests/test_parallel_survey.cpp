@@ -79,6 +79,8 @@ struct run_fingerprint {
   std::uint64_t push_batches = 0;
   std::uint64_t wedge_candidates = 0;
   std::uint64_t list_batches = 0;
+  std::uint64_t pulls_granted = 0;
+  std::uint64_t proposals_filtered = 0;
 
   bool operator==(const run_fingerprint&) const = default;
 };
@@ -93,6 +95,8 @@ run_fingerprint fingerprint_of(const tripoll::plan_result<1>& r, std::uint64_t t
   fp.push_batches = r.total.push_batches;
   fp.wedge_candidates = r.total.wedge_candidates;
   fp.list_batches = r.total.list_batches;
+  fp.pulls_granted = r.total.pulls_granted;
+  fp.proposals_filtered = r.total.proposals_filtered;
   return fp;
 }
 
@@ -109,7 +113,9 @@ std::string fp_str(const run_fingerprint& fp) {
          " msg=" + std::to_string(fp.messages) +
          " pb=" + std::to_string(fp.push_batches) +
          " wc=" + std::to_string(fp.wedge_candidates) +
-         " ls=" + std::to_string(fp.list_batches);
+         " ls=" + std::to_string(fp.list_batches) +
+         " pg=" + std::to_string(fp.pulls_granted) +
+         " pf=" + std::to_string(fp.proposals_filtered);
 }
 
 /// One ingest batch for the overlay legs: new vertices hanging off the K10
@@ -156,6 +162,10 @@ TEST_P(ParallelMatrix, ThreadSweepIsBitIdentical) {
     auto fz = tg::freeze(g);
     const auto base = count_run(c, fz, {mode, 1});
     require(base.triangles > 0, "graph must contain triangles");
+    if (mode == survey_mode::push_pull) {
+      require(base.pulls_granted > 0 && base.proposals_filtered > 0,
+              "the dry run must both grant and filter pulls: " + fp_str(base));
+    }
     require_sweep([&](int t) { return count_run(c, fz, {mode, t}); }, base, "frozen");
 
     // The overlay over the frozen graph, before any ingest...

@@ -351,6 +351,40 @@ TEST(PushPull, PulledClosingMatchesPushOnly) {
   }
 }
 
+TEST(PushPull, EmptyWindowProposesNothing) {
+  // Every edge of K24 plus a pendant is stamped below 23000, so the window
+  // [10^6, 2 * 10^6) admits none: the dry run scans no split, numbers no
+  // target and proposes nothing, and the push and pull phases have no work.
+  for (const int nranks : {1, 2, 3}) {
+    for (const int threads : {1, 2}) {
+      tc::runtime::run(nranks, [&](tc::communicator& c) {
+        meta_graph g(c);
+        tg::graph_builder<std::uint64_t, std::uint64_t> builder(c);
+        if (c.rank0()) {
+          for (const auto& [u, v] : complete_graph(24)) builder.add_edge(u, v, emeta(u, v));
+          builder.add_edge(0, 100, emeta(0, 100));
+        }
+        builder.build_into(g);
+        auto fz = tg::freeze(g);
+        collect_context ctx;
+        const auto r = tripoll::survey(fz)
+                           .window(1'000'000, 2'000'000)
+                           .add(collect_callback{}, ctx)
+                           .run({survey_mode::push_pull, threads});
+        const std::string where =
+            "ranks " + std::to_string(nranks) + " threads " + std::to_string(threads);
+        EXPECT_TRUE(ctx.rows.empty()) << where;
+        EXPECT_EQ(r.total.triangles_found, 0u) << where;
+        EXPECT_EQ(r.total.pulls_granted, 0u) << where;
+        EXPECT_EQ(r.total.proposals_filtered, 0u) << where;
+        EXPECT_EQ(r.total.wedge_candidates, 0u) << where;
+        EXPECT_EQ(r.total.push_batches, 0u) << where;
+        EXPECT_EQ(r.total.dry_run.volume_bytes, 0u) << where;
+      });
+    }
+  }
+}
+
 TEST(PushPull, PhaseMetricsAddUp) {
   const auto edges = complete_graph(16);
   tc::runtime::run(2, [&](tc::communicator& c) {
