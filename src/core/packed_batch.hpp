@@ -1,26 +1,34 @@
-// packed_batch.hpp -- the packed wire form of the survey's entry batches.
+// packed_batch.hpp -- the packed wire forms of the survey's entry batches.
 //
-// Both batch payloads of the survey engine (core/survey.hpp) -- the
-// candidate list of a wedge batch and the entry list of a pulled adjacency
-// Adjm+(q) -- are lists of (r, r_rank, projected edge metadata) in <+ key
-// order, which compares rank first.  They travel as
+// Both batch payloads of the survey engine (core/survey.hpp) are lists of
+// (r, projected edge metadata); they differ in the key each entry carries.
+//
+// The candidate list of a wedge batch (batch_key::ranked) is in <+ key
+// order, which compares rank first, and Rank(q) merges it against Adjm+(q),
+// so each entry carries r's rank:
 //
 //   varint n | varint nbytes | n x ( varint zigzag(r_rank - prev_rank)
 //                                    varint r
 //                                    metadata through the archive )
 //
-// with prev_rank starting at 0.  Rank deltas are taken mod 2^64, so any u64
-// sequence round-trips: sorted input only makes the deltas small, and an
-// unsorted batch costs bytes, never correctness.  nbytes (the byte length of
-// the n entries) lets a receiver skip the batch in O(1) -- the owning
-// thread hands an undecoded batch to a worker task -- and bounds n before
-// anything is allocated.
+// A pulled adjacency Adjm+(q) (batch_key::id) is probed by id alone on the
+// receiving rank, so it is an id set, sent sorted by r:
+//
+//   varint n | varint nbytes | n x ( varint (r - prev_r)
+//                                    metadata through the archive )
+//
+// with prev_rank and prev_r starting at 0.  Deltas are taken mod 2^64, so
+// any u64 sequence round-trips: sorted input only makes the deltas small,
+// and an unsorted batch costs bytes, never correctness.  nbytes (the byte
+// length of the n entries) lets a receiver skip the batch in O(1) -- the
+// owning thread hands an undecoded batch to a worker task -- and bounds n
+// before anything is allocated.
 //
 // One type serves both ends of an RPC, like serial::wire_span: the sender
 // builds packed_batch::encode(fill) and `fill` pushes the entries straight
 // into the send buffer while the RPC is serialized; the receiver gets a view
 // of the encoded entries inside the drained payload and decodes them into
-// reusable scratch on whichever thread intersects the batch.
+// reusable scratch on whichever thread closes the batch.
 #pragma once
 
 #include <cstddef>
@@ -34,9 +42,16 @@
 
 namespace tripoll::core {
 
-/// One decoded batch entry: enough to merge against an adjacency list under
-/// the <+ order, plus the projected edge metadata.  [[no_unique_address]]
-/// lets a dropped (graph::none) projection cost zero struct bytes.
+/// The key a batch's entries carry on the wire (layouts above).
+enum class batch_key {
+  ranked,  ///< (r_rank, r): wedge candidates, merged under <+
+  id,      ///< r alone, ascending: pulled lists, probed by id
+};
+
+/// One decoded ranked entry: enough to merge against an adjacency list
+/// under the <+ order, plus the projected edge metadata.
+/// [[no_unique_address]] lets a dropped (graph::none) projection cost zero
+/// struct bytes.
 template <typename EdgeMeta>
 struct batch_entry {
   graph::vertex_id r = 0;
@@ -48,9 +63,16 @@ struct batch_entry {
   }
 };
 
+/// One decoded id-set entry.
+template <typename EdgeMeta>
+struct id_entry {
+  graph::vertex_id r = 0;
+  [[no_unique_address]] EdgeMeta meta{};
+};
+
 /// Appends entries to the batch being serialized.  Handed to the fill
 /// function of packed_batch::encode().
-template <typename EdgeMeta>
+template <typename EdgeMeta, batch_key Key>
 class batch_encoder {
  public:
   explicit batch_encoder(serial::writer& ar) noexcept : ar_(&ar) {}
@@ -58,47 +80,63 @@ class batch_encoder {
   /// `meta` must encode like EdgeMeta: EdgeMeta itself, or -- for a
   /// string_view wire type -- an owning string (same length + bytes).
   template <typename M>
+    requires(Key == batch_key::ranked)
   void push(graph::vertex_id r, std::uint64_t r_rank, const M& meta) {
-    static_assert(std::is_same_v<M, EdgeMeta> ||
-                      (std::is_same_v<EdgeMeta, std::string_view> &&
-                       std::is_convertible_v<const M&, std::string_view>),
-                  "batch metadata must encode as the batch's wire type");
     serial::byte_buffer& sink = ar_->sink();
     std::byte* out = sink.prepare(2 * serial::kMaxVarintBytes);
     std::size_t k = serial::varint_encode(
-        out, serial::zigzag_encode(static_cast<std::int64_t>(r_rank - prev_rank_)));
+        out, serial::zigzag_encode(static_cast<std::int64_t>(r_rank - prev_)));
     k += serial::varint_encode(out + k, r);
     sink.commit(k);
-    (*ar_)(meta);
-    prev_rank_ = r_rank;
-    ++count_;
+    prev_ = r_rank;
+    push_meta(meta);
+  }
+
+  template <typename M>
+    requires(Key == batch_key::id)
+  void push(graph::vertex_id r, const M& meta) {
+    serial::byte_buffer& sink = ar_->sink();
+    sink.commit(serial::varint_encode(sink.prepare(serial::kMaxVarintBytes), r - prev_));
+    prev_ = r;
+    push_meta(meta);
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
 
  private:
+  template <typename M>
+  void push_meta(const M& meta) {
+    static_assert(std::is_same_v<M, EdgeMeta> ||
+                      (std::is_same_v<EdgeMeta, std::string_view> &&
+                       std::is_convertible_v<const M&, std::string_view>),
+                  "batch metadata must encode as the batch's wire type");
+    (*ar_)(meta);
+    ++count_;
+  }
+
   serial::writer* ar_;
-  std::uint64_t prev_rank_ = 0;
+  std::uint64_t prev_ = 0;  ///< the previous entry's rank (ranked) or id
   std::uint64_t count_ = 0;
 };
 
-/// A batch of entries in the packed layout above.  A sender-side batch
-/// refers to its fill function (which must outlive the async() call that
-/// serializes it); a receiver-side batch views bytes of the drained payload
-/// and lives as long as that payload does.
-template <typename EdgeMeta>
+/// A batch of entries in one of the packed layouts above.  A sender-side
+/// batch refers to its fill function (which must outlive the async() call
+/// that serializes it); a receiver-side batch views bytes of the drained
+/// payload and lives as long as that payload does.
+template <typename EdgeMeta, batch_key Key = batch_key::ranked>
 class packed_batch {
  public:
-  using entry = batch_entry<EdgeMeta>;
-  using encoder = batch_encoder<EdgeMeta>;
+  using entry =
+      std::conditional_t<Key == batch_key::ranked, batch_entry<EdgeMeta>, id_entry<EdgeMeta>>;
+  using encoder = batch_encoder<EdgeMeta, Key>;
 
-  /// Smallest encoding of one entry: two one-byte varints plus the fixed
-  /// size of bitwise metadata.  A count prefix promising more entries than
-  /// nbytes can hold is refused on read, before any allocation.
+  /// Smallest encoding of one entry: a one-byte varint per key field plus
+  /// the fixed size of bitwise metadata.  A count prefix promising more
+  /// entries than nbytes can hold is refused on read, before any
+  /// allocation.
   static constexpr std::size_t kMinEntryBytes =
-      2 + (serial::detail::bitwise<EdgeMeta> && !std::is_empty_v<EdgeMeta>
-               ? sizeof(EdgeMeta)
-               : 0);
+      (Key == batch_key::ranked ? 2 : 1) +
+      (serial::detail::bitwise<EdgeMeta> && !std::is_empty_v<EdgeMeta> ? sizeof(EdgeMeta) : 0);
 
   packed_batch() = default;
 
@@ -125,11 +163,16 @@ class packed_batch {
     out.resize(count_);
     const std::byte* p = data_;
     const std::byte* const end = data_ + bytes_;
-    std::uint64_t rank = 0;
+    std::uint64_t prev = 0;
     for (entry& e : out) {
-      rank += static_cast<std::uint64_t>(serial::zigzag_decode(serial::varint_decode(p, end)));
-      e.r_rank = rank;
-      e.r = serial::varint_decode(p, end);
+      if constexpr (Key == batch_key::ranked) {
+        prev += static_cast<std::uint64_t>(serial::zigzag_decode(serial::varint_decode(p, end)));
+        e.r_rank = prev;
+        e.r = serial::varint_decode(p, end);
+      } else {
+        prev += serial::varint_decode(p, end);
+        e.r = prev;
+      }
       if constexpr (!std::is_empty_v<EdgeMeta>) {
         serial::buffer_reader rd(p, static_cast<std::size_t>(end - p));
         serial::reader ar(rd);
@@ -191,11 +234,11 @@ class packed_batch {
 
 namespace tripoll::serial {
 
-template <typename EdgeMeta>
-struct serialize_traits<core::packed_batch<EdgeMeta>> {
-  static void write(writer& ar, const core::packed_batch<EdgeMeta>& b) { b.write(ar); }
-  static void read(reader& ar, core::packed_batch<EdgeMeta>& b) {
-    b = core::packed_batch<EdgeMeta>::read(ar);
+template <typename EdgeMeta, core::batch_key Key>
+struct serialize_traits<core::packed_batch<EdgeMeta, Key>> {
+  static void write(writer& ar, const core::packed_batch<EdgeMeta, Key>& b) { b.write(ar); }
+  static void read(reader& ar, core::packed_batch<EdgeMeta, Key>& b) {
+    b = core::packed_batch<EdgeMeta, Key>::read(ar);
   }
 };
 

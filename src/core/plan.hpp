@@ -89,7 +89,7 @@ struct phase_metrics {
 
 /// Collective result of a survey traversal (identical on every rank).
 struct survey_result {
-  phase_metrics dry_run;  ///< push_pull only: proposal/decision pass
+  phase_metrics dry_run;  ///< push_pull only: counting scan and pull requests
   phase_metrics push;     ///< wedge pushing (the only phase of push_only)
   phase_metrics pull;     ///< push_pull only: coalesced adjacency pulls
   phase_metrics total;
@@ -98,7 +98,7 @@ struct survey_result {
   std::uint64_t push_batches = 0;       ///< wedge-batch messages, global
   std::uint64_t wedge_candidates = 0;   ///< candidate r vertices examined
   std::uint64_t triangles_found = 0;    ///< engine-side cross-check counter
-  std::uint64_t proposals_filtered = 0; ///< hopeless pull proposals never sent
+  std::uint64_t proposals_filtered = 0; ///< targets not requested: d+(q) >= candidates
   /// Lists closed: one per wedge batch (merge/gallop) and one per local
   /// source of a pulled adjacency (probe table).
   std::uint64_t list_batches = 0;

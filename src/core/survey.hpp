@@ -12,13 +12,15 @@
 // Two execution strategies:
 //   * push_only (Alg. 1): every wedge batch (p's adjacency suffix at q) is
 //     pushed to Rank(q) and merge-path-intersected with Adjm+(q).
-//   * push_pull (Sec. 4.4): a communication-free dry-run counts, for every
-//     (source rank, target vertex q), the suffix edges that would be pushed;
-//     Rank(q) grants a "pull" when shipping Adjm+(q) once to that rank is
-//     cheaper, and the work then splits into Push and Pull phases.  The dry
-//     run numbers each rank's targets through a core::dense_index and lays
-//     their local sources out in one flat array, target by target, which
-//     both phases walk (docs/ARCHITECTURE.md, "Push-pull").
+//   * push_pull (Sec. 4.4): a dry run counts, for every (source rank,
+//     target vertex q), the suffix edges that would be pushed.  Where
+//     shipping Adjm+(q) once to that rank is cheaper (d+(q) is known
+//     locally), the rank requests a pull: one request RPC per destination
+//     rank lists every such q, and Rank(q) grants them all.  The work then
+//     splits into Push and Pull phases.  The dry run numbers each rank's
+//     targets through a core::dense_index and lays their local sources out
+//     in one flat array, target by target, which both phases walk
+//     (docs/ARCHITECTURE.md, "Push-pull").
 //
 // The engine walks slot-addressed graphs (core::slot_addressed_graph): the
 // CSR `graph::frozen_dodgr`, as built or as projected by freeze(), and the
@@ -49,15 +51,20 @@
 // types, not the graph's.  Owning std::string projections additionally
 // deserialize as std::string_view into the drained payload (zero copies).
 // The candidate list of a wedge batch and the entry list of a pulled
-// adjacency travel packed (core/packed_batch.hpp): varint rank deltas and
-// varint ids, encoded straight into the send buffer, decoded into reusable
-// scratch by whichever thread intersects the batch -- a worker task at
-// threads > 1, otherwise the owning thread.
+// adjacency travel packed (core/packed_batch.hpp), encoded straight into
+// the send buffer and decoded into reusable scratch by whichever thread
+// closes the batch -- a worker task at threads > 1, otherwise the owning
+// thread.  Candidates carry varint rank deltas and ids, because Rank(q)
+// merges them under <+; a pulled list is an id set sorted by id (varint id
+// deltas, no ranks), because the receiver probes it by id.  Neither
+// carries meta(q): Rank(q) holds its own record, and a pulled list's
+// receiver reads meta(q) from its sources' Adjm+ entries for q.
 //
 // The legacy single-callback entry point `triangle_survey(graph, callback,
 // context)` is a thin identity-projection wrapper over a one-callback plan.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -81,6 +88,7 @@
 #include "core/parallel.hpp"
 #include "core/plan.hpp"
 #include "graph/types.hpp"
+#include "serial/serialize.hpp"
 
 namespace tripoll {
 
@@ -130,10 +138,12 @@ class survey_engine {
   using wire_vm = core::detail::wire_type_t<pv_type>;
   using wire_em = core::detail::wire_type_t<pe_type>;
 
-  /// Wedge candidates and pulled entries share one packed wire form
-  /// (core/packed_batch.hpp) and one decoded entry type.
+  /// Wedge candidates travel ranked, pulled lists as id sets
+  /// (core/packed_batch.hpp).
   using batch_type = core::packed_batch<wire_em>;
   using batch_entry = typename batch_type::entry;
+  using pulled_type = core::packed_batch<wire_em, core::batch_key::id>;
+  using pulled_entry = typename pulled_type::entry;
   using view_type = triangle_view<wire_vm, wire_em>;
   using self = survey_engine<Graph, Plan>;
 
@@ -144,6 +154,11 @@ class survey_engine {
   /// Smaller wedge batches close on the owning thread as they drain: a task
   /// (heap closure, queue lock, worker wake-up) costs more than intersecting.
   static constexpr std::size_t kInlineBatch = 8;
+
+  /// Most q's one pull request carries (8 MiB of ids), so that no frame
+  /// nears the transport's frame limit.  A fixed count, not the send
+  /// buffer's capacity: volume and messages must not depend on buffering.
+  static constexpr std::size_t kMaxRequest = std::size_t{1} << 20;
 
   /// Time-windowed surveys (plan.window(t0, t1)) filter on the graph's
   /// STORED edge metadata -- before projection -- so the predicate is
@@ -425,12 +440,12 @@ class survey_engine {
     std::uint64_t q_out_degree = 0;  ///< d+(q), known locally from Adjm+ (P6)
     std::size_t first = 0;
     std::size_t last = 0;
-    bool decided = false;  ///< Rank(q)'s decision arrived; a second is refused
-    bool pull_granted = false;
     bool pulled = false;  ///< Adjm+(q) arrived; a second list is refused
 
-    /// Rank(q) grants a pull iff d+(q) < candidate_count, so only such a
-    /// target is proposed, and only its decision is accepted.
+    /// Pulling pays off when shipping Adjm+(q) once beats receiving the
+    /// candidates: d+(q) < candidate_count.  Such a target is requested and
+    /// always granted; its sources close in the pull phase, every other
+    /// target's in the push phase.
     [[nodiscard]] bool proposes() const noexcept { return q_out_degree < candidate_count; }
   };
 
@@ -457,6 +472,13 @@ class survey_engine {
     int rank = 0;
   };
 
+  /// Sort scratch of a pulled list: an entry's id and its position in
+  /// Adjm+(q).
+  struct id_order {
+    graph::vertex_id r = 0;
+    std::uint32_t at = 0;
+  };
+
   // --- intra-rank worker pool -------------------------------------------------
 
   /// What one closing thread gathers in a phase: its context slices, fire
@@ -469,8 +491,9 @@ class survey_engine {
     std::uint64_t candidates = 0;
     std::uint64_t triangles = 0;
     std::uint64_t list_batches = 0;
-    std::vector<batch_entry> scratch;  ///< decoded batches this thread intersects
-    core::probe_table probe;           ///< index over a decoded pulled list
+    std::vector<batch_entry> scratch;   ///< decoded wedge batches this thread closes
+    std::vector<pulled_entry> pulled;   ///< decoded pulled lists this thread closes
+    core::probe_table probe;            ///< index over a decoded pulled list
   };
 
   /// One worker thread's whole world: its fire state plus its send buffers
@@ -480,6 +503,7 @@ class survey_engine {
         : fire_state(plan), sender(t, rank) {}
     comm::send_buffers sender;
     std::uint64_t push_batches = 0;
+    std::vector<id_order> order;  ///< sort scratch of the pulled lists it sends
   };
 
   /// Owning thread, phase end: fold one thread's counters into the engine
@@ -629,14 +653,18 @@ class survey_engine {
   /// Close one pulled adjacency Adjm+(q) against every local source (p, i).
   /// The list is decoded once into the closing thread's scratch and indexed
   /// once by its probe table; each entry of the suffix of Adjm+(p) past the
-  /// split then probes the table.  An entry matches only when both target
-  /// and target rank agree (order_key equality), and the suffix is walked in
-  /// <+ order, so each source fires what a merge would, in the same order.
-  void process_pulled(graph::vertex_id q, const wire_vm& meta_q, const batch_type& batch,
-                      const per_target& t, fire_state& fs) const {
-    std::vector<batch_entry>& entries = fs.scratch;
+  /// split then probes the table by id.  Ids name vertices, and a vertex has
+  /// one rank in every Adjm+ that holds it, so an id match is the merge's
+  /// order_key match; the suffix is walked in <+ order, so each source fires
+  /// what a merge would, in the same order.  meta(q) comes from the q entry
+  /// of the first source's Adjm+: every source's entry for q holds it.
+  void process_pulled(graph::vertex_id q, const pulled_type& batch, const per_target& t,
+                      fire_state& fs) const {
+    std::vector<pulled_entry>& entries = fs.pulled;
     batch.decode(entries);
     fs.probe.build(entries.size(), [&](std::size_t k) { return entries[k].r; });
+    const source_ref& first = sources_[t.first];
+    decltype(auto) meta_q = pv(graph_->resolve_record(first.slot).adj[first.split].target_meta);
     for (std::size_t src = t.first; src < t.last; ++src) {
       const source_ref& s = sources_[src];
       decltype(auto) rec_p = graph_->resolve_record(s.slot);
@@ -649,15 +677,14 @@ class survey_engine {
       decltype(auto) meta_pq = pe(q_entry.edge_meta);
       for (std::size_t j = i + 1; j < rec_p.adj.size(); ++j) {
         const entry_type& e_pr = rec_p.adj[j];
-        const std::size_t k = fs.probe.find(e_pr.target, [&](std::size_t c) {
-          return entries[c].r == e_pr.target && entries[c].r_rank == e_pr.target_rank;
-        });
+        const std::size_t k =
+            fs.probe.find(e_pr.target, [&](std::size_t c) { return entries[c].r == e_pr.target; });
         if (k == core::probe_table::npos) continue;
         if (!admits(e_pr.edge_meta)) continue;  // candidate edge outside window
         // Callback on Rank(p): meta(r) comes from p's own Adjm+ entry.
         decltype(auto) meta_r = pv(e_pr.target_meta);
         decltype(auto) meta_pr = pe(e_pr.edge_meta);
-        fire(fs, view_type{p, q, e_pr.target, vm_view(meta_p), meta_q, vm_view(meta_r),
+        fire(fs, view_type{p, q, e_pr.target, vm_view(meta_p), vm_view(meta_q), vm_view(meta_r),
                            em_view(meta_pq), em_view(meta_pr), entries[k].meta});
       }
     }
@@ -668,9 +695,11 @@ class survey_engine {
   /// Owning-thread twin of worker_ctx: the sender and counters a send stage
   /// uses on the single-threaded path.
   struct serial_ctx {
+    explicit serial_ctx(comm::communicator* c) : sender{c} {}
     comm_sender sender;
     std::uint64_t candidates = 0;
     std::uint64_t push_batches = 0;
+    std::vector<id_order> order;
   };
 
   /// Run one timed send phase over `n` work items: `range(ctx, first, last)`
@@ -707,7 +736,7 @@ class survey_engine {
     }
     return timed_phase(
         [&] {
-          serial_ctx sc{comm_sender{comm_}};
+          serial_ctx sc(comm_);
           range(sc, 0, n);
           local_candidates_ += sc.candidates;
           local_push_batches_ += sc.push_batches;
@@ -772,21 +801,29 @@ class survey_engine {
       }
     });
     gather_targets(parts);
-    // One aggregate proposal per (this rank, q) -- but only where pulling
-    // could possibly win.  d+(q) is already local (the builder's P6 flow),
-    // so a proposal per_target::proposes() rejects is known-hopeless and
-    // never sent.
+    // Request a pull of every q where it wins (per_target::proposes(); d+(q)
+    // is already local, the builder's P6 flow): the q's go into one list per
+    // owner rank, and each non-empty list in one request RPC (this rank
+    // included).  The rest are filtered and push in the push phase.
+    std::vector<std::vector<graph::vertex_id>> requests(static_cast<std::size_t>(comm_->size()));
     for (std::size_t g = 0; g < targets_.size(); ++g) {
-      const per_target& t = targets_[g];
-      if (!t.proposes()) {
+      if (!targets_[g].proposes()) {
         ++local_proposals_filtered_;
-        continue;  // pull_granted stays false; sources push in the push phase
+        continue;
       }
       const graph::vertex_id q = index_.ids[g];
-      comm_->async(graph_->owner(q), propose_handler{}, handle_, q, comm_->rank(),
-                   t.candidate_count);
+      requests[static_cast<std::size_t>(graph_->owner(q))].push_back(q);
     }
-    // The barrier of timed_phase() drains proposals and decisions.
+    for (int dest = 0; dest < comm_->size(); ++dest) {
+      const auto& qs = requests[static_cast<std::size_t>(dest)];
+      for (std::size_t at = 0; at < qs.size(); at += kMaxRequest) {
+        const std::size_t count = std::min(kMaxRequest, qs.size() - at);
+        comm_->async(dest, pull_request_handler{}, handle_, comm_->rank(),
+                     serial::wire_span<graph::vertex_id>(
+                         reinterpret_cast<const std::byte*>(qs.data() + at), count));
+      }
+    }
+    // The barrier of timed_phase() drains the requests.
   }
 
   /// Scan the in-window wedge splits of slots [first, last) into `part`:
@@ -850,43 +887,26 @@ class survey_engine {
     }
   }
 
-  struct propose_handler {
-    void operator()(comm::communicator& c, comm::dist_handle<self> h, graph::vertex_id q,
-                    int source_rank, std::uint64_t candidate_count) {
+  /// Rank(q) grants every pull `source_rank` requests: the requester
+  /// applied the same test to the same d+(q).
+  struct pull_request_handler {
+    void operator()(comm::communicator& c, comm::dist_handle<self> h, int source_rank,
+                    serial::wire_span<graph::vertex_id> qs) {
       self& eng = c.resolve(h);
       if (source_rank < 0 || source_rank >= c.size()) {
-        throw std::runtime_error("survey propose_handler: source_rank " +
+        throw std::runtime_error("survey pull_request_handler: source_rank " +
                                  std::to_string(source_rank) + " outside [0, " +
-                                 std::to_string(c.size()) + ") for q=" + std::to_string(q));
+                                 std::to_string(c.size()) + ")");
       }
-      // Pull pays off when shipping Adjm+(q) once beats receiving the
-      // candidates: |Adj+(q)| < sum of suffix lengths from that rank.
-      const std::uint32_t slot = eng.graph_->locate(q);
-      const bool pull = eng.graph_->resolve_record(slot).out_degree() < candidate_count;
-      if (pull) {
-        eng.pull_grants_.push_back({q, slot, source_rank});
+      for (const graph::vertex_id q : qs) {
+        if (eng.graph_->owner(q) != c.rank()) {
+          throw std::runtime_error("survey pull_request_handler: rank " +
+                                   std::to_string(c.rank()) + " does not own q=" +
+                                   std::to_string(q));
+        }
+        eng.pull_grants_.push_back({q, eng.graph_->locate(q), source_rank});
         ++eng.local_pulls_granted_;
       }
-      c.async(source_rank, decision_handler{}, h, q, pull);
-    }
-  };
-
-  struct decision_handler {
-    void operator()(comm::communicator& c, comm::dist_handle<self> h, graph::vertex_id q,
-                    bool pull) {
-      self& eng = c.resolve(h);
-      // A decision for a q this rank filtered would take its sources out of
-      // the push phase with no pulled list to close them, and a second one
-      // would overwrite the first: refuse both.  Handlers run on the owning
-      // thread, so the flags need no lock.
-      per_target& t = eng.target_of("decision_handler", q);
-      if (!t.proposes() || t.decided) {
-        throw std::runtime_error(std::string("survey decision_handler: ") +
-                                 (t.decided ? "second decision" : "no proposal sent") +
-                                 " for q=" + std::to_string(q));
-      }
-      t.decided = true;
-      t.pull_granted = pull;
     }
   };
 
@@ -896,7 +916,7 @@ class survey_engine {
     return send_phase(targets_.size(), [&](auto& ctx, std::size_t first, std::size_t last) {
       for (std::size_t g = first; g < last; ++g) {
         const per_target& t = targets_[g];
-        if (t.pull_granted) continue;
+        if (t.proposes()) continue;  // closes in the pull phase
         for (std::size_t k = t.first; k < t.last; ++k) {
           const source_ref& s = sources_[k];
           send_wedge_batch(ctx.sender, graph_->vid_at(s.slot), graph_->resolve_record(s.slot),
@@ -908,58 +928,65 @@ class survey_engine {
 
   phase_metrics run_pull_phase() {
     return send_phase(pull_grants_.size(), [&](auto& ctx, std::size_t first, std::size_t last) {
-      for (std::size_t k = first; k < last; ++k) send_pulled_adjacency(ctx.sender, pull_grants_[k]);
+      for (std::size_t k = first; k < last; ++k) {
+        send_pulled_adjacency(ctx.sender, ctx.order, pull_grants_[k]);
+      }
     });
   }
 
-  /// Ship Adjm+(q)'s in-window entries to the granted rank.
+  /// Ship Adjm+(q)'s in-window entries to the granted rank as an id set,
+  /// sorted by id through the sending thread's `order` scratch.
   template <typename Sender>
-  void send_pulled_adjacency(Sender& snd, const pull_grant& grant) const {
+  void send_pulled_adjacency(Sender& snd, std::vector<id_order>& order,
+                             const pull_grant& grant) const {
     decltype(auto) rec_q = graph_->resolve_record(grant.slot);
+    order.clear();
+    for (std::size_t j = 0; j < rec_q.adj.size(); ++j) {
+      if (admits(rec_q.adj[j].edge_meta)) {
+        order.push_back({rec_q.adj[j].target, static_cast<std::uint32_t>(j)});
+      }
+    }
     bool windowed = false;
     if constexpr (window_capable) windowed = win_active_;
-    if (windowed && admitted_from(rec_q, 0) == 0) return;  // nothing to close against
-    decltype(auto) meta_q = pv(rec_q.meta);
-    const auto fill = [&](typename batch_type::encoder& enc) { encode_from(enc, rec_q, 0); };
-    snd.async(grant.rank, pulled_adj_handler{}, handle_, grant.q, vm_view(meta_q),
-              batch_type::encode(fill));
-  }
-
-  /// The dry-run target a decision or pulled list names.  A frame naming a
-  /// q this rank never proposed for is corrupt (or hostile): refuse it.
-  [[nodiscard]] per_target& target_of(const char* handler, graph::vertex_id q) {
-    const std::uint32_t g = index_.find(q);
-    if (g == core::dense_index::npos) {
-      throw std::runtime_error(std::string("survey ") + handler +
-                               ": no dry-run target for q=" + std::to_string(q));
-    }
-    return targets_[g];
+    if (windowed && order.empty()) return;  // nothing to close against
+    std::sort(order.begin(), order.end(),
+              [](const id_order& a, const id_order& b) { return a.r < b.r; });
+    const auto fill = [&](typename pulled_type::encoder& enc) {
+      for (const id_order& o : order) enc.push(o.r, pe(rec_q.adj[o.at].edge_meta));
+    };
+    snd.async(grant.rank, pulled_adj_handler{}, handle_, grant.q, pulled_type::encode(fill));
   }
 
   struct pulled_adj_handler {
     void operator()(comm::communicator& c, comm::dist_handle<self> h, graph::vertex_id q,
-                    const wire_vm& meta_q, const batch_type& entries) {
+                    const pulled_type& entries) {
       self& eng = c.resolve(h);
-      // Stable reference: targets_ sees no inserts after the dry run.  The
-      // push phase already closed the sources of a refused pull, and a
-      // repeated list would close them twice: refuse both.  Handlers run on
-      // the owning thread, so the flag needs no lock.
-      per_target& t = eng.target_of("pulled_adj_handler", q);
-      if (!t.pull_granted || t.pulled) {
+      // A list for a q this rank never met in its dry run is corrupt (or
+      // hostile).  The push phase already closed the sources of a target
+      // this rank did not request, and a repeated list would close them
+      // twice: refuse all three.  Stable reference: targets_ sees no
+      // inserts after the dry run.  Handlers run on the owning thread, so
+      // the flag needs no lock.
+      const std::uint32_t g = eng.index_.find(q);
+      if (g == core::dense_index::npos) {
+        throw std::runtime_error("survey pulled_adj_handler: no dry-run target for q=" +
+                                 std::to_string(q));
+      }
+      per_target& t = eng.targets_[g];
+      if (!t.proposes() || t.pulled) {
         throw std::runtime_error(std::string("survey pulled_adj_handler: ") +
-                                 (t.pulled ? "second list" : "pull not granted") +
+                                 (t.pulled ? "second list" : "pull not requested") +
                                  " for q=" + std::to_string(q));
       }
       t.pulled = true;
       if (!eng.tasks_enabled_) {
-        eng.process_pulled(q, meta_q, entries, t, *eng.own_);
+        eng.process_pulled(q, entries, t, *eng.own_);
         return;
       }
       auto payload = c.share_current_payload();
-      eng.tasks_.push(
-          [&eng, payload = std::move(payload), q, meta_q, entries, &t](fire_state& fs) {
-            eng.process_pulled(q, meta_q, entries, t, fs);
-          });
+      eng.tasks_.push([&eng, payload = std::move(payload), q, entries, &t](fire_state& fs) {
+        eng.process_pulled(q, entries, t, fs);
+      });
     }
   };
 

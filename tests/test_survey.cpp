@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -346,6 +347,123 @@ TEST(PushPull, PulledClosingMatchesPushOnly) {
                 << " fired before " << b[2];
           }
         }
+      });
+    }
+  }
+}
+
+namespace {
+
+using string_graph = tg::dodgr<std::string, std::uint64_t>;
+
+/// p, q, r, their three labels and the three edge stamps.
+using string_row = std::tuple<tg::vertex_id, tg::vertex_id, tg::vertex_id, std::string,
+                              std::string, std::string, std::uint64_t, std::uint64_t,
+                              std::uint64_t>;
+
+struct string_collect_context {
+  std::vector<string_row> rows;
+
+  string_collect_context fork() const { return {}; }
+  void join(string_collect_context&& slice) {
+    rows.insert(rows.end(), slice.rows.begin(), slice.rows.end());
+  }
+};
+
+struct string_collect_callback {
+  template <typename View>
+  void operator()(const View& v, string_collect_context& ctx) const {
+    ctx.rows.emplace_back(v.p, v.q, v.r, std::string(std::string_view(v.meta_p)),
+                          std::string(std::string_view(v.meta_q)),
+                          std::string(std::string_view(v.meta_r)), v.meta_pq, v.meta_pr,
+                          v.meta_qr);
+  }
+};
+
+/// A label longer than any small-string buffer, so a view that outlives its
+/// string reads freed heap (the sanitizer build catches it).
+std::string long_label(tg::vertex_id v) {
+  return "host-" + std::to_string(v) + ".pulled-closing.example.org";
+}
+
+}  // namespace
+
+TEST(PushPull, PulledStringMetaMatchesPushOnly) {
+  // The string twin of PulledClosingMatchesPushOnly: a pulled list carries
+  // no meta(q), so the receiver reads it from its sources' Adjm+ entries for
+  // q.  Every row, labels included, must equal push_only's.
+  const auto k24 = complete_graph(24);
+  const auto expected = brute_force_count(k24);
+  for (const int nranks : {1, 2, 3}) {
+    for (const int threads : {1, 2}) {
+      tc::runtime::run(nranks, [&](tc::communicator& c) {
+        string_graph g(c);
+        tg::graph_builder<std::string, std::uint64_t> builder(c);
+        if (c.rank0()) {
+          for (const auto& [u, v] : k24) builder.add_edge(u, v, emeta(u, v));
+          builder.add_edge(0, 100, emeta(0, 100));
+          for (tg::vertex_id v = 0; v < 24; ++v) builder.add_vertex_meta(v, long_label(v));
+          builder.add_vertex_meta(100, long_label(100));
+        }
+        builder.build_into(g);
+        auto fz = tg::freeze(g);
+
+        const auto rows_of = [&](survey_mode mode, std::uint64_t& pulls) {
+          string_collect_context ctx;
+          const auto r =
+              tripoll::survey(fz).add(string_collect_callback{}, ctx).run({mode, threads});
+          pulls = r.total.pulls_granted;
+          return ctx.rows;
+        };
+        std::uint64_t pulls = 0, no_pulls = 0;
+        auto pulled = c.all_gather(rows_of(survey_mode::push_pull, pulls));
+        auto pushed = c.all_gather(rows_of(survey_mode::push_only, no_pulls));
+        const std::string where =
+            "ranks " + std::to_string(nranks) + " threads " + std::to_string(threads);
+        EXPECT_GT(pulls, 0u) << where;
+
+        std::vector<string_row> want, got;
+        for (auto& v : pushed) want.insert(want.end(), v.begin(), v.end());
+        for (auto& v : pulled) got.insert(got.end(), v.begin(), v.end());
+        EXPECT_EQ(got.size(), expected) << where;
+        for (const string_row& row : got) {
+          EXPECT_EQ(std::get<4>(row), long_label(std::get<1>(row))) << where;
+        }
+        std::sort(want.begin(), want.end());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << where;
+      });
+    }
+  }
+}
+
+TEST(PushPull, DryRunSendsOneRequestPerDestination) {
+  // The dry run sends each destination rank one request listing every q it
+  // wants pulled (8 bytes per q), and nothing comes back.  At one rank all
+  // of it stays local.
+  const auto k24 = complete_graph(24);
+  for (const int nranks : {1, 2, 3}) {
+    for (const int threads : {1, 2}) {
+      tc::runtime::run(nranks, [&](tc::communicator& c) {
+        plain_graph g(c);
+        build_plain(c, g, k24);
+        auto fz = tg::freeze(g);
+        const auto run = [&](survey_mode mode) {
+          cb::count_context ctx;
+          return triangle_survey(fz, cb::count_callback{}, ctx, {mode, threads});
+        };
+        const auto pp = run(survey_mode::push_pull);
+        const auto po = run(survey_mode::push_only);
+        const std::string where =
+            "ranks " + std::to_string(nranks) + " threads " + std::to_string(threads);
+        const auto ranks = static_cast<std::uint64_t>(nranks);
+        EXPECT_GT(pp.pulls_granted, 0u) << where;
+        EXPECT_LE(pp.dry_run.messages, ranks * ranks) << where;
+        EXPECT_LE(pp.dry_run.volume_bytes, 8 * pp.pulls_granted + 24 * ranks * ranks) << where;
+        if (nranks == 1) {
+          EXPECT_EQ(pp.dry_run.volume_bytes, 0u) << where;
+        }
+        EXPECT_EQ(pp.triangles_found, po.triangles_found) << where;
       });
     }
   }

@@ -37,6 +37,14 @@ struct padded_stamp {  // EXPECT: tripoll-wire-padding
 };
 inline void uses_batch(const packed_batch<padded_stamp>& b) { (void)b; }
 
+// Anchored only as the metadata of an id-set packed_batch: the element type
+// is the first template argument, not the key form after it.
+struct padded_id_stamp {  // EXPECT: tripoll-wire-padding
+  std::uint8_t kind = 0;
+  std::uint64_t at = 0;
+};
+inline void uses_id_batch(const packed_batch<padded_id_stamp, batch_key::id>& b) { (void)b; }
+
 // Enum with explicit narrow underlying type + multi-declarator members.
 enum class color : std::uint8_t { red, green };
 

@@ -140,9 +140,10 @@ struct file_model {
   std::vector<function_decl> free_functions;  ///< namespace-scope bodies
   std::vector<call_site> register_calls;      ///< register_thunk call sites
   std::vector<std::size_t> plan_add_calls;    ///< token index of `.add` / `add_reduced`
-  /// X in wire_span<...X> or packed_batch<...X>: element types a batch
-  /// puts on the wire (packed_batch serializes its metadata X through the
-  /// archive, which memcpys a bitwise X).
+  /// X in wire_span<...X> or packed_batch<...X, key>: element types a
+  /// batch puts on the wire, the last identifier of the first template
+  /// argument (packed_batch serializes its metadata X through the archive,
+  /// which memcpys a bitwise X).
   std::set<std::string> wire_elems;
   /// TRIPOLL_WIRE_ASSERT(T, members...) registrations: type -> member list.
   std::vector<std::pair<std::string, std::vector<std::string>>> wire_asserts;

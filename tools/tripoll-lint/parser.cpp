@@ -5,7 +5,7 @@
 // with data members and inline methods, enums with underlying types, free
 // functions -- and records everything the checks need: member lists with
 // type tokens, method body token ranges, `register_thunk` call sites,
-// `wire_span<...>` / `packed_batch<...>` element anchors and
+// `wire_span<T>` / `packed_batch<T, ...>` element anchors and
 // TRIPOLL_WIRE_ASSERT registrations.
 // Anything it does not understand it skips with balanced-delimiter
 // matching; unknown constructs degrade to "no model", never to a crash.
@@ -737,10 +737,23 @@ class scanner {
         // .add(x)) carry no callback body and stay out of the check.
         m_.plan_add_calls.push_back(i);
       } else if ((s == "wire_span" || s == "packed_batch") && is(i + 1, "<")) {
+        // The element type is the first template argument (packed_batch's
+        // second is its key form): anchor its last identifier.
         const std::size_t close = skip_angles(i + 1);
         std::string last_ident;
+        int depth = 0;
         for (std::size_t k = i + 2; k + 1 < close; ++k) {
-          if (is_ident(k)) last_ident = tok(k).text;
+          if (is(k, "<") || is(k, "(")) {
+            ++depth;
+          } else if (is(k, ">") || is(k, ")")) {
+            --depth;
+          } else if (is(k, ">>")) {
+            depth -= 2;
+          } else if (depth == 0 && is(k, ",")) {
+            break;
+          } else if (is_ident(k)) {
+            last_ident = tok(k).text;
+          }
         }
         if (!last_ident.empty()) m_.wire_elems.insert(last_ident);
       } else if (s == "using" && is_ident(i + 1) && is(i + 2, "=")) {
